@@ -1028,90 +1028,6 @@ let run_micro () =
         (List.sort (fun (a, _) (b, _) -> String.compare a b) rows))
 
 (* ------------------------------------------------------------------ *)
-(* OBS: instrumentation overhead                                       *)
-(* ------------------------------------------------------------------ *)
-
-let run_par () =
-  section "PAR" "extra: domain-sharded retrieval front-end (BENCH_par.json)";
-  Printf.printf
-    "one batch of 512 requests (128 unique, cycled 4x so bypass tokens\n\
-     hit) against a 15-type case base, served at --jobs 1/2/4.  Each\n\
-     shard models its own replicated retrieval unit; the batch makespan\n\
-     is the slowest shard's cycle sum, so throughput scales with the\n\
-     number of units while the result report stays byte-identical.\n\n";
-  let cb = Workload.Generator.sized_casebase ~seed:71 ~types:15 ~impls:10 ~attrs:10 in
-  let rng = Workload.Prng.create ~seed:72 in
-  let types =
-    List.map (fun (ft : Ftype.t) -> ft.Ftype.id) cb.Qos_core.Casebase.ftypes
-  in
-  let unique =
-    List.init 128 (fun i ->
-        {
-          Parallel.Frontend.app_id = Printf.sprintf "app-%d" (i mod 4);
-          request =
-            Workload.Generator.request rng ~schema:cb.Qos_core.Casebase.schema
-              ~type_id:(List.nth types (i mod List.length types))
-              Workload.Generator.default_request_spec;
-        })
-  in
-  let stream = List.concat (List.init 4 (fun _ -> unique)) in
-  let run_at jobs =
-    let config = { Parallel.Frontend.default_config with Parallel.Frontend.jobs } in
-    let fe = get (Parallel.Frontend.create ~config cb) in
-    Parallel.Frontend.run fe stream
-  in
-  let reports = List.map (fun j -> (j, run_at j)) [ 1; 2; 4 ] in
-  let throughput (r : Parallel.Frontend.report) =
-    float_of_int r.Parallel.Frontend.admitted
-    *. 1e6
-    /. float_of_int r.Parallel.Frontend.makespan_cycles
-  in
-  Printf.printf "%6s %8s %16s %18s %8s\n" "jobs" "shards" "makespan-cycles"
-    "req/Mcycle" "digest";
-  List.iter
-    (fun (j, (r : Parallel.Frontend.report)) ->
-      Printf.printf "%6d %8d %16d %18.1f %8s\n" j r.Parallel.Frontend.shards
-        r.Parallel.Frontend.makespan_cycles (throughput r)
-        (String.sub (Parallel.Frontend.results_digest r) 0 8))
-    reports;
-  let r1 = List.assoc 1 reports
-  and r2 = List.assoc 2 reports
-  and r4 = List.assoc 4 reports in
-  let identical =
-    String.equal
-      (Parallel.Frontend.results_to_string r1)
-      (Parallel.Frontend.results_to_string r2)
-    && String.equal
-         (Parallel.Frontend.results_to_string r2)
-         (Parallel.Frontend.results_to_string r4)
-  in
-  let ratio = throughput r4 /. throughput r1 in
-  Printf.printf
-    "\njobs-4 vs jobs-1 throughput: %.2fx (acceptance: >= 2x)\n\
-     result reports byte-identical across jobs: %b\n"
-    ratio identical;
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"par\",\"requests\":%d,\"unique_requests\":128,\
-     \"case_base_types\":15,\"jobs\":{%s},\
-     \"throughput_x_jobs4_vs_jobs1\":%.2f,\"identical_reports\":%b}\n"
-    (List.length stream)
-    (String.concat ","
-       (List.map
-          (fun (j, (r : Parallel.Frontend.report)) ->
-            Printf.sprintf
-              "\"%d\":{\"shards\":%d,\"makespan_cycles\":%d,\
-               \"total_busy_cycles\":%d,\"requests_per_mcycle\":%.1f,\
-               \"results_digest\":\"%s\"}"
-              j r.Parallel.Frontend.shards r.Parallel.Frontend.makespan_cycles
-              r.Parallel.Frontend.total_busy_cycles (throughput r)
-              (Parallel.Frontend.results_digest r))
-          reports))
-    ratio identical;
-  close_out oc;
-  Printf.printf "-> BENCH_par.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* CLUSTER: replicated serving under a seeded outage campaign          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1413,6 +1329,10 @@ let run_native () =
     ratio identical;
   close_out oc;
   Printf.printf "-> BENCH_native.json\n"
+
+(* ------------------------------------------------------------------ *)
+(* OBS: instrumentation overhead                                       *)
+(* ------------------------------------------------------------------ *)
 
 let run_obs_bench () =
   section "OBS" "observability overhead on the simulate hot path";
@@ -1727,7 +1647,6 @@ let sections =
     ("b2", run_b2);
     ("b3", run_b3);
     ("r1", run_r1);
-    ("par", run_par);
     ("cluster", run_cluster);
     ("cluster2", run_cluster2);
     ("native", run_native);

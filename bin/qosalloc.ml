@@ -55,6 +55,73 @@ let request_arg =
   in
   Arg.(value & opt (some file) None & info [ "r"; "request" ] ~docv:"FILE" ~doc)
 
+(* --- shared run flags ---------------------------------------------------- *)
+
+(* [conv] restricted to values satisfying [ok]: an out-of-range value
+   is a command-line error (exit 124) instead of an exception raised
+   deep inside the run.  Defaults print as [conv] prints them, so the
+   --help text is unchanged. *)
+let checked conv ~expect ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let float_at_least lo =
+  checked Arg.float
+    ~expect:(Printf.sprintf "a finite number >= %g" lo)
+    (fun v -> Float.is_finite v && v >= lo)
+
+let positive_float =
+  checked Arg.float ~expect:"a finite number > 0" (fun v ->
+      Float.is_finite v && v > 0.0)
+
+let positive_int = checked Arg.int ~expect:"an integer >= 1" (fun v -> v >= 1)
+
+let duration_arg =
+  Arg.(
+    value
+    & opt (float_at_least 0.0) 200_000.0
+    & info [ "duration-us" ] ~docv:"US" ~doc:"Simulated time in microseconds.")
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
+
+(* The retry-backoff knobs of [faults] and [serve], checked here against
+   the ranges [Faults.Backoff.delay] would otherwise raise on at the
+   first retry. *)
+let backoff_term =
+  let d = Faults.Backoff.default in
+  let flag c default name ~docv ~doc =
+    Arg.(value & opt c default & info [ name ] ~docv ~doc)
+  in
+  let base_us =
+    flag positive_float d.Faults.Backoff.base_us "backoff-us" ~docv:"US"
+      ~doc:"Base retry backoff."
+  and factor =
+    flag (float_at_least 1.0) d.Faults.Backoff.factor "backoff-factor"
+      ~docv:"F" ~doc:"Exponential backoff multiplier."
+  and cap_us =
+    flag (float_at_least 0.0) d.Faults.Backoff.cap_us "backoff-cap-us"
+      ~docv:"US" ~doc:"Ceiling on a single retry backoff before jitter."
+  and jitter =
+    flag
+      (checked Arg.float ~expect:"a number in [0, 1)" (fun v ->
+           v >= 0.0 && v < 1.0))
+      d.Faults.Backoff.jitter "backoff-jitter" ~docv:"J"
+      ~doc:
+        "Relative backoff jitter half-width in [0,1); 0 disables jitter and \
+         consumes no randomness."
+  in
+  Term.(
+    const (fun base_us factor cap_us jitter ->
+        { Faults.Backoff.base_us; factor; cap_us; jitter })
+    $ base_us $ factor $ cap_us $ jitter)
+
 (* --- observability ------------------------------------------------------- *)
 
 let metrics_arg =
@@ -411,46 +478,8 @@ let resources_cmd =
 
 (* --- simulate --------------------------------------------------------------- *)
 
-(* Deterministic replay stream for the sharded front-end: the same
-   application templates the discrete-event simulation draws from,
-   cycled round-robin and jittered from the spec seed. *)
-let par_request_stream (spec : Desim.Simulate.spec) ~count =
-  let rng = Workload.Prng.create ~seed:(spec.Desim.Simulate.seed + 1) in
-  let apps = Array.of_list spec.Desim.Simulate.apps in
-  let napps = Array.length apps in
-  List.init count (fun i ->
-      let profile = apps.(i mod napps) in
-      let templates = profile.Desim.Apps.templates in
-      let template = List.nth templates (i / napps mod List.length templates) in
-      {
-        Parallel.Frontend.app_id = profile.Desim.Apps.app_id;
-        request = Desim.Apps.instantiate rng template;
-      })
-
-let run_par_section ?obs ?engine (spec : Desim.Simulate.spec) ~jobs ~batch
-    ~par_out =
-  let config =
-    { Parallel.Frontend.default_config with Parallel.Frontend.jobs; batch }
-  in
-  let fe =
-    or_die
-      (Parallel.Frontend.create ?obs ?engine ~config
-         spec.Desim.Simulate.casebase)
-  in
-  let report = Parallel.Frontend.run fe (par_request_stream spec ~count:256) in
-  Format.printf "@[<v>=== PAR (sharded retrieval front-end) ===@,%a@]@."
-    Parallel.Frontend.pp_perf report;
-  Format.printf "PAR results digest: %s@."
-    (Parallel.Frontend.results_digest report);
-  match par_out with
-  | None -> ()
-  | Some path ->
-      write_file path (Parallel.Frontend.results_to_string report);
-      Format.printf "PAR results -> %s@." path
-
 let simulate_cmd =
-  let run duration_us seed trace_csv metrics trace_out jobs batch par_out
-      engine =
+  let run duration_us seed trace_csv metrics trace_out engine =
     let retrieval_engine = Option.map (fun n -> or_die (Engines.of_name n)) engine in
     let spec =
       {
@@ -463,13 +492,6 @@ let simulate_cmd =
     in
     let obs = make_obs ~metrics ~trace_out ~events_out:None in
     let report = Desim.Simulate.run ?obs spec in
-    (match (jobs, batch, par_out) with
-    | None, None, None -> ()
-    | _ ->
-        run_par_section ?obs ?engine:retrieval_engine spec
-          ~jobs:(Option.value jobs ~default:1)
-          ~batch:(Option.value batch ~default:16)
-          ~par_out);
     emit_obs obs ~metrics ~trace_out ~events_out:None;
     Format.printf "%a@." Desim.Simulate.pp_report report;
     match trace_csv with
@@ -484,15 +506,6 @@ let simulate_cmd =
         Format.printf "%a@." Desim.Tracefile.pp_analysis
           (Desim.Tracefile.analyze report.Desim.Simulate.trace)
   in
-  let duration =
-    Arg.(
-      value
-      & opt float 200_000.0
-      & info [ "duration-us" ] ~docv:"US" ~doc:"Simulated time in microseconds.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
-  in
   let trace_csv =
     Arg.(
       value
@@ -500,49 +513,21 @@ let simulate_cmd =
       & info [ "trace-csv" ] ~docv:"FILE"
           ~doc:"Write a per-request CSV trace and print its analysis.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Also run the sharded retrieval front-end with $(docv) worker \
-             domains over a deterministic replay of the application \
-             requests.  Results are byte-identical for any $(docv).")
-  in
-  let batch =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Front-end batch size (requests per queue element).")
-  in
-  let par_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "par-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the front-end's jobs-invariant result report to $(docv) \
-             (byte-identical across --jobs settings).")
-  in
   let engine =
     Arg.(
       value
       & opt (some factory_conv) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Retrieval engine backing the manager's latency model and the \
-             sharded front-end: $(b,float), $(b,fixed), $(b,rtlsim) (the \
-             default), $(b,netlist) or $(b,native).  Bit-accurate engines \
-             produce byte-identical front-end results; only modeled cycle \
-             counts differ.")
+            "Retrieval engine backing the manager's latency model: \
+             $(b,float), $(b,fixed), $(b,rtlsim) (the default), $(b,netlist) \
+             or $(b,native).")
   in
   let doc = "simulate the Fig. 1 multi-device system under load" in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const run $ duration $ seed $ trace_csv $ metrics_arg $ trace_out_arg
-      $ jobs $ batch $ par_out $ engine)
+      const run $ duration_arg $ seed_arg $ trace_csv $ metrics_arg
+      $ trace_out_arg $ engine)
 
 (* --- faults ---------------------------------------------------------------- *)
 
@@ -581,8 +566,8 @@ let parse_device_fault s =
 
 let faults_cmd =
   let run duration_us seed seu_mean scrub_period reconfig_prob flash_prob
-      deadline max_retries backoff_us backoff_factor backoff_cap_us
-      backoff_jitter device_faults format metrics trace_out events_out engine =
+      deadline max_retries backoff device_faults format metrics trace_out
+      events_out engine =
     let base =
       {
         (Desim.Simulate.default_spec ()) with
@@ -614,10 +599,10 @@ let faults_cmd =
         retry =
           {
             Faults.Campaign.max_retries;
-            backoff_base_us = backoff_us;
-            backoff_factor;
-            backoff_cap_us;
-            backoff_jitter;
+            backoff_base_us = backoff.Faults.Backoff.base_us;
+            backoff_factor = backoff.Faults.Backoff.factor;
+            backoff_cap_us = backoff.Faults.Backoff.cap_us;
+            backoff_jitter = backoff.Faults.Backoff.jitter;
           };
         device_faults;
       }
@@ -629,15 +614,6 @@ let faults_cmd =
     | `Json -> print_string (Faults.Campaign.to_json report)
     | `Text -> Format.printf "@[<v>%a@]@." Faults.Campaign.pp report);
     exit (Faults.Campaign.exit_code report)
-  in
-  let duration =
-    Arg.(
-      value
-      & opt float 200_000.0
-      & info [ "duration-us" ] ~docv:"US" ~doc:"Simulated time in microseconds.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
   in
   let seu_mean =
     Arg.(
@@ -678,31 +654,6 @@ let faults_cmd =
     Arg.(
       value & opt int 3
       & info [ "retries" ] ~docv:"N" ~doc:"Retry budget per failed load.")
-  in
-  let backoff_us =
-    Arg.(
-      value & opt float 200.0
-      & info [ "backoff-us" ] ~docv:"US" ~doc:"Base retry backoff.")
-  in
-  let backoff_factor =
-    Arg.(
-      value & opt float 2.0
-      & info [ "backoff-factor" ] ~docv:"F"
-          ~doc:"Exponential backoff multiplier.")
-  in
-  let backoff_cap_us =
-    Arg.(
-      value & opt float 5_000.0
-      & info [ "backoff-cap-us" ] ~docv:"US"
-          ~doc:"Ceiling on a single retry backoff before jitter.")
-  in
-  let backoff_jitter =
-    Arg.(
-      value & opt float 0.1
-      & info [ "backoff-jitter" ] ~docv:"J"
-          ~doc:
-            "Relative backoff jitter half-width in [0,1); 0 disables \
-             jitter and consumes no randomness.")
   in
   let fault_conv =
     Arg.conv
@@ -768,18 +719,18 @@ let faults_cmd =
   in
   Cmd.v (Cmd.info "faults" ~doc ~man)
     Term.(
-      const run $ duration $ seed $ seu_mean $ scrub_period $ reconfig_prob
-      $ flash_prob $ deadline $ max_retries $ backoff_us $ backoff_factor
-      $ backoff_cap_us $ backoff_jitter $ device_faults $ format_arg
-      $ metrics_arg $ trace_out_arg $ events_out_arg $ engine)
+      const run $ duration_arg $ seed_arg $ seu_mean $ scrub_period
+      $ reconfig_prob $ flash_prob $ deadline $ max_retries $ backoff_term
+      $ device_faults $ format_arg $ metrics_arg $ trace_out_arg
+      $ events_out_arg $ engine)
 
 (* --- serve ----------------------------------------------------------------- *)
 
 let serve_cmd =
   let run duration_us seed nodes replication fault_domains jobs engine_name
-      kill_frac bounce_mean bounce_down retries backoff_us backoff_factor
-      backoff_cap_us backoff_jitter min_availability slo steal steal_threshold
-      stream requests load_scale slo_out out metrics trace_out events_out =
+      kill_frac bounce_mean bounce_down retries backoff min_availability slo
+      steal steal_threshold stream requests load_scale slo_out out metrics
+      trace_out events_out =
     let engine = or_die (Engines.of_name engine_name) in
     let d = Cluster.Serve.default_spec () in
     let spec =
@@ -800,13 +751,7 @@ let serve_cmd =
             transient_mean_us = bounce_mean;
             transient_down_us = bounce_down;
           };
-        backoff =
-          {
-            Faults.Backoff.base_us = backoff_us;
-            factor = backoff_factor;
-            cap_us = backoff_cap_us;
-            jitter = backoff_jitter;
-          };
+        backoff;
         max_retries = retries;
         min_availability;
         slo =
@@ -840,29 +785,20 @@ let serve_cmd =
     Format.printf "@[<v>%a@]@." Cluster.Serve.pp report;
     exit (Cluster.Serve.exit_code ~min_availability report)
   in
-  let duration =
-    Arg.(
-      value
-      & opt float 200_000.0
-      & info [ "duration-us" ] ~docv:"US" ~doc:"Simulated time in microseconds.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
-  in
   let nodes =
     Arg.(
-      value & opt int 6
+      value & opt positive_int 6
       & info [ "nodes" ] ~docv:"N" ~doc:"Cluster membership size.")
   in
   let replication =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "replication" ] ~docv:"N"
           ~doc:"Replicas per function type (clamped to the node count).")
   in
   let fault_domains =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "fault-domains" ] ~docv:"N"
           ~doc:
             "Failure-correlation domains; replica walks prefer distinct \
@@ -894,7 +830,7 @@ let serve_cmd =
   let bounce_mean =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_float) None
       & info [ "bounce-mean-us" ] ~docv:"US"
           ~doc:
             "Mean interval of per-node transient outages (Poisson); off by \
@@ -913,31 +849,6 @@ let serve_cmd =
       & info [ "retries" ] ~docv:"N"
           ~doc:"Backoff rounds before answering degraded.")
   in
-  let backoff_us =
-    Arg.(
-      value & opt float 200.0
-      & info [ "backoff-us" ] ~docv:"US" ~doc:"Base retry backoff.")
-  in
-  let backoff_factor =
-    Arg.(
-      value & opt float 2.0
-      & info [ "backoff-factor" ] ~docv:"F"
-          ~doc:"Exponential backoff multiplier.")
-  in
-  let backoff_cap_us =
-    Arg.(
-      value & opt float 5_000.0
-      & info [ "backoff-cap-us" ] ~docv:"US"
-          ~doc:"Ceiling on a single retry backoff before jitter.")
-  in
-  let backoff_jitter =
-    Arg.(
-      value & opt float 0.1
-      & info [ "backoff-jitter" ] ~docv:"J"
-          ~doc:
-            "Relative backoff jitter half-width in [0,1); 0 disables jitter \
-             and consumes no randomness.")
-  in
   let min_availability =
     Arg.(
       value & opt float 0.99
@@ -949,7 +860,14 @@ let serve_cmd =
   let slo =
     Arg.(
       value
-      & opt (some (pair ~sep:':' float float)) None
+      & opt
+          (some
+             (checked (pair ~sep:':' float float)
+                ~expect:"AVAIL in (0, 1] and a finite LAT_US > 0"
+                (fun (avail, lat) ->
+                  avail > 0.0 && avail <= 1.0 && Float.is_finite lat
+                  && lat > 0.0)))
+          None
       & info [ "slo" ] ~docv:"AVAIL:LAT_US"
           ~doc:
             "Track two service-level objectives over the run with \
@@ -999,7 +917,7 @@ let serve_cmd =
   in
   let load_scale =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "load-scale" ] ~docv:"F"
           ~doc:
             "Divide every application's inter-arrival period by $(docv); \
@@ -1046,11 +964,11 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ duration $ seed $ nodes $ replication $ fault_domains $ jobs
-      $ engine $ kill_frac $ bounce_mean $ bounce_down $ retries $ backoff_us
-      $ backoff_factor $ backoff_cap_us $ backoff_jitter $ min_availability
-      $ slo $ steal $ steal_threshold $ stream $ requests $ load_scale
-      $ slo_out $ out $ metrics_arg $ trace_out_arg $ events_out_arg)
+      const run $ duration_arg $ seed_arg $ nodes $ replication $ fault_domains
+      $ jobs $ engine $ kill_frac $ bounce_mean $ bounce_down $ retries
+      $ backoff_term $ min_availability $ slo $ steal $ steal_threshold $ stream
+      $ requests $ load_scale $ slo_out $ out $ metrics_arg $ trace_out_arg
+      $ events_out_arg)
 
 (* --- profile --------------------------------------------------------------- *)
 

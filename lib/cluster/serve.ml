@@ -246,11 +246,12 @@ let workload spec =
 
 (* --- parallel decision phase ------------------------------------------------ *)
 
-(* Every request is retrieved on its primary replica's engine.  Node
-   [n] is owned by worker [n mod jobs], so an engine instance is only
-   ever driven from one domain; workers write disjoint indices of the
-   shared decision array.  The decision for an index is a pure function
-   of (node engine, request) — independent of [jobs]. *)
+(* Every request is retrieved on its primary replica's engine.  Worker
+   [w] decides exactly the indices whose primary node [n] has
+   [n mod jobs = w], so an engine instance is only ever driven from one
+   domain and workers write disjoint indices of the shared decision
+   array.  The decision for an index is a pure function of (node
+   engine, request) — independent of [jobs]. *)
 let compute_decisions (sub : Substrate.t) (arrivals : arrival array) ~jobs =
   let n = Array.length arrivals in
   let decisions = Array.make n (Error (Engine.Engine_failure "unserved")) in
@@ -263,46 +264,17 @@ let compute_decisions (sub : Substrate.t) (arrivals : arrival array) ~jobs =
       arrivals
   in
   let jobs = max 1 jobs in
-  let queues = Array.init jobs (fun _ -> Parallel.Bqueue.create ~capacity:64) in
-  let workers =
-    Array.init jobs (fun w ->
-        Domain.spawn (fun () ->
-            let rec loop () =
-              match Parallel.Bqueue.pop queues.(w) with
-              | None -> ()
-              | Some batch ->
-                  List.iter
-                    (fun (idx, node_id, request) ->
-                      let node = Substrate.node sub node_id in
-                      decisions.(idx) <-
-                        (match node.Substrate.engine with
-                        | None ->
-                            Error (Engine.Engine_failure "node hosts no types")
-                        | Some e -> e.Engine.retrieve request))
-                    batch;
-                  loop ()
-            in
-            loop ()))
+  let worker w () =
+    for idx = 0 to n - 1 do
+      let node_id = primary.(idx) in
+      if node_id mod jobs = w then
+        decisions.(idx) <-
+          (match (Substrate.node sub node_id).Substrate.engine with
+          | None -> Error (Engine.Engine_failure "node hosts no types")
+          | Some e -> e.Engine.retrieve arrivals.(idx).a_request)
+    done
   in
-  let bufs = Array.make jobs [] in
-  let fills = Array.make jobs 0 in
-  let flush w =
-    if bufs.(w) <> [] then begin
-      ignore (Parallel.Bqueue.push queues.(w) (List.rev bufs.(w)));
-      bufs.(w) <- [];
-      fills.(w) <- 0
-    end
-  in
-  Array.iteri
-    (fun idx a ->
-      let w = primary.(idx) mod jobs in
-      bufs.(w) <- (idx, primary.(idx), a.a_request) :: bufs.(w);
-      fills.(w) <- fills.(w) + 1;
-      if fills.(w) >= 32 then flush w)
-    arrivals;
-  Array.iteri (fun w _ -> flush w) bufs;
-  Array.iter Parallel.Bqueue.close queues;
-  Array.iter Domain.join workers;
+  Array.iter Domain.join (Array.init jobs (fun w -> Domain.spawn (worker w)));
   decisions
 
 (* --- sequential control phase ----------------------------------------------- *)
@@ -876,8 +848,8 @@ let run ?obs (spec : spec) =
             | Some p -> execute ~node:p.Steal.victim ~stolen:(Some p) rest
             | None ->
                 if inflight_n >= slots then begin
-                  (* Saturated: shed towards the next replica, the
-                     [Parallel.Bqueue] contract at cluster scope. *)
+                  (* Saturated: shed towards the next replica instead
+                     of queueing behind the full node. *)
                   saw_saturated := true;
                   shed.(node) <- shed.(node) + 1;
                   inc (fun i -> i.i_shed.(node));

@@ -17,9 +17,11 @@
     replica's engine.  This phase is pure — a decision depends only on
     the node's sub-case-base, which hosts the full function type — so
     in pregenerated mode it is parallelised across [jobs] worker
-    domains (each node's engine is owned by exactly one worker) and the
-    results are merged by submission index; in streaming mode the same
-    pure call happens inline at each arrival.  Decisions are therefore
+    domains: worker [w] decides every request whose primary node [n]
+    has [n mod jobs = w], so each node's engine is driven by exactly
+    one worker, and writes it into that request's submission-index
+    slot.  In streaming mode the same pure call happens inline at each
+    arrival.  Decisions are therefore
     identical at any [jobs] and for either source.
 
     {b Control} replays the run on a single discrete-event clock:
@@ -124,8 +126,8 @@ type response =
   | Full of { node : int; decision : Qos_core.Engine.decision }
       (** Answered at full QoS by a live replica. *)
   | Degraded of { stale_impl : int option; reason : reason }
-      (** Answered from the stale decision — the {!Parallel.Frontend}
-          shed contract — because no replica could serve in time. *)
+      (** Answered from the stale decision, never dropped, because no
+          replica could serve in time. *)
   | Failed of string  (** Engine error; never an availability event. *)
 
 val response_tag : response -> string

@@ -10,8 +10,8 @@
 
     Engines are plain records of closures rather than a functor so a
     registry can hold them side by side and consumers (the allocator,
-    the sharded front-end, fault campaigns, profiling, the CLI) can
-    select one at run time with an [--engine] flag.
+    the cluster's per-node engines, fault campaigns, profiling, the
+    CLI) can select one at run time with an [--engine] flag.
 
     The float and fixed instances live here; the cycle-reporting
     instances are adapters in [Rtlsim.Engine], [Netlist.Engine] and

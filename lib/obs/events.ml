@@ -12,7 +12,6 @@ type kind =
   | Breaker_transition of { prev : string; next : string }
   | Scrub of { corrupted_words : int; diagnostics : int }
   | Relocation of { device : string; qos_delta : float }
-  | Queue_shed of { shard : int }
   | Slo_alert of {
       objective : string;
       state : string;
@@ -82,7 +81,6 @@ let kind_name = function
   | Breaker_transition _ -> "breaker-transition"
   | Scrub _ -> "scrub"
   | Relocation _ -> "relocation"
-  | Queue_shed _ -> "queue-shed"
   | Slo_alert _ -> "slo-alert"
 
 (* One event, one line, fixed field order: ts, event, request, node,
@@ -127,7 +125,6 @@ let event_ndjson e =
   | Relocation { device; qos_delta } ->
       add ",\"device\":%s,\"qos_delta\":%s" (Jsonu.str device)
         (Jsonu.float_str qos_delta)
-  | Queue_shed { shard } -> add ",\"shard\":%d" shard
   | Slo_alert { objective; state; burn_fast; burn_slow } ->
       add ",\"objective\":%s,\"state\":%s,\"burn_fast\":%s,\"burn_slow\":%s"
         (Jsonu.str objective) (Jsonu.str state) (Jsonu.float_str burn_fast)

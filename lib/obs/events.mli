@@ -3,8 +3,8 @@
     Typed event variants covering the life of a request (admission,
     retries, failovers, sheds, degradation, completion), node health
     transitions, circuit-breaker transitions, fault-campaign scrubs and
-    relocations, queue sheds and SLO burn alerts — each stamped with
-    sim-time and optional request/node correlation fields.
+    relocations, and SLO burn alerts — each stamped with sim-time and
+    optional request/node correlation fields.
 
     Storage is a bounded ring buffer: when full, the oldest event is
     overwritten and the explicit {!dropped} counter grows, so the log
@@ -41,8 +41,6 @@ type kind =
   | Breaker_transition of { prev : string; next : string }
   | Scrub of { corrupted_words : int; diagnostics : int }
   | Relocation of { device : string; qos_delta : float }
-  | Queue_shed of { shard : int }
-      (** {!Parallel.Frontend} shed a job above its high-water mark. *)
   | Slo_alert of {
       objective : string;
       state : string;  (** "firing" or "resolved". *)

@@ -347,42 +347,64 @@ let test_observability_flags () =
   check_bool "same report with and without instrumentation" true
     (String.equal out plain_out)
 
-let test_parallel_flags () =
-  (* The sharded front-end's result report is byte-identical across
-     --jobs settings; only the perf section (shards, makespan) moves. *)
+let test_jobs_determinism () =
+  (* serve fans the decision phase out over --jobs domains; the
+     per-request results report of a chaos run is byte-identical at any
+     value. *)
   let out_for jobs =
-    let path = Filename.concat tmp_dir (Printf.sprintf "par_%d.txt" jobs) in
-    let code, out =
+    let path = Filename.concat tmp_dir (Printf.sprintf "serve_j%d.txt" jobs) in
+    let code, _ =
       run_cli
         (Printf.sprintf
-           "simulate --duration-us 2000 --seed 42 --jobs %d --par-out %s" jobs
-           path)
+           "serve --duration-us 20000 --seed 11 --load-scale 100 --kill-frac \
+            0.34 --bounce-mean-us 5000 --jobs %d --out %s"
+           jobs path)
     in
-    check_int "simulate --jobs exit 0" 0 code;
-    check_bool "PAR section printed" true
-      (contains out "=== PAR (sharded retrieval front-end) ===");
-    let digest =
-      List.find
-        (fun l -> contains l "PAR results digest:")
-        (String.split_on_char '\n' out)
-    in
-    (digest, read_file path)
+    check_int "serve --jobs degraded-recovered" 1 code;
+    read_file path
   in
-  let d1, r1 = out_for 1 in
-  let d2, r2 = out_for 2 in
-  let d4, r4 = out_for 4 in
-  check_bool "digest invariant 1=2" true (String.equal d1 d2);
-  check_bool "digest invariant 2=4" true (String.equal d2 d4);
-  check_bool "results byte-identical 1=4" true (String.equal r1 r4);
-  check_bool "results byte-identical 1=2" true (String.equal r1 r2);
+  let r1 = out_for 1 in
+  check_bool "results byte-identical 1=2" true (String.equal r1 (out_for 2));
+  check_bool "results byte-identical 1=4" true (String.equal r1 (out_for 4));
   check_bool "result lines carry outcomes" true
-    (contains r1 "via=retrieval" && contains r1 "app=");
-  (* --batch alone also triggers the section; a bad jobs count dies. *)
-  let code, out = run_cli "simulate --duration-us 2000 --batch 4" in
-  check_int "batch-only exit 0" 0 code;
-  check_bool "batch-only prints PAR" true (contains out "=== PAR");
-  let code, _ = run_cli "simulate --duration-us 2000 --jobs 0" in
-  check_int "jobs 0 rejected" 1 code
+    (contains r1 "app=ecu" && contains r1 " full node="
+    && contains r1 " degraded")
+
+(* Out-of-range flag values are command-line errors: cmdliner's exit
+   124, never an uncaught exception (125) or a run-time failure (1).
+   The backoff values only raised at the first retry, so those runs
+   carry enough chaos to retry. *)
+let bad_flags =
+  let serve = "serve --duration-us 20000 --kill-frac 0.34 --bounce-mean-us 2000"
+  and faults = "faults --duration-us 20000 --reconfig-fail-prob 0.5" in
+  [
+    ("serve", "--load-scale 0");
+    ("serve", "--load-scale=-1");
+    ("serve", "--load-scale inf");
+    ("serve", "--bounce-mean-us 0");
+    ("serve", "--slo 2:5");
+    ("serve", "--nodes 0");
+    ("serve", "--replication 0");
+    ("serve", "--fault-domains 0");
+    (serve, "--backoff-jitter 1.5");
+    (serve, "--backoff-factor 0.5");
+    (serve, "--backoff-us 0");
+    (serve, "--backoff-cap-us=-5");
+    (faults, "--backoff-jitter 1.5");
+    (faults, "--backoff-factor 0.5");
+    (faults, "--backoff-us 0");
+    ("simulate", "--duration-us nan");
+  ]
+
+let bad_flag_cases =
+  List.map
+    (fun (base, flag) ->
+      let cmd = List.hd (String.split_on_char ' ' base) in
+      Alcotest.test_case (cmd ^ " " ^ flag) `Quick (fun () ->
+          let code, out = run_cli (base ^ " " ^ flag) in
+          check_int "command-line error" 124 code;
+          check_bool "no internal error" false (contains out "internal error")))
+    bad_flags
 
 let test_faults_observability () =
   let prom = Filename.concat tmp_dir "faults.prom" in
@@ -443,9 +465,9 @@ let () =
           Alcotest.test_case "faults metrics" `Quick test_faults_observability;
         ] );
       ( "parallel",
-        [
-          Alcotest.test_case "jobs determinism" `Quick test_parallel_flags;
-        ] );
+        [ Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism ]
+      );
+      ("flag ranges", bad_flag_cases);
       ( "lint",
         [
           Alcotest.test_case "clean fixtures exit 0" `Quick

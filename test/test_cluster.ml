@@ -496,6 +496,113 @@ let test_serve_eventlog_absent_when_disabled () =
   check_bool "run unchanged" true (r.Serve.requests > 0);
   check_int "no events" 0 (Ev.recorded obs.Obs.Ctx.events)
 
+(* --- engine axis ----------------------------------------------------------- *)
+
+(* The engine-independent face of one response: who served it, with
+   which variant and Q15 score, or the stale variant and the reason it
+   degraded.  Cycle counts are left out — only they may differ. *)
+let outcome_key = function
+  | Serve.Full { node; decision } ->
+      Printf.sprintf "full node=%d impl=%d score=%d" node
+        decision.Engine.impl_id
+        (Fxp.Q15.to_raw decision.Engine.score)
+  | Serve.Degraded { stale_impl; reason } ->
+      Printf.sprintf "degraded stale=%s reason=%s"
+        (Option.fold ~none:"-" ~some:string_of_int stale_impl)
+        (Serve.reason_to_string reason)
+  | Serve.Failed msg -> "failed " ^ msg
+
+let counters (r : Serve.report) =
+  [
+    r.Serve.requests; r.Serve.full; r.Serve.degraded; r.Serve.failed;
+    r.Serve.failovers; r.Serve.retries; r.Serve.sheds; r.Serve.steals;
+    r.Serve.steal_denials; r.Serve.outage_events; r.Serve.heartbeats;
+  ]
+
+let test_serve_engine_invariance () =
+  (* Every bit-accurate engine decides as native does, so a chaos run
+     on any of them, at any worker count, routes, fails over, degrades
+     and answers exactly as the native run. *)
+  let outage = { outage_spec with Outages.permanent_frac = 0.5 } in
+  let base =
+    { (spec ~replication:1 ~outage ()) with Serve.load_scale = 5.0 }
+  in
+  let reference = get (Serve.run base) in
+  check_bool "the run degrades some requests" true
+    (reference.Serve.degraded > 0);
+  let keys r = Array.to_list (Array.map outcome_key r.Serve.outcomes) in
+  List.iter
+    (fun (name, factory) ->
+      List.iter
+        (fun jobs ->
+          let r =
+            get
+              (Serve.run
+                 { base with Serve.engine = factory; engine_name = name; jobs })
+          in
+          let label what = Printf.sprintf "%s at jobs %d: %s" name jobs what in
+          Alcotest.(check (list int)) (label "counters") (counters reference)
+            (counters r);
+          Alcotest.(check (list string)) (label "outcomes") (keys reference)
+            (keys r))
+        [ 1; 3 ])
+    Engines.bit_accurate
+
+let test_serve_unknown_type () =
+  (* A request for a type the case base lacks is an engine error: it
+     answers [Failed] naming the type — never degraded, never dropped —
+     and the run classifies as unrecovered loss. *)
+  let ghost =
+    {
+      Desim.Apps.cruise_control with
+      Desim.Apps.app_id = "ghost";
+      templates =
+        [ { Desim.Apps.t_type_id = 9999; t_constraints = [ (5, 10, 0, 1.0) ] } ];
+    }
+  in
+  let s = spec ~duration_us:20_000.0 () in
+  let r = get (Serve.run { s with Serve.apps = s.Serve.apps @ [ ghost ] }) in
+  let ghosts = ref 0 in
+  Array.iteri
+    (fun i outcome ->
+      let app, _, _ = r.Serve.request_meta.(i) in
+      match outcome with
+      | Serve.Failed msg ->
+          incr ghosts;
+          check_bool "only the ghost app fails" true (app = "ghost");
+          check_bool "names the type" true (contains msg "9999")
+      | Serve.Full _ | Serve.Degraded _ ->
+          check_bool "the ghost app never succeeds" false (app = "ghost"))
+    r.Serve.outcomes;
+  check_bool "ghost requests were issued" true (!ghosts > 0);
+  check_int "failed counter" !ghosts r.Serve.failed;
+  check_int "unrecovered loss" 2 (Serve.exit_code ~min_availability:0.99 r)
+
+let test_serve_matches_sequential_engine () =
+  (* Sharding the decision phase over domains changes who computes an
+     answer, never the answer: on a clean run at jobs 4 every request
+     is served with the variant and Q15 score the sequential
+     fixed-point engine picks over the whole case base. *)
+  let s = spec ~duration_us:20_000.0 ~seed:72 ~jobs:4 () in
+  let r = get (Serve.run s) in
+  let requests = Serve.workload s in
+  check_int "trace and outcomes align" (Array.length requests)
+    (Array.length r.Serve.outcomes);
+  check_bool "has requests" true (r.Serve.requests > 0);
+  check_int "all full" r.Serve.requests r.Serve.full;
+  Array.iteri
+    (fun i (_, _, request) ->
+      match (r.Serve.outcomes.(i), Engine_fixed.best s.Serve.casebase request)
+      with
+      | Serve.Full { decision; _ }, Ok ranked ->
+          check_int "same variant as the sequential engine"
+            ranked.Retrieval.impl.Impl.id decision.Engine.impl_id;
+          check_int "same Q15 score"
+            (Fxp.Q15.to_raw ranked.Retrieval.score)
+            (Fxp.Q15.to_raw decision.Engine.score)
+      | _ -> Alcotest.fail "expected Full + sequential Ok")
+    requests
+
 (* --- replica-consistency property ------------------------------------------ *)
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen f)
@@ -686,6 +793,11 @@ let () =
           Alcotest.test_case "streaming cap" `Quick test_serve_streaming_cap;
           Alcotest.test_case "event log disabled" `Quick
             test_serve_eventlog_absent_when_disabled;
+          Alcotest.test_case "engine invariance" `Quick
+            test_serve_engine_invariance;
+          Alcotest.test_case "unknown type" `Quick test_serve_unknown_type;
+          Alcotest.test_case "matches sequential engine" `Quick
+            test_serve_matches_sequential_engine;
         ] );
       ("properties", props);
     ]
