@@ -1186,26 +1186,6 @@ let run_cluster2 () =
     sheds_decrease off.Cluster.Serve.sheds on.Cluster.Serve.sheds
     (p99_improves && avail_equal)
     (p99 off) (p99 on) jobs_match stream_match;
-  subsection "streaming scale: 1M requests without pregeneration";
-  let big =
-    {
-      (Cluster.Serve.default_spec ()) with
-      Cluster.Serve.duration_us = 3.0e6;
-      seed = 5;
-      load_scale = 400.0;
-      source = Cluster.Serve.Stream;
-      max_requests = Some 1_000_000;
-      retain_requests = false;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let br = get (Cluster.Serve.run big) in
-  let wall = Unix.gettimeofday () -. t0 in
-  let rps = float_of_int br.Cluster.Serve.requests /. wall in
-  Printf.printf
-    "requests=%d availability=%.4f wall=%.2fs throughput=%.0f req/s\n\
-     (pull-based source: O(apps) arrival memory, aggregates only)\n"
-    br.Cluster.Serve.requests br.Cluster.Serve.availability wall rps;
   let oc = open_out "BENCH_cluster2.json" in
   Printf.fprintf oc
     "{\"bench\":\"cluster2\",\"nodes\":6,\"fault_domains\":3,\"seed\":11,\
@@ -1216,9 +1196,7 @@ let run_cluster2 () =
      \"steal_denials\":%d,\"retries\":%d,\"availability\":%.4f,\
      \"p99_us\":%.1f,\"results_digest\":\"%s\"},\
      \"sheds_decrease\":%b,\"p99_improves\":%b,\
-     \"jobs_digest_match\":%b,\"stream_digest_match\":%b,\
-     \"stream_1m\":{\"requests\":%d,\"availability\":%.4f,\
-     \"wall_s\":%.2f,\"requests_per_s\":%.0f}}\n"
+     \"jobs_digest_match\":%b,\"stream_digest_match\":%b}\n"
     off.Cluster.Serve.requests off.Cluster.Serve.sheds
     off.Cluster.Serve.retries off.Cluster.Serve.availability (p99 off)
     (Cluster.Serve.results_digest off)
@@ -1228,8 +1206,7 @@ let run_cluster2 () =
     (Cluster.Serve.results_digest on)
     sheds_decrease
     (p99_improves && avail_equal)
-    jobs_match stream_match br.Cluster.Serve.requests
-    br.Cluster.Serve.availability wall rps;
+    jobs_match stream_match;
   close_out oc;
   Printf.printf "-> BENCH_cluster2.json\n"
 
@@ -1413,7 +1390,7 @@ let run_obs2_bench () =
   Printf.printf
     "the replication-3 chaos campaign three ways: uninstrumented, with\n\
      the structured event log recording every admission / failover /\n\
-     verdict, and with the full recorder (events + streaming metrics +\n\
+     verdict, and with the full recorder (events + metrics +\n\
      spans + two SLO trackers).  Events are recorded only from the\n\
      sequential control phase, so the cost is a ring-slot write per\n\
      event — never a lock or an allocation proportional to the run.\n\n";

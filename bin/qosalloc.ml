@@ -82,6 +82,13 @@ let positive_float =
 
 let positive_int = checked Arg.int ~expect:"an integer >= 1" (fun v -> v >= 1)
 
+let non_negative_int =
+  checked Arg.int ~expect:"an integer >= 0" (fun v -> v >= 0)
+
+let fraction =
+  checked Arg.float ~expect:"a number in [0, 1]" (fun v ->
+      v >= 0.0 && v <= 1.0)
+
 let duration_arg =
   Arg.(
     value
@@ -652,7 +659,7 @@ let faults_cmd =
   in
   let max_retries =
     Arg.(
-      value & opt int 3
+      value & opt non_negative_int 3
       & info [ "retries" ] ~docv:"N" ~doc:"Retry budget per failed load.")
   in
   let fault_conv =
@@ -821,7 +828,7 @@ let serve_cmd =
   in
   let kill_frac =
     Arg.(
-      value & opt float 0.0
+      value & opt fraction 0.0
       & info [ "kill-frac" ] ~docv:"F"
           ~doc:
             "Fraction of nodes killed permanently during the run (seeded \
@@ -839,19 +846,23 @@ let serve_cmd =
   let bounce_down =
     Arg.(
       value
-      & opt (pair ~sep:',' float float) (1_000.0, 5_000.0)
+      & opt
+          (checked (pair ~sep:',' float float)
+             ~expect:"finite LO,HI with 0 <= LO <= HI" (fun (lo, hi) ->
+               Float.is_finite hi && 0.0 <= lo && lo <= hi))
+          (1_000.0, 5_000.0)
       & info [ "bounce-down-us" ] ~docv:"LO,HI"
           ~doc:"Uniform downtime range of one transient outage.")
   in
   let retries =
     Arg.(
-      value & opt int 5
+      value & opt non_negative_int 5
       & info [ "retries" ] ~docv:"N"
           ~doc:"Backoff rounds before answering degraded.")
   in
   let min_availability =
     Arg.(
-      value & opt float 0.99
+      value & opt fraction 0.99
       & info [ "min-availability" ] ~docv:"F"
           ~doc:
             "Full-QoS availability floor below which the run classifies as \
@@ -891,7 +902,11 @@ let serve_cmd =
   in
   let steal_threshold =
     Arg.(
-      value & opt float 0.9
+      value
+      & opt
+          (checked float ~expect:"a number in (0, 1]" (fun v ->
+               v > 0.0 && v <= 1.0))
+          0.9
       & info [ "steal-threshold" ] ~docv:"F"
           ~doc:
             "Saturation fraction of a node's slots at which it donates \
@@ -909,7 +924,7 @@ let serve_cmd =
   let requests =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "requests" ] ~docv:"N"
           ~doc:
             "Stop after the first $(docv) arrivals of the merged sequence \

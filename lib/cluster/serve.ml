@@ -195,8 +195,6 @@ let exit_code ~min_availability r =
 
 (* --- workload generation ---------------------------------------------------- *)
 
-type arrival = { a_app : string; a_at_us : float; a_request : Request.t }
-
 let scaled_apps (spec : spec) =
   if spec.load_scale = 1.0 then spec.apps
   else if spec.load_scale <= 0.0 then
@@ -207,12 +205,13 @@ let scaled_apps (spec : spec) =
         { p with Desim.Apps.period_us = p.Desim.Apps.period_us /. spec.load_scale })
       spec.apps
 
-(* Expand the seed into the per-app pull sources plus the two injector
-   seeds.  App streams split first, in apps order — the same
-   discipline as [Faults.Campaign] — then outages, then retry jitter.
-   The sources are live: building them costs O(apps), and each pull
-   draws exactly the rng values the pregenerated expansion would. *)
-let arrival_sources (spec : spec) =
+(* Expand the seed into the merged arrival stream plus the two injector
+   seeds.  App streams split first, in apps order — the same discipline
+   as [Faults.Campaign] — then outages, then retry jitter.  The per-app
+   sources are live: building them costs O(apps), and each pull draws
+   exactly the rng values a full expansion would.  [Workload.Stream]
+   merges them by (time, app index), per-source order preserved. *)
+let arrival_stream (spec : spec) =
   let root = Workload.Prng.create ~seed:spec.seed in
   let sources =
     List.map
@@ -224,55 +223,48 @@ let arrival_sources (spec : spec) =
   in
   let outage_seed = Workload.Prng.int root ~bound:0x3FFFFFFF in
   let retry_seed = Workload.Prng.int root ~bound:0x3FFFFFFF in
-  (sources, outage_seed, retry_seed)
-
-(* [Workload.Stream] merges by (time, app index) with per-source order
-   preserved — exactly the stable sort the pregenerated path used to
-   apply to the expanded array, so draining reproduces it element for
-   element. *)
-let drain_arrivals ?max_items ~names stream =
-  let items = Workload.Stream.drain ?max_items stream in
-  Array.of_list
-    (List.map
-       (fun (src, t, req) -> { a_app = names.(src); a_at_us = t; a_request = req })
-       items)
+  ( Array.of_list (List.map fst sources),
+    Workload.Stream.create (List.map snd sources),
+    outage_seed,
+    retry_seed )
 
 let workload spec =
-  let sources, _, _ = arrival_sources spec in
-  let names = Array.of_list (List.map fst sources) in
-  let stream = Workload.Stream.create (List.map snd sources) in
-  let arrivals = drain_arrivals ?max_items:spec.max_requests ~names stream in
-  Array.map (fun a -> (a.a_app, a.a_at_us, a.a_request)) arrivals
+  let names, stream, _, _ = arrival_stream spec in
+  Array.of_list
+    (List.map
+       (fun (src, t, request) -> (names.(src), t, request))
+       (Workload.Stream.drain ?max_items:spec.max_requests stream))
 
-(* --- parallel decision phase ------------------------------------------------ *)
+(* --- decision phase --------------------------------------------------------- *)
 
-(* Every request is retrieved on its primary replica's engine.  Worker
-   [w] decides exactly the indices whose primary node [n] has
+let primary sub (request : Request.t) =
+  match Substrate.replicas_for sub ~type_id:request.Request.type_id with
+  | p :: _ -> p
+  | [] -> 0 (* unreachable: route always returns members *)
+
+(* Every request is retrieved on its primary replica's engine: a pure
+   function of (node engine, request), so independent of [jobs] and of
+   the arrival source. *)
+let decide sub request =
+  match (Substrate.node sub (primary sub request)).Substrate.engine with
+  | None -> Error (Engine.Engine_failure "node hosts no types")
+  | Some e -> e.Engine.retrieve request
+
+(* Worker [w] decides exactly the indices whose primary node [n] has
    [n mod jobs = w], so an engine instance is only ever driven from one
-   domain and workers write disjoint indices of the shared decision
-   array.  The decision for an index is a pure function of (node
-   engine, request) — independent of [jobs]. *)
-let compute_decisions (sub : Substrate.t) (arrivals : arrival array) ~jobs =
-  let n = Array.length arrivals in
-  let decisions = Array.make n (Error (Engine.Engine_failure "unserved")) in
-  let primary =
-    Array.map
-      (fun a ->
-        match Substrate.replicas_for sub ~type_id:a.a_request.Request.type_id with
-        | p :: _ -> p
-        | [] -> 0 (* unreachable: route always returns members *))
-      arrivals
+   domain and workers write disjoint indices of the shared array. *)
+let compute_decisions sub (arrivals : (int * float * Request.t) array) ~jobs =
+  let decisions =
+    Array.make (Array.length arrivals)
+      (Error (Engine.Engine_failure "unserved"))
   in
+  let owner = Array.map (fun (_, _, request) -> primary sub request) arrivals in
   let jobs = max 1 jobs in
   let worker w () =
-    for idx = 0 to n - 1 do
-      let node_id = primary.(idx) in
-      if node_id mod jobs = w then
-        decisions.(idx) <-
-          (match (Substrate.node sub node_id).Substrate.engine with
-          | None -> Error (Engine.Engine_failure "node hosts no types")
-          | Some e -> e.Engine.retrieve arrivals.(idx).a_request)
-    done
+    Array.iteri
+      (fun idx (_, _, request) ->
+        if owner.(idx) mod jobs = w then decisions.(idx) <- decide sub request)
+      arrivals
   in
   Array.iter Domain.join (Array.init jobs (fun w -> Domain.spawn (worker w)));
   decisions
@@ -305,93 +297,47 @@ module Vec = struct
   let to_array v = Array.sub v.data 0 v.len
 end
 
-(* Streaming metric handles, resolved once up-front so the hot path
-   only increments.  All updates happen in the sequential control
-   phase, at the sim-time of the thing they measure. *)
-type instr = {
-  i_full : Obs.Metrics.counter;
-  i_degraded : Obs.Metrics.counter;
-  i_failed : Obs.Metrics.counter;
-  i_retries : Obs.Metrics.counter;
-  i_heartbeats : Obs.Metrics.counter;
-  i_steal_denied : Obs.Metrics.counter;
-  i_failover : Obs.Metrics.counter array;
-  i_served : Obs.Metrics.counter array;
-  i_shed : Obs.Metrics.counter array;
-  i_stolen : Obs.Metrics.counter array;
-  i_donated : Obs.Metrics.counter array;
-  i_breaker_opens : Obs.Metrics.counter array;
-  i_saturation : Obs.Metrics.gauge array;
-  i_latency : Obs.Metrics.histogram;
-  i_steal_latency : Obs.Metrics.histogram;
-  i_lag : Obs.Metrics.histogram;
-}
-
-let make_instr reg ~nodes =
-  let outcome kind =
-    Obs.Metrics.counter reg ~help:"Cluster requests by outcome"
-      ~labels:[ ("outcome", kind) ]
-      "qosalloc_cluster_requests_total"
+(* The report's counters and the saturation gauge, written into the
+   registry once the run is over.  Only the latency, steal-latency and
+   replication-lag histograms record samples while it runs. *)
+let publish reg (r : report) ~failovers =
+  let count ?labels ~help name v =
+    Obs.Metrics.inc_by (Obs.Metrics.counter reg ?labels ~help name) v
   in
-  let per_node ?help name =
-    Array.init nodes (fun n ->
-        Obs.Metrics.counter reg ?help
-          ~labels:[ ("node", string_of_int n) ]
-          name)
-  in
-  {
-    i_full = outcome "full";
-    i_degraded = outcome "degraded";
-    i_failed = outcome "failed";
-    i_retries =
-      Obs.Metrics.counter reg ~help:"Backoff rounds scheduled"
-        "qosalloc_cluster_retries_total";
-    i_heartbeats =
-      Obs.Metrics.counter reg ~help:"Heartbeats observed by the detector"
-        "qosalloc_cluster_heartbeats_total";
-    i_steal_denied =
-      Obs.Metrics.counter reg
-        ~help:"Steal attempts that found no victim with headroom"
-        "qosalloc_cluster_steal_denied_total";
-    i_failover =
-      per_node ~help:"In-flight attempts failed over to a replica"
-        "qosalloc_cluster_failover_total";
-    i_served =
-      per_node ~help:"Requests served at full QoS"
-        "qosalloc_cluster_served_total";
-    i_shed =
-      per_node ~help:"Requests shed from a saturated node"
-        "qosalloc_cluster_shed_total";
-    i_stolen =
-      per_node ~help:"Requests stolen onto this node as the victim"
-        "qosalloc_cluster_stolen_total";
-    i_donated =
-      per_node ~help:"Requests this overloaded node handed to a victim"
-        "qosalloc_cluster_donated_total";
-    i_breaker_opens =
-      per_node ~help:"Circuit-breaker trips"
-        "qosalloc_cluster_breaker_opens_total";
-    i_saturation =
-      Array.init nodes (fun n ->
-          Obs.Metrics.gauge reg
-            ~help:"Peak in-flight service fraction per node"
-            ~labels:[ ("node", string_of_int n) ]
-            "qosalloc_cluster_node_saturation");
-    i_latency =
-      Obs.Metrics.histogram reg
-        ~help:"Request latency, arrival to response (us)"
-        ~buckets:Obs.Metrics.latency_buckets_us "qosalloc_cluster_latency_us";
-    i_steal_latency =
-      Obs.Metrics.histogram reg
-        ~help:"Latency of stolen requests, arrival to response (us)"
-        ~buckets:Obs.Metrics.latency_buckets_us
-        "qosalloc_cluster_steal_latency_us";
-    i_lag =
-      Obs.Metrics.histogram reg
-        ~help:"Catch-up re-replication lag on rejoin (us)"
-        ~buckets:Obs.Metrics.lag_buckets_us
-        "qosalloc_cluster_replication_lag_us";
-  }
+  List.iter
+    (fun (outcome, v) ->
+      count ~help:"Cluster requests by outcome"
+        ~labels:[ ("outcome", outcome) ]
+        "qosalloc_cluster_requests_total" v)
+    [ ("full", r.full); ("degraded", r.degraded); ("failed", r.failed) ];
+  count ~help:"Backoff rounds scheduled" "qosalloc_cluster_retries_total"
+    r.retries;
+  count ~help:"Heartbeats observed by the detector"
+    "qosalloc_cluster_heartbeats_total" r.heartbeats;
+  count ~help:"Steal attempts that found no victim with headroom"
+    "qosalloc_cluster_steal_denied_total" r.steal_denials;
+  List.iter
+    (fun ns ->
+      let labels = [ ("node", string_of_int ns.ns_node) ] in
+      let count = count ~labels in
+      count ~help:"Requests served at full QoS" "qosalloc_cluster_served_total"
+        ns.ns_served;
+      count ~help:"Requests shed from a saturated node"
+        "qosalloc_cluster_shed_total" ns.ns_shed;
+      count ~help:"Requests stolen onto this node as the victim"
+        "qosalloc_cluster_stolen_total" ns.ns_stolen;
+      count ~help:"Requests this overloaded node handed to a victim"
+        "qosalloc_cluster_donated_total" ns.ns_donated;
+      count ~help:"In-flight attempts failed over to a replica"
+        "qosalloc_cluster_failover_total" failovers.(ns.ns_node);
+      count ~help:"Circuit-breaker trips" "qosalloc_cluster_breaker_opens_total"
+        ns.ns_breaker_opens;
+      Obs.Metrics.set
+        (Obs.Metrics.gauge reg ~labels
+           ~help:"Peak in-flight service fraction per node"
+           "qosalloc_cluster_node_saturation")
+        (float_of_int ns.ns_peak_inflight /. float_of_int ns.ns_slots))
+    r.per_node
 
 (* The SLO trackers live independently of [?obs]: [--slo] must move the
    exit code even when nothing is exported. *)
@@ -433,9 +379,7 @@ let run ?obs (spec : spec) =
       ~nodes:spec.nodes ~replication:spec.replication ~engine:spec.engine
       spec.casebase
   in
-  let sources, outage_seed, retry_seed = arrival_sources spec in
-  let app_names = Array.of_list (List.map fst sources) in
-  let stream = Workload.Stream.create (List.map snd sources) in
+  let app_names, stream, outage_seed, retry_seed = arrival_stream spec in
   let outage_inj = Faults.Injector.create ~seed:outage_seed in
   let retry_inj = Faults.Injector.create ~seed:retry_seed in
   let events =
@@ -468,12 +412,27 @@ let run ?obs (spec : spec) =
   let tracer =
     match obs with Some o -> o.Obs.Ctx.tracer | None -> Obs.Tracer.noop ()
   in
-  let instr =
-    match obs with
-    | Some o -> Some (make_instr o.Obs.Ctx.registry ~nodes:spec.nodes)
-    | None -> None
+  let histogram ~help ~buckets name =
+    Option.map
+      (fun o -> Obs.Metrics.histogram o.Obs.Ctx.registry ~help ~buckets name)
+      obs
   in
-  let inc f = match instr with None -> () | Some i -> Obs.Metrics.inc (f i) in
+  let observe h v =
+    match h with Some h -> Obs.Metrics.observe h v | None -> ()
+  in
+  let latency_h =
+    histogram ~help:"Request latency, arrival to response (us)"
+      ~buckets:Obs.Metrics.latency_buckets_us "qosalloc_cluster_latency_us"
+  in
+  let steal_latency_h =
+    histogram ~help:"Latency of stolen requests, arrival to response (us)"
+      ~buckets:Obs.Metrics.latency_buckets_us
+      "qosalloc_cluster_steal_latency_us"
+  in
+  let lag_h =
+    histogram ~help:"Catch-up re-replication lag on rejoin (us)"
+      ~buckets:Obs.Metrics.lag_buckets_us "qosalloc_cluster_replication_lag_us"
+  in
   let observing = Obs.Events.enabled ev in
   let slos = match spec.slo with None -> [] | Some s -> make_slo_trackers s in
   let detector =
@@ -488,6 +447,7 @@ let run ?obs (spec : spec) =
   let shed = Array.make spec.nodes 0 in
   let stolen = Array.make spec.nodes 0 in
   let donated = Array.make spec.nodes 0 in
+  let failovers = Array.make spec.nodes 0 in
   let resync_until = Array.make spec.nodes 0.0 in
   let resyncs = Array.make spec.nodes 0 in
   (* Last observed detector verdict / breaker state per node, so the
@@ -499,32 +459,26 @@ let run ?obs (spec : spec) =
      transitions are detected by observation: call at every point the
      ladder consults or updates a breaker. *)
   let sync_breaker node ~at =
-    let st = Breaker.state breakers.(node) ~at in
-    if st <> last_breaker.(node) then begin
-      if observing then
+    if observing then begin
+      let st = Breaker.state breakers.(node) ~at in
+      if st <> last_breaker.(node) then begin
         Obs.Events.record ev ~ts:at ~node
           (Obs.Events.Breaker_transition
              {
                prev = Breaker.state_to_string last_breaker.(node);
                next = Breaker.state_to_string st;
              });
-      (match (last_breaker.(node), st) with
-      | (Breaker.Closed | Breaker.Half_open), Breaker.Open ->
-          inc (fun i -> i.i_breaker_opens.(node))
-      | _ -> ());
-      last_breaker.(node) <- st
+        last_breaker.(node) <- st
+      end
     end
   in
   let heartbeats = ref 0 in
-  let failovers = ref 0 in
   let retries = ref 0 in
-  let steals = ref 0 in
   let steal_denials = ref 0 in
   let retain = spec.retain_requests in
   let outcomes : response option Vec.t = Vec.create () in
   let meta : (string * int * float) Vec.t = Vec.create () in
-  let issued = ref 0 in
-  let answered = ref 0 in
+  let steals = ref 0 in
   let full_c = ref 0 in
   let degraded_c = ref 0 in
   let failed_c = ref 0 in
@@ -544,8 +498,7 @@ let run ?obs (spec : spec) =
       (fun node _ ->
         if not (is_down node t) then begin
           Health.beat detector ~node ~at:t;
-          incr heartbeats;
-          inc (fun i -> i.i_heartbeats)
+          incr heartbeats
         end;
         if observing then begin
           let st = Health.status detector ~node ~at:t in
@@ -564,39 +517,28 @@ let run ?obs (spec : spec) =
     if next <= spec.duration_us then
       Desim.Engine.schedule_at sim ~time:next (scan (k + 1))
   in
-  (* Heartbeats and rejoin events enter the heap *after* any same-time
-     arrival event in pregenerated mode (arrivals are scheduled first,
-     so they win the insertion-order tie-break), matching streaming
-     mode where an arrival is processed before the queue catches up to
-     its timestamp — the two sources must replay identically. *)
-  let schedule_control () =
-    if spec.heartbeat_period_us <= spec.duration_us then
-      Desim.Engine.schedule_at sim ~time:spec.heartbeat_period_us (scan 1);
-    (* Rejoin after a transient outage: the node re-replicates what it
-       missed before taking traffic again. *)
-    Array.iteri
-      (fun node intervals ->
-        List.iter
-          (fun (_, hi) ->
-            if Float.is_finite hi then
-              Desim.Engine.schedule_at sim ~time:hi (fun _ ->
-                  let entries = (Substrate.node sub node).Substrate.entries in
-                  let lag = float_of_int entries /. spec.resync_rate in
-                  resync_until.(node) <- hi +. lag;
-                  resyncs.(node) <- resyncs.(node) + 1;
-                  if observing then
-                    Obs.Events.record ev ~ts:hi ~node
-                      (Obs.Events.Node_rejoin { resync_lag_us = lag });
-                  match instr with
-                  | None -> ()
-                  | Some i -> Obs.Metrics.observe i.i_lag lag))
-          intervals)
-      down
-  in
-  let breaker_watch = observing || Option.is_some instr in
+  if spec.heartbeat_period_us <= spec.duration_us then
+    Desim.Engine.schedule_at sim ~time:spec.heartbeat_period_us (scan 1);
+  (* Rejoin after a transient outage: the node re-replicates what it
+     missed before taking traffic again. *)
+  Array.iteri
+    (fun node intervals ->
+      List.iter
+        (fun (_, hi) ->
+          if Float.is_finite hi then
+            Desim.Engine.schedule_at sim ~time:hi (fun _ ->
+                let entries = (Substrate.node sub node).Substrate.entries in
+                let lag = float_of_int entries /. spec.resync_rate in
+                resync_until.(node) <- hi +. lag;
+                resyncs.(node) <- resyncs.(node) + 1;
+                if observing then
+                  Obs.Events.record ev ~ts:hi ~node
+                    (Obs.Events.Node_rejoin { resync_lag_us = lag });
+                observe lag_h lag))
+        intervals)
+    down;
   (* Per-request degradation ladder. *)
   let start_request idx ~app ~t0 ~(request : Request.t) ~decision =
-    incr issued;
     let type_id = request.Request.type_id in
     if retain then begin
       Vec.push outcomes None;
@@ -607,7 +549,6 @@ let run ?obs (spec : spec) =
         (Obs.Events.Request_admitted { app; type_id });
     let respond r =
       let now = Desim.Engine.now sim in
-      incr answered;
       if retain then Vec.set outcomes idx (Some r);
       let lat = now -. t0 in
       Workload.Stats.add lat_acc lat;
@@ -623,8 +564,7 @@ let run ?obs (spec : spec) =
                    at_node = node;
                    impl_id = decision.Engine.impl_id;
                    latency_us = lat;
-                 });
-          inc (fun i -> i.i_full)
+                 })
       | Degraded { stale_impl; reason } ->
           incr degraded_c;
           reason_counts.(reason_index reason) <-
@@ -632,17 +572,13 @@ let run ?obs (spec : spec) =
           if observing then
             Obs.Events.record ev ~ts:now ~request:idx
               (Obs.Events.Request_degraded
-                 { reason = reason_to_string reason; stale_impl });
-          inc (fun i -> i.i_degraded)
+                 { reason = reason_to_string reason; stale_impl })
       | Failed msg ->
           incr failed_c;
           if observing then
             Obs.Events.record ev ~ts:now ~request:idx
-              (Obs.Events.Request_failed { error = msg });
-          inc (fun i -> i.i_failed));
-      (match instr with
-      | None -> ()
-      | Some i -> Obs.Metrics.observe i.i_latency lat);
+              (Obs.Events.Request_failed { error = msg }));
+      observe latency_h lat;
       (* Overlapping requests forbid B/E nesting; X events carry their
          own extent and Perfetto nests them by time containment. *)
       if Obs.Tracer.enabled tracer then
@@ -689,7 +625,7 @@ let run ?obs (spec : spec) =
           let ups, suspects =
             List.fold_left
               (fun (ups, sus) node ->
-                if breaker_watch then sync_breaker node ~at:now;
+                sync_breaker node ~at:now;
                 match Health.status detector ~node ~at:tq with
                 | Health.Down ->
                     saw_down := true;
@@ -709,7 +645,6 @@ let run ?obs (spec : spec) =
             | [] ->
                 if attempt < spec.max_retries then begin
                   incr retries;
-                  inc (fun i -> i.i_retries);
                   let u =
                     if spec.backoff.Faults.Backoff.jitter > 0.0 then
                       Faults.Injector.uniform retry_inj
@@ -740,16 +675,7 @@ let run ?obs (spec : spec) =
             (match Breaker.state breakers.(node) ~at:now with
             | Breaker.Half_open -> Breaker.mark_probe breakers.(node)
             | _ -> ());
-            let prev_peak = (Substrate.node sub node).Substrate.peak_inflight in
             Substrate.acquire sub ~node;
-            let inflight_now, slots = Substrate.load sub ~node in
-            if inflight_now > prev_peak then begin
-              match instr with
-              | None -> ()
-              | Some i ->
-                  Obs.Metrics.set i.i_saturation.(node)
-                    (float_of_int inflight_now /. float_of_int slots)
-            end;
             let s =
               service_us spec decision
               +.
@@ -775,13 +701,10 @@ let run ?obs (spec : spec) =
                     let tdone = Desim.Engine.now sim in
                     Substrate.release sub ~node;
                     Breaker.record_success breakers.(node) ~at:tdone;
-                    if breaker_watch then sync_breaker node ~at:tdone;
+                    sync_breaker node ~at:tdone;
                     served.(node) <- served.(node) + 1;
-                    inc (fun i -> i.i_served.(node));
-                    (match (stolen, instr) with
-                    | Some _, Some i ->
-                        Obs.Metrics.observe i.i_steal_latency (tdone -. t0)
-                    | _ -> ());
+                    if Option.is_some stolen then
+                      observe steal_latency_h (tdone -. t0);
                     attempt_span "ok" ~until:tdone;
                     respond (Full { node; decision }))
             | Some tf ->
@@ -790,9 +713,8 @@ let run ?obs (spec : spec) =
                 Desim.Engine.schedule_at sim ~time:tf (fun _ ->
                     Substrate.release sub ~node;
                     Breaker.record_failure breakers.(node) ~at:tf;
-                    if breaker_watch then sync_breaker node ~at:tf;
-                    incr failovers;
-                    inc (fun i -> i.i_failover.(node));
+                    sync_breaker node ~at:tf;
+                    failovers.(node) <- failovers.(node) + 1;
                     if observing then
                       Obs.Events.record ev ~ts:tf ~request:idx ~node
                         (Obs.Events.Request_failover { from_node = node });
@@ -807,7 +729,7 @@ let run ?obs (spec : spec) =
                 && Steal.overloaded spec.steal ~inflight:inflight_n ~slots
               then begin
                 let eligible v =
-                  if breaker_watch then sync_breaker v ~at:now;
+                  sync_breaker v ~at:now;
                   Health.status detector ~node:v ~at:tq = Health.Up
                   && now >= resync_until.(v)
                   && Breaker.allows breakers.(v) ~at:now
@@ -823,8 +745,6 @@ let run ?obs (spec : spec) =
                     incr steals;
                     donated.(node) <- donated.(node) + 1;
                     stolen.(p.Steal.victim) <- stolen.(p.Steal.victim) + 1;
-                    inc (fun i -> i.i_donated.(node));
-                    inc (fun i -> i.i_stolen.(p.Steal.victim));
                     if observing then
                       Obs.Events.record ev ~ts:now ~request:idx ~node
                         (Obs.Events.Request_steal
@@ -835,7 +755,6 @@ let run ?obs (spec : spec) =
                            })
                 | None ->
                     incr steal_denials;
-                    inc (fun i -> i.i_steal_denied);
                     if observing then
                       Obs.Events.record ev ~ts:now ~request:idx ~node
                         (Obs.Events.Request_steal
@@ -852,7 +771,6 @@ let run ?obs (spec : spec) =
                      of queueing behind the full node. *)
                   saw_saturated := true;
                   shed.(node) <- shed.(node) + 1;
-                  inc (fun i -> i.i_shed.(node));
                   if observing then
                     Obs.Events.record ev ~ts:now ~request:idx ~node
                       (Obs.Events.Request_shed { at_node = node });
@@ -864,61 +782,54 @@ let run ?obs (spec : spec) =
         in
         round 0 sim
   in
-  (* Feed the arrivals.  Pregenerated mode expands the whole trace,
-     shards the decisions over [jobs] and schedules every arrival as a
-     heap event; streaming mode pulls arrivals one at a time, runs the
-     queue up to each arrival's timestamp and computes its decision
-     inline on the primary's engine (the identical pure call the
-     sharded phase makes).  Both replay the same control schedule. *)
-  (match spec.source with
-  | Pregenerated ->
-      let arrivals =
-        drain_arrivals ?max_items:spec.max_requests ~names:app_names stream
-      in
-      let decisions = compute_decisions sub arrivals ~jobs:spec.jobs in
-      Array.iteri
-        (fun idx a ->
-          Desim.Engine.schedule_at sim ~time:a.a_at_us (fun _ ->
-              start_request idx ~app:a.a_app ~t0:a.a_at_us ~request:a.a_request
-                ~decision:decisions.(idx)))
-        arrivals;
-      schedule_control ();
-      (* Run to quiescence, not to the horizon: the retry tail of the
-         last arrivals must resolve — every request answers, full or
-         degraded. *)
-      ignore (Desim.Engine.run sim)
-  | Stream ->
-      schedule_control ();
-      let decide (request : Request.t) =
-        let primary =
-          match Substrate.replicas_for sub ~type_id:request.Request.type_id with
-          | p :: _ -> p
-          | [] -> 0
+  (* One arrival feed for both sources: run the queue up to each
+     arrival's timestamp, move the clock onto it and start the request
+     there, so a same-time heartbeat or rejoin lands after it.
+     [Pregenerated] drains the merge into an array first only so that
+     the decisions can shard over [jobs]; [Stream] decides each pull
+     with the same [decide]. *)
+  let pull, decision =
+    match spec.source with
+    | Stream ->
+        ( (fun () -> Workload.Stream.pull stream),
+          fun _ request -> decide sub request )
+    | Pregenerated ->
+        let arrivals =
+          Array.of_list
+            (Workload.Stream.drain ?max_items:spec.max_requests stream)
         in
-        match (Substrate.node sub primary).Substrate.engine with
-        | None -> Error (Engine.Engine_failure "node hosts no types")
-        | Some e -> e.Engine.retrieve request
-      in
-      let cap = Option.value spec.max_requests ~default:max_int in
-      let rec drive idx =
-        if idx >= cap then ()
-        else
-          match Workload.Stream.pull stream with
-          | None -> ()
-          | Some (src, t, request) ->
-              ignore (Desim.Engine.run_before sim ~time:t);
-              Desim.Engine.advance sim ~time:t;
-              start_request idx ~app:app_names.(src) ~t0:t ~request
-                ~decision:(decide request);
-              drive (idx + 1)
-      in
-      drive 0;
-      ignore (Desim.Engine.run sim));
-  let n_req = !issued in
+        let decisions = compute_decisions sub arrivals ~jobs:spec.jobs in
+        let next = ref 0 in
+        ( (fun () ->
+            if !next = Array.length arrivals then None
+            else begin
+              incr next;
+              Some arrivals.(!next - 1)
+            end),
+          fun idx _ -> decisions.(idx) )
+  in
+  let cap = Option.value spec.max_requests ~default:max_int in
+  let rec feed idx =
+    if idx >= cap then idx
+    else
+      match pull () with
+      | None -> idx
+      | Some (src, t, request) ->
+          ignore (Desim.Engine.run_before sim ~time:t);
+          Desim.Engine.advance sim ~time:t;
+          start_request idx ~app:app_names.(src) ~t0:t ~request
+            ~decision:(decision idx request);
+          feed (idx + 1)
+  in
+  let n_req = feed 0 in
+  (* Run to quiescence, not to the horizon: the retry tail of the last
+     arrivals must resolve — every request answers, full or degraded. *)
+  ignore (Desim.Engine.run sim);
   let* () =
-    if !answered <> n_req then
+    let answered = !full_c + !degraded_c + !failed_c in
+    if answered <> n_req then
       Error
-        (Printf.sprintf "serve: %d requests left unresolved" (n_req - !answered))
+        (Printf.sprintf "serve: %d requests left unresolved" (n_req - answered))
     else Ok ()
   in
   let downtime node =
@@ -976,7 +887,7 @@ let run ?obs (spec : spec) =
       failed = !failed_c;
       availability =
         (if n_req = 0 then 1.0 else float_of_int !full_c /. float_of_int n_req);
-      failovers = !failovers;
+      failovers = Array.fold_left ( + ) 0 failovers;
       retries = !retries;
       sheds = Array.fold_left ( + ) 0 shed;
       steals = !steals;
@@ -997,6 +908,7 @@ let run ?obs (spec : spec) =
       slo = slo_reports;
     }
   in
+  Option.iter (fun o -> publish o.Obs.Ctx.registry report ~failovers) obs;
   Ok report
 
 (* --- rendering -------------------------------------------------------------- *)

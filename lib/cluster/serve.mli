@@ -14,15 +14,18 @@
     memory — both produce the identical arrival sequence.
 
     {b Decision computation} retrieves every request on its {e primary}
-    replica's engine.  This phase is pure — a decision depends only on
-    the node's sub-case-base, which hosts the full function type — so
-    in pregenerated mode it is parallelised across [jobs] worker
-    domains: worker [w] decides every request whose primary node [n]
-    has [n mod jobs = w], so each node's engine is driven by exactly
-    one worker, and writes it into that request's submission-index
-    slot.  In streaming mode the same pure call happens inline at each
-    arrival.  Decisions are therefore
-    identical at any [jobs] and for either source.
+    replica's engine, through one pure call for both sources: a
+    decision depends only on the node's sub-case-base, which hosts the
+    full function type.  {!Pregenerated} makes that call across [jobs]
+    worker domains before the control phase starts — worker [w]
+    decides every request whose primary node [n] has [n mod jobs = w],
+    so each node's engine is driven by exactly one worker, and writes
+    it into that request's submission-index slot.  {!Stream} makes it
+    as each arrival is pulled.  Both then feed the arrivals to the
+    control phase through the same pull loop: the event queue runs up
+    to an arrival's timestamp and the request starts there.  Decisions
+    and control order are therefore identical at any [jobs] and for
+    either source.
 
     {b Control} replays the run on a single discrete-event clock:
     heartbeats feed the {!Health} detector, outages and rejoins (with
@@ -50,8 +53,8 @@ val default_slo : availability:float -> latency_us:float -> slo_spec
 
 type source =
   | Pregenerated
-      (** Expand the whole arrival trace up front; decisions shard over
-          [jobs]. *)
+      (** Expand the whole arrival trace up front so the decisions can
+          shard over [jobs]; the control phase then pulls from it. *)
   | Stream
       (** Pull arrivals on demand — O(apps) generation memory, same
           arrival sequence and byte-identical report. *)
@@ -206,18 +209,22 @@ val workload : spec -> (string * float * Qos_core.Request.t) array
     bench harness. *)
 
 val run : ?obs:Obs.Ctx.t -> spec -> (report, string) result
-(** With [obs], the control phase streams per-node labelled metrics
-    (served / shed / stolen / donated / failover / breaker trips /
-    saturation, plus request-latency, steal-latency and
-    replication-lag histograms) into the registry at the sim-time each
-    thing happens, records the request life cycle — including every
-    steal and steal denial — node and breaker transitions, rejoins and
-    SLO alerts into the context's event log, and emits one [X] span
-    per request plus one per attempt hop into its tracer; the
-    context's clock follows the control engine.  All of it happens in
-    the sequential control phase, so every export is byte-identical at
-    any [jobs].  Instrumentation never touches the PRNG or injector
-    streams, so the report is identical with or without it. *)
+(** With [obs], the request-latency, steal-latency and replication-lag
+    histograms record each sample at the sim-time it happens.  The
+    counters — requests by outcome, retries, heartbeats, steal
+    denials, and per node served / shed / stolen / donated / failover
+    / breaker opens — and the per-node saturation gauge
+    ([peak_inflight / slots]) are the report's own figures, written
+    into the registry once at the end of the run.  The control phase
+    also records the request life cycle — including every steal and
+    steal denial — node and breaker transitions, rejoins and SLO
+    alerts into the context's event log, and emits one [X] span per
+    request plus one per attempt hop into its tracer; the context's
+    clock follows the control engine.  All of it happens in the
+    sequential control phase, so every export is byte-identical at any
+    [jobs] and for either source.  Instrumentation never touches the
+    PRNG or injector streams, so the report is identical with or
+    without it. *)
 
 val results_to_string : report -> string
 (** Canonical plain-text rendering: run header, totals, latency

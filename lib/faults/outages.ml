@@ -41,6 +41,14 @@ let pick_victims inj ~nodes ~count =
 
 let generate inj ~nodes ~duration_us spec =
   if nodes < 1 then invalid_arg "Outages.generate: nodes must be >= 1";
+  (* A NaN down-time would stall the bounce loop below, whose clock
+     must pass [duration_us] to stop; a negative or infinite one is no
+     outage length either. *)
+  (let lo, hi = spec.transient_down_us in
+   let ok v = Float.is_finite v && v >= 0.0 in
+   if spec.transient_mean_us <> None && not (ok lo && ok hi) then
+     invalid_arg
+       "Outages.generate: transient down-times must be finite and >= 0");
   let frac = Float.max 0.0 (Float.min 1.0 spec.permanent_frac) in
   let kill_count = int_of_float (frac *. float_of_int nodes) in
   let wlo, whi = spec.permanent_window in

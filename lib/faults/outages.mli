@@ -41,7 +41,8 @@ val generate : Injector.t -> nodes:int -> duration_us:float -> spec -> event lis
     [(ev_at_us, ev_node)]; per node, transient outages are disjoint;
     no event is scheduled on or after a node's permanent kill; every
     event lands inside [0, duration_us).
-    @raise Invalid_argument when [nodes < 1]. *)
+    @raise Invalid_argument when [nodes < 1], or when bounces are on
+    and a [transient_down_us] bound is negative or not finite. *)
 
 val down_intervals : event list -> duration_us:float -> node:int -> (float * float) list
 (** The node's ground-truth downtime as sorted disjoint

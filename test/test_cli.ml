@@ -386,6 +386,18 @@ let bad_flags =
     ("serve", "--nodes 0");
     ("serve", "--replication 0");
     ("serve", "--fault-domains 0");
+    ("serve", "--bounce-down-us nan,nan");
+    ("serve", "--bounce-down-us 5000,1000");
+    ("serve", "--kill-frac 2");
+    ("serve", "--kill-frac nan");
+    (serve, "--steal-threshold 0");
+    (serve, "--steal-threshold=-1");
+    (serve, "--steal-threshold nan");
+    (serve, "--min-availability 2");
+    (serve, "--min-availability nan");
+    (serve, "--retries=-1");
+    (serve, "--requests=-5");
+    (faults, "--retries=-1");
     (serve, "--backoff-jitter 1.5");
     (serve, "--backoff-factor 0.5");
     (serve, "--backoff-us 0");

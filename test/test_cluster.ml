@@ -182,6 +182,30 @@ let test_outages_schedule () =
          (-1.0) spans)
   done
 
+let test_outages_bad_down_time () =
+  let gen down =
+    Outages.generate
+      (Injector.create ~seed:5)
+      ~nodes:6 ~duration_us:100_000.0
+      { outage_spec with Outages.transient_down_us = down }
+  in
+  List.iter
+    (fun down ->
+      Alcotest.check_raises "bad down-time bound"
+        (Invalid_argument
+           "Outages.generate: transient down-times must be finite and >= 0")
+        (fun () -> ignore (gen down)))
+    [ (Float.nan, Float.nan); (1_000.0, Float.infinity); (-1.0, 5_000.0) ];
+  check_bool "bounds unused with bounces off" true
+    (Outages.generate
+       (Injector.create ~seed:5)
+       ~nodes:6 ~duration_us:100_000.0
+       {
+         Outages.default_spec with
+         Outages.transient_down_us = (Float.nan, Float.nan);
+       }
+    = [])
+
 (* --- substrate ------------------------------------------------------------- *)
 
 let native = get (Engines.of_name "native")
@@ -777,7 +801,11 @@ let () =
             test_backoff_cap_and_jitter;
         ] );
       ( "outages",
-        [ Alcotest.test_case "seeded schedule" `Quick test_outages_schedule ] );
+        [
+          Alcotest.test_case "seeded schedule" `Quick test_outages_schedule;
+          Alcotest.test_case "bad down-time bounds" `Quick
+            test_outages_bad_down_time;
+        ] );
       ( "substrate",
         [ Alcotest.test_case "placement" `Quick test_substrate_placement ] );
       ( "serve",
