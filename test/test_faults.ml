@@ -239,6 +239,25 @@ let test_campaign_transient_device_failure () =
   check_bool "restored event recorded" true
     (List.assoc "device-restored" r.C.event_counts = 1)
 
+(* With every fault model off the campaign is the Desim workload: the
+   same requests, outcomes and event count as a plain simulation. *)
+let test_campaign_replays_simulate () =
+  List.iter
+    (fun seed ->
+      let spec = base_spec ~seed () in
+      let r = C.run spec in
+      let sim = Desim.Simulate.run spec.C.base in
+      let t = sim.Desim.Simulate.totals in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      check_int (name "requests") t.Desim.Simulate.requests r.C.requests;
+      check_int (name "grants") t.Desim.Simulate.grants r.C.grants;
+      check_int (name "bypass grants") t.Desim.Simulate.bypass_grants
+        r.C.bypass_grants;
+      check_int (name "refusals") t.Desim.Simulate.refusals r.C.refusals;
+      check_int (name "events fired") sim.Desim.Simulate.events_fired
+        r.C.events_fired)
+    [ 7; 42; 1234 ]
+
 let test_verdict_strings () =
   check_bool "clean" true (C.verdict_to_string C.Clean = "clean");
   check_bool "degraded" true
@@ -278,6 +297,8 @@ let () =
             test_campaign_permanent_device_failure;
           Alcotest.test_case "transient device failure" `Quick
             test_campaign_transient_device_failure;
+          Alcotest.test_case "fault-free campaign replays the simulate workload"
+            `Quick test_campaign_replays_simulate;
           Alcotest.test_case "verdict strings" `Quick test_verdict_strings;
         ] );
     ]
