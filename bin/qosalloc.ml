@@ -603,14 +603,8 @@ let faults_cmd =
         reconfig_fail_prob = reconfig_prob;
         flash_error_prob = flash_prob;
         load_deadline_us = deadline;
-        retry =
-          {
-            Faults.Campaign.max_retries;
-            backoff_base_us = backoff.Faults.Backoff.base_us;
-            backoff_factor = backoff.Faults.Backoff.factor;
-            backoff_cap_us = backoff.Faults.Backoff.cap_us;
-            backoff_jitter = backoff.Faults.Backoff.jitter;
-          };
+        max_retries;
+        backoff;
         device_faults;
       }
     in

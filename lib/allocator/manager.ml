@@ -72,53 +72,46 @@ type event =
   | Device_restored of { device_id : string }
   | Scrubbed of { corrupted_words : int; diagnostics : int }
 
-(* Pre-resolved metric handles: the hot path pays one [option] match,
-   never a registry lookup.  Event counters are fed from {!push_event},
-   so the metrics view is exactly the event stream aggregated. *)
+(* The event kinds in tally order. *)
+let event_kinds =
+  [
+    "granted";
+    "refused";
+    "preempted";
+    "released";
+    "reconfig-failed";
+    "retried";
+    "relocated";
+    "device-failed";
+    "device-restored";
+    "scrubbed";
+  ]
+
+let kind_index = function
+  | Granted _ -> 0
+  | Refused _ -> 1
+  | Preempted_task _ -> 2
+  | Released_task _ -> 3
+  | Reconfig_failed _ -> 4
+  | Retried _ -> 5
+  | Relocated _ -> 6
+  | Device_failed _ -> 7
+  | Device_restored _ -> 8
+  | Scrubbed _ -> 9
+
+(* Pre-resolved histogram handles: the hot path pays one [option]
+   match, never a registry lookup.  The event counters are not sampled
+   here; {!publish} writes them from the tally once, at the end. *)
 type instr = {
   ictx : Obs.Ctx.t;
-  c_granted : Obs.Metrics.counter;
-  c_bypass : Obs.Metrics.counter;
-  c_refused : Obs.Metrics.counter;
-  c_preempted : Obs.Metrics.counter;
-  c_released : Obs.Metrics.counter;
-  c_reconfig_failed : Obs.Metrics.counter;
-  c_retried : Obs.Metrics.counter;
-  c_relocated : Obs.Metrics.counter;
-  c_device_failed : Obs.Metrics.counter;
-  c_device_restored : Obs.Metrics.counter;
-  c_scrubbed : Obs.Metrics.counter;
-  c_scrub_words : Obs.Metrics.counter;
   h_setup_us : Obs.Metrics.histogram;
   h_retrieval_us : Obs.Metrics.histogram;
 }
 
 let make_instr ictx =
   let reg = ictx.Obs.Ctx.registry in
-  let ev name =
-    Obs.Metrics.counter reg ~help:"Allocation events by kind."
-      ~labels:[ ("event", name) ]
-      "qosalloc_alloc_events_total"
-  in
   {
     ictx;
-    c_granted = ev "granted";
-    c_bypass =
-      Obs.Metrics.counter reg ~help:"Grants served from the bypass cache."
-        "qosalloc_alloc_bypass_grants_total";
-    c_refused = ev "refused";
-    c_preempted = ev "preempted";
-    c_released = ev "released";
-    c_reconfig_failed = ev "reconfig_failed";
-    c_retried = ev "retried";
-    c_relocated = ev "relocated";
-    c_device_failed = ev "device_failed";
-    c_device_restored = ev "device_restored";
-    c_scrubbed = ev "scrubbed";
-    c_scrub_words =
-      Obs.Metrics.counter reg
-        ~help:"Corrupted configuration words repaired by scrubbing."
-        "qosalloc_scrub_corrupted_words_total";
     h_setup_us =
       Obs.Metrics.histogram reg
         ~help:"Grant setup time (reconfiguration + repository read), us."
@@ -146,6 +139,9 @@ type t = {
   mutable running : task list;
   mutable next_task_id : int;
   mutable rev_events : event list;
+  tally : int array;  (** Events pushed so far, by [kind_index]. *)
+  mutable bypass_grants : int;
+  mutable scrubbed_words : int;
   mutable failed_devices : string list;
       (** Devices currently marked failed: excluded from placement
           until {!restore_device}. *)
@@ -184,30 +180,52 @@ let create ~casebase ~devices ~catalog ?(policy = default_policy)
     running = [];
     next_task_id = 1;
     rev_events = [];
+    tally = Array.make (List.length event_kinds) 0;
+    bypass_grants = 0;
+    scrubbed_words = 0;
     failed_devices = [];
   }
 
-let count_event i = function
-  | Granted g ->
-      Obs.Metrics.inc i.c_granted;
-      if g.via_bypass then Obs.Metrics.inc i.c_bypass;
-      Obs.Metrics.observe i.h_setup_us g.setup_time_us;
-      Obs.Metrics.observe i.h_retrieval_us g.retrieval_us
-  | Refused _ -> Obs.Metrics.inc i.c_refused
-  | Preempted_task _ -> Obs.Metrics.inc i.c_preempted
-  | Released_task _ -> Obs.Metrics.inc i.c_released
-  | Reconfig_failed _ -> Obs.Metrics.inc i.c_reconfig_failed
-  | Retried _ -> Obs.Metrics.inc i.c_retried
-  | Relocated _ -> Obs.Metrics.inc i.c_relocated
-  | Device_failed _ -> Obs.Metrics.inc i.c_device_failed
-  | Device_restored _ -> Obs.Metrics.inc i.c_device_restored
-  | Scrubbed { corrupted_words; _ } ->
-      Obs.Metrics.inc i.c_scrubbed;
-      Obs.Metrics.inc_by i.c_scrub_words corrupted_words
-
 let push_event t e =
   t.rev_events <- e :: t.rev_events;
-  match t.instr with None -> () | Some i -> count_event i e
+  let k = kind_index e in
+  t.tally.(k) <- t.tally.(k) + 1;
+  match e with
+  | Granted g -> (
+      if g.via_bypass then t.bypass_grants <- t.bypass_grants + 1;
+      match t.instr with
+      | None -> ()
+      | Some i ->
+          Obs.Metrics.observe i.h_setup_us g.setup_time_us;
+          Obs.Metrics.observe i.h_retrieval_us g.retrieval_us)
+  | Scrubbed { corrupted_words; _ } ->
+      t.scrubbed_words <- t.scrubbed_words + corrupted_words
+  | Refused _ | Preempted_task _ | Released_task _ | Reconfig_failed _
+  | Retried _ | Relocated _ | Device_failed _ | Device_restored _ ->
+      ()
+
+let event_counts t = List.mapi (fun k kind -> (kind, t.tally.(k))) event_kinds
+
+let publish t =
+  match t.instr with
+  | None -> ()
+  | Some i ->
+      let count ?labels ~help name v =
+        Obs.Metrics.inc_by
+          (Obs.Metrics.counter i.ictx.Obs.Ctx.registry ?labels ~help name)
+          v
+      in
+      List.iter
+        (fun (kind, n) ->
+          let label = String.map (function '-' -> '_' | c -> c) kind in
+          count ~help:"Allocation events by kind."
+            ~labels:[ ("event", label) ]
+            "qosalloc_alloc_events_total" n)
+        (event_counts t);
+      count ~help:"Grants served from the bypass cache."
+        "qosalloc_alloc_bypass_grants_total" t.bypass_grants;
+      count ~help:"Corrupted configuration words repaired by scrubbing."
+        "qosalloc_scrub_corrupted_words_total" t.scrubbed_words
 
 let obs t = Option.map (fun i -> i.ictx) t.instr
 

@@ -125,12 +125,13 @@ val create :
     instantiated when [policy.retrieval_clock_mhz] is set, and an
     engine that reports no cycle counts contributes zero latency.
 
-    With [obs] set, the manager resolves its metric handles once
-    (allocation-event counters fed from the event stream, setup-time
-    and retrieval-latency histograms) and emits spans per allocation —
-    "allocate" wrapping the whole decision, "placement" around the
-    candidate loop, "retrieval"/"reconfigure" as duration events.
-    Without it every instrumentation point costs one [option] match. *)
+    With [obs] set, the manager resolves its setup-time and
+    retrieval-latency histograms once, samples them per grant, and
+    emits spans per allocation — "allocate" wrapping the whole
+    decision, "placement" around the candidate loop,
+    "retrieval"/"reconfigure" as duration events.  The event counters
+    are written by {!publish}.  Without [obs] every instrumentation
+    point costs one [option] match. *)
 
 val obs : t -> Obs.Ctx.t option
 (** The context passed at creation, for collaborators (negotiation)
@@ -195,6 +196,19 @@ val record_scrub : t -> corrupted_words:int -> diagnostics:int -> unit
 
 val drain_events : t -> event list
 (** Events since the last drain, oldest first. *)
+
+val event_counts : t -> (string * int) list
+(** Every event pushed since {!create}, counted once by kind, in fixed
+    order: "granted", "refused", "preempted", "released",
+    "reconfig-failed", "retried", "relocated", "device-failed",
+    "device-restored", "scrubbed".  {!drain_events} does not reset it. *)
+
+val publish : t -> unit
+(** Adds the tally to the [obs] registry given at {!create}: the
+    [qosalloc_alloc_events_total] counter by kind (hyphens become
+    underscores in the [event] label), the bypass-grant counter and the
+    scrubbed-word counter.  Call it once, at the end of a run; a no-op
+    without [obs]. *)
 
 val refusal_to_string : refusal -> string
 val pp_task : Format.formatter -> task -> unit

@@ -67,6 +67,12 @@ type report = {
   mean_utilization : (string * float) list;
       (** Per device, mean occupied fraction sampled at request
           arrivals; [spec.devices] order. *)
+  event_counts : (string * int) list;  (** {!Manager.event_counts}. *)
+}
+
+type hooks = {
+  on_outcome : Negotiation.outcome -> unit;
+  load : Qos_core.Request.t -> Manager.grant -> hold:float -> unit;
 }
 
 type app_state = {
@@ -93,7 +99,7 @@ let hold_time state =
   let lo, hi = state.profile.Apps.hold_us in
   lo +. ((hi -. lo) *. Workload.Prng.float state.rng)
 
-let run ?obs spec =
+let run ?obs ?layer spec =
   let manager =
     Manager.create ~casebase:spec.casebase ~devices:spec.devices
       ~catalog:(Catalog.of_casebase_default spec.casebase)
@@ -216,6 +222,19 @@ let run ?obs spec =
       rev_trace := row :: !rev_trace
     end
   in
+  (* A layer replaces these once the arrivals are scheduled. *)
+  let hooks =
+    ref
+      {
+        on_outcome = ignore;
+        load =
+          (fun _request (grant : Manager.grant) ~hold ->
+            let task_id = grant.Manager.task.Manager.task_id in
+            Engine.schedule engine ~delay:hold (fun _ ->
+                ignore (Manager.release manager ~task_id);
+                record_preemptions ()));
+      }
+  in
   let handle_request state engine =
     let template = next_template state in
     let request = Apps.instantiate state.rng template in
@@ -235,6 +254,7 @@ let run ?obs spec =
         ~app_id:state.profile.Apps.app_id
         ~priority:state.profile.Apps.priority request
     in
+    !hooks.on_outcome outcome;
     record_row ~app_id:state.profile.Apps.app_id engine request outcome;
     sample_utilization ();
     let m = state.metrics in
@@ -257,10 +277,7 @@ let run ?obs spec =
               float_of_int task.Manager.units
               *. power_of_device task.Manager.device_id
               *. hold /. 1000.0;
-            let task_id = task.Manager.task_id in
-            Engine.schedule engine ~delay:hold (fun _ ->
-                ignore (Manager.release manager ~task_id);
-                record_preemptions ())
+            !hooks.load request grant ~hold
           end;
           {
             m with
@@ -293,7 +310,9 @@ let run ?obs spec =
       let offset = Workload.Prng.float state.rng *. state.profile.Apps.period_us in
       Engine.schedule engine ~delay:offset (fun engine -> arrival state engine))
     states;
+  Option.iter (fun layer -> hooks := layer manager engine root_rng) layer;
   let events_fired = Engine.run ~until:spec.duration_us engine in
+  Manager.publish manager;
   let per_app =
     List.map (fun s -> (s.profile.Apps.app_id, s.metrics)) states
   in
@@ -333,6 +352,7 @@ let run ?obs spec =
             if !utilization_samples = 0 then 0.0
             else total /. float_of_int !utilization_samples ))
         spec.devices;
+    event_counts = Manager.event_counts manager;
   }
 
 let mean_similarity m =

@@ -52,15 +52,38 @@ type report = {
   mean_utilization : (string * float) list;
       (** Per device, mean occupied fraction sampled at request
           arrivals; [spec.devices] order. *)
+  event_counts : (string * int) list;
+      (** The manager's event tally ({!Allocator.Manager.event_counts}). *)
 }
 
-val run : ?obs:Obs.Ctx.t -> spec -> report
+type hooks = {
+  on_outcome : Allocator.Negotiation.outcome -> unit;
+      (** Sees each request's negotiation outcome, before its grant is
+          loaded. *)
+  load : Qos_core.Request.t -> Allocator.Manager.grant -> hold:float -> unit;
+      (** Loads a non-bypass grant, given the request as the application
+          issued it and the drawn hold time.  The default schedules the
+          release [hold] later. *)
+}
+
+val run :
+  ?obs:Obs.Ctx.t ->
+  ?layer:(Allocator.Manager.t -> Engine.t -> Workload.Prng.t -> hooks) ->
+  spec ->
+  report
 (** With [obs], the context's clock is re-pointed at the engine's
     sim-time, the manager is created instrumented (see
     {!Allocator.Manager.create}), every request is wrapped in a
-    "request" span, and the [qosalloc_sim_queue_depth] gauge samples
-    the event-queue depth at each arrival.  Instrumentation never reads
-    the PRNGs, so the report is identical with or without it. *)
+    "request" span, the [qosalloc_sim_queue_depth] gauge samples the
+    event-queue depth at each arrival, and {!Allocator.Manager.publish}
+    writes the event counters at the end.  Instrumentation never reads
+    the PRNGs, so the report is identical with or without it.
+
+    [layer] runs a system on top of this one ([Faults.Campaign]): it is
+    called once, after the per-application PRNG splits and after the
+    arrival processes are scheduled, with the manager, the event engine
+    and the root PRNG, and returns the {!hooks} every request then
+    goes through. *)
 
 val mean_similarity : app_metrics -> float
 (** 0 when there were no grants. *)

@@ -11,31 +11,6 @@ type device_fault = {
   df_kind : [ `Transient of float | `Permanent ];
 }
 
-type retry_policy = {
-  max_retries : int;
-  backoff_base_us : float;
-  backoff_factor : float;
-  backoff_cap_us : float;
-  backoff_jitter : float;
-}
-
-let default_retry =
-  {
-    max_retries = 3;
-    backoff_base_us = Backoff.default.Backoff.base_us;
-    backoff_factor = Backoff.default.Backoff.factor;
-    backoff_cap_us = Backoff.default.Backoff.cap_us;
-    backoff_jitter = Backoff.default.Backoff.jitter;
-  }
-
-let backoff_policy retry =
-  {
-    Backoff.base_us = retry.backoff_base_us;
-    factor = retry.backoff_factor;
-    cap_us = retry.backoff_cap_us;
-    jitter = retry.backoff_jitter;
-  }
-
 type spec = {
   base : Simulate.spec;
   seu_mean_interval_us : float option;
@@ -43,7 +18,8 @@ type spec = {
   reconfig_fail_prob : float;
   flash_error_prob : float;
   load_deadline_us : float option;
-  retry : retry_policy;
+  max_retries : int;
+  backoff : Backoff.policy;
   device_faults : device_fault list;
 }
 
@@ -55,7 +31,8 @@ let default_spec () =
     reconfig_fail_prob = 0.0;
     flash_error_prob = 0.0;
     load_deadline_us = None;
-    retry = default_retry;
+    max_retries = 3;
+    backoff = Backoff.default;
     device_faults = [];
   }
 
@@ -149,51 +126,8 @@ let scrub_request apps =
           Request.make ~type_id:t.Apps.t_type_id
             (List.map (fun (a, v, _j, w) -> (a, v, w)) t.Apps.t_constraints))
 
-type app_state = {
-  profile : Apps.profile;
-  rng : Workload.Prng.t;
-  mutable template_cursor : int;
-}
-
-let next_template state =
-  let templates = state.profile.Apps.templates in
-  let template = List.nth templates state.template_cursor in
-  state.template_cursor <-
-    (state.template_cursor + 1) mod List.length templates;
-  template
-
-let inter_arrival state =
-  match state.profile.Apps.arrival with
-  | Apps.Periodic -> state.profile.Apps.period_us
-  | Apps.Poisson ->
-      Workload.Prng.exponential state.rng ~mean:state.profile.Apps.period_us
-
-let hold_time state =
-  let lo, hi = state.profile.Apps.hold_us in
-  lo +. ((hi -. lo) *. Workload.Prng.float state.rng)
-
 let run ?obs spec =
   let base = spec.base in
-  let manager =
-    Manager.create ~casebase:base.Simulate.casebase
-      ~devices:base.Simulate.devices
-      ~catalog:(Allocator.Catalog.of_casebase_default base.Simulate.casebase)
-      ~policy:base.Simulate.policy ?placement_policy:base.Simulate.placement
-      ?obs ?retrieval_engine:base.Simulate.retrieval_engine ()
-  in
-  let root_rng = Workload.Prng.create ~seed:base.Simulate.seed in
-  (* App streams split first, in apps order — identical to
-     [Simulate.run] for the same seed, so a fault-free campaign sees
-     the Desim workload verbatim. *)
-  let states =
-    List.map
-      (fun profile ->
-        { profile; rng = Workload.Prng.split root_rng; template_cursor = 0 })
-      base.Simulate.apps
-  in
-  let injector =
-    Injector.create ~seed:(Workload.Prng.int root_rng ~bound:0x3FFFFFFF)
-  in
   let scrubber =
     match scrub_request base.Simulate.apps with
     | Error _ -> None
@@ -202,20 +136,6 @@ let run ?obs spec =
         | Ok s -> Some s
         | Error _ -> None)
   in
-  let engine = Engine.create () in
-  (* Scrub/retry/relocation counters ride the manager's event stream
-     (see [Manager.create ?obs]); the campaign only adds the repair-
-     time view. *)
-  let mttr_hist =
-    match obs with
-    | None -> None
-    | Some ctx ->
-        Obs.Ctx.set_clock ctx (fun () -> Engine.now engine);
-        Some
-          (Obs.Metrics.histogram ctx.Obs.Ctx.registry
-             ~help:"Mean time to repair per failed device, us."
-             ~buckets:Obs.Metrics.default_buckets "qosalloc_device_mttr_us")
-  in
   let duration = base.Simulate.duration_us in
   let flight_log =
     match obs with Some o -> o.Obs.Ctx.events | None -> Obs.Events.noop ()
@@ -223,8 +143,6 @@ let run ?obs spec =
   let observing = Obs.Events.enabled flight_log in
   let scrub_enabled = spec.scrub_period_us <> None in
   (* Counters. *)
-  let requests = ref 0 and grants = ref 0 in
-  let bypass_grants = ref 0 and refusals = ref 0 in
   let seu_injected = ref 0 and scrub_runs = ref 0 in
   let scrub_repairs = ref 0 and scrub_diagnostics = ref 0 in
   let detected_retrievals = ref 0 and undetected_retrievals = ref 0 in
@@ -247,249 +165,232 @@ let run ?obs spec =
     Hashtbl.replace tbl key
       (Option.value ~default:0.0 (Hashtbl.find_opt tbl key) +. by)
   in
-  let schedule_release engine task_id ~at =
-    let fire _ =
-      Hashtbl.remove live_tasks task_id;
-      (* The task may already be gone (evicted, or its load was
-         abandoned); a failed release is not an error here. *)
-      ignore (Manager.release manager ~task_id)
+  (* The fault layer on the simulation: called once its arrivals are
+     scheduled, so the injector seed is the root stream's next draw
+     after the app splits, and device faults, scrub ticks and SEU ticks
+     queue behind the first arrivals, in that order. *)
+  let layer manager engine root_rng =
+    let injector =
+      Injector.create ~seed:(Workload.Prng.int root_rng ~bound:0x3FFFFFFF)
     in
-    let delay = Float.max 0.0 (at -. Engine.now engine) in
-    Engine.schedule engine ~delay fire
-  in
-  let still_resident task_id =
-    List.exists
-      (fun (task : Manager.task) -> task.Manager.task_id = task_id)
-      (Manager.tasks manager)
-  in
-  (* Bounded retry with exponential backoff for a granted placement's
-     bitstream load.  [attempt] is 0-based; the deadline model only
-     judges the first attempt (retries are assumed to hit a warm,
-     uncontended flash path). *)
-  let rec attempt_load engine (task : Manager.task) (grant : Manager.grant)
-      ~release_at ~attempt ~backoff_acc =
-    if still_resident task.Manager.task_id then begin
-      let cause =
-        if Injector.draw injector ~prob:spec.flash_error_prob then
-          Some Manager.Flash_read_error
-        else if Injector.draw injector ~prob:spec.reconfig_fail_prob then
-          Some Manager.Bitstream_load_error
-        else
-          match spec.load_deadline_us with
-          | Some deadline
-            when attempt = 0 && grant.Manager.setup_time_us > deadline ->
-              Some Manager.Load_deadline_exceeded
-          | Some _ | None -> None
+    let record_scrub ~words ~diags =
+      Manager.record_scrub manager ~corrupted_words:words ~diagnostics:diags;
+      if observing then
+        Obs.Events.record flight_log ~ts:(Engine.now engine)
+          (Obs.Events.Scrub { corrupted_words = words; diagnostics = diags })
+    in
+    (* [at] is absolute and the delay recomputed from it:
+       [(now + hold) - now] is not always [hold] in floating point. *)
+    let schedule_release task_id ~at =
+      let fire _ =
+        Hashtbl.remove live_tasks task_id;
+        (* The task may already be gone (evicted, or its load was
+           abandoned); a failed release is not an error here. *)
+        ignore (Manager.release manager ~task_id)
       in
-      match cause with
-      | None ->
-          if attempt > 0 then begin
-            incr recovered_loads;
-            recovery_us_sum := !recovery_us_sum +. backoff_acc
-          end;
-          schedule_release engine task.Manager.task_id ~at:release_at
-      | Some cause ->
-          incr failed_loads;
-          (match cause with
-          | Manager.Flash_read_error -> incr flash_errors
-          | Manager.Bitstream_load_error -> incr bitstream_errors
-          | Manager.Load_deadline_exceeded -> incr deadline_misses);
-          Manager.record_reconfig_failure manager ~task ~cause
-            ~attempt:(attempt + 1);
-          if attempt < spec.retry.max_retries then begin
-            (* Capped exponential with seeded jitter; a jitter-free
-               policy must not consume randomness, so campaigns with
-               [backoff_jitter = 0] draw the stream they always did. *)
-            let backoff =
-              let u =
-                if spec.retry.backoff_jitter > 0.0 then
-                  Injector.uniform injector
-                else 0.5
-              in
-              Backoff.delay (backoff_policy spec.retry) ~attempt ~u
-            in
-            incr retries;
-            Manager.record_retry manager ~task ~attempt:(attempt + 1)
-              ~backoff_us:backoff;
-            Engine.schedule engine ~delay:backoff (fun engine ->
-                attempt_load engine task grant ~release_at
-                  ~attempt:(attempt + 1)
-                  ~backoff_acc:(backoff_acc +. backoff))
-          end
-          else begin
-            incr lost_allocations;
-            Hashtbl.remove live_tasks task.Manager.task_id;
-            ignore (Manager.release manager ~task_id:task.Manager.task_id)
-          end
-    end
-  in
-  let handle_request state engine =
-    let template = next_template state in
-    let request = Apps.instantiate state.rng template in
-    let outcome =
-      Negotiation.negotiate ~max_rounds:base.Simulate.max_negotiation_rounds
-        manager
-        ~app_id:state.profile.Apps.app_id
-        ~priority:state.profile.Apps.priority request
+      let delay = Float.max 0.0 (at -. Engine.now engine) in
+      Engine.schedule engine ~delay fire
     in
-    incr requests;
-    let did_retrieve =
-      match outcome.Negotiation.final with
-      | Ok grant -> not grant.Manager.via_bypass
-      | Error _ -> true
+    let still_resident task_id =
+      List.exists
+        (fun (task : Manager.task) -> task.Manager.task_id = task_id)
+        (Manager.tasks manager)
+    in
+    (* Bounded retry with exponential backoff for a granted placement's
+       bitstream load.  [attempt] is 0-based; the deadline model only
+       judges the first attempt (retries are assumed to hit a warm,
+       uncontended flash path). *)
+    let rec attempt_load (task : Manager.task) (grant : Manager.grant)
+        ~release_at ~attempt ~backoff_acc =
+      if still_resident task.Manager.task_id then begin
+        let cause =
+          if Injector.draw injector ~prob:spec.flash_error_prob then
+            Some Manager.Flash_read_error
+          else if Injector.draw injector ~prob:spec.reconfig_fail_prob then
+            Some Manager.Bitstream_load_error
+          else
+            match spec.load_deadline_us with
+            | Some deadline
+              when attempt = 0 && grant.Manager.setup_time_us > deadline ->
+                Some Manager.Load_deadline_exceeded
+            | Some _ | None -> None
+        in
+        match cause with
+        | None ->
+            if attempt > 0 then begin
+              incr recovered_loads;
+              recovery_us_sum := !recovery_us_sum +. backoff_acc
+            end;
+            schedule_release task.Manager.task_id ~at:release_at
+        | Some cause ->
+            incr failed_loads;
+            (match cause with
+            | Manager.Flash_read_error -> incr flash_errors
+            | Manager.Bitstream_load_error -> incr bitstream_errors
+            | Manager.Load_deadline_exceeded -> incr deadline_misses);
+            Manager.record_reconfig_failure manager ~task ~cause
+              ~attempt:(attempt + 1);
+            if attempt < spec.max_retries then begin
+              (* Capped exponential with seeded jitter; a jitter-free
+                 policy must not consume randomness, so campaigns with
+                 [jitter = 0] draw the stream they always did. *)
+              let backoff =
+                let u =
+                  if spec.backoff.Backoff.jitter > 0.0 then
+                    Injector.uniform injector
+                  else 0.5
+                in
+                Backoff.delay spec.backoff ~attempt ~u
+              in
+              incr retries;
+              Manager.record_retry manager ~task ~attempt:(attempt + 1)
+                ~backoff_us:backoff;
+              Engine.schedule engine ~delay:backoff (fun _ ->
+                  attempt_load task grant ~release_at ~attempt:(attempt + 1)
+                    ~backoff_acc:(backoff_acc +. backoff))
+            end
+            else begin
+              incr lost_allocations;
+              Hashtbl.remove live_tasks task.Manager.task_id;
+              ignore (Manager.release manager ~task_id:task.Manager.task_id)
+            end
+      end
     in
     (* Retrieval-time readback: with scrubbing on, a corrupted image is
        detected and reloaded before the result is used; with scrubbing
        off the retrieval silently consumes the corrupted words. *)
-    (match scrubber with
-    | Some s when did_retrieve && not (Scrubber.clean s) ->
-        if scrub_enabled then begin
-          incr detected_retrievals;
-          let diags = Scrubber.diagnose s in
-          scrub_diagnostics := !scrub_diagnostics + diags;
-          let words = Scrubber.repair s in
-          incr scrub_repairs;
-          Manager.record_scrub manager ~corrupted_words:words
-            ~diagnostics:diags;
-          if observing then
-            Obs.Events.record flight_log ~ts:(Engine.now engine)
-              (Obs.Events.Scrub { corrupted_words = words; diagnostics = diags })
-        end
-        else incr undetected_retrievals
-    | Some _ | None -> ());
-    match outcome.Negotiation.final with
-    | Error _ -> incr refusals
-    | Ok grant ->
-        incr grants;
-        if grant.Manager.via_bypass then incr bypass_grants
-        else begin
-          let task = grant.Manager.task in
-          let hold = hold_time state in
-          let release_at = Engine.now engine +. hold in
-          Hashtbl.replace live_tasks task.Manager.task_id
-            (request, release_at);
-          attempt_load engine task grant ~release_at ~attempt:0
-            ~backoff_acc:0.0
-        end
-  in
-  let rec arrival state engine =
-    handle_request state engine;
-    let delay = inter_arrival state in
-    if Engine.now engine +. delay <= duration then
-      Engine.schedule engine ~delay (fun engine -> arrival state engine)
-  in
-  List.iter
-    (fun state ->
-      let offset =
-        Workload.Prng.float state.rng *. state.profile.Apps.period_us
+    let readback (outcome : Negotiation.outcome) =
+      let did_retrieve =
+        match outcome.Negotiation.final with
+        | Ok grant -> not grant.Manager.via_bypass
+        | Error _ -> true
       in
-      Engine.schedule engine ~delay:offset (fun engine ->
-          arrival state engine))
-    states;
-  (* Device-failure schedule: eviction, then relocation with graceful
-     degradation — each evicted task re-enters CBR retrieval and takes
-     the next-best variant on a healthy device.  The relocation load
-     itself is not fault-injected. *)
-  List.iter
-    (fun df ->
-      if df.df_at_us <= duration then
-        Engine.schedule_at engine ~time:df.df_at_us (fun engine ->
-            match
-              Manager.fail_device manager ~device_id:df.df_device_id
-                ~permanent:
+      match scrubber with
+      | Some s when did_retrieve && not (Scrubber.clean s) ->
+          if scrub_enabled then begin
+            incr detected_retrievals;
+            let diags = Scrubber.diagnose s in
+            scrub_diagnostics := !scrub_diagnostics + diags;
+            let words = Scrubber.repair s in
+            incr scrub_repairs;
+            record_scrub ~words ~diags
+          end
+          else incr undetected_retrievals
+      | Some _ | None -> ()
+    in
+    (* Device-failure schedule: eviction, then relocation with graceful
+       degradation — each evicted task re-enters CBR retrieval and takes
+       the next-best variant on a healthy device.  The relocation load
+       itself is not fault-injected. *)
+    List.iter
+      (fun df ->
+        if df.df_at_us <= duration then
+          Engine.schedule_at engine ~time:df.df_at_us (fun engine ->
+              match
+                Manager.fail_device manager ~device_id:df.df_device_id
+                  ~permanent:
+                    (match df.df_kind with
+                    | `Permanent -> true
+                    | `Transient _ -> false)
+              with
+              | Error _ -> ()
+              | Ok evicted ->
+                  bump avail_failures df.df_device_id 1;
+                  if not (Hashtbl.mem down_since df.df_device_id) then
+                    Hashtbl.replace down_since df.df_device_id
+                      (Engine.now engine);
+                  List.iter
+                    (fun (victim : Manager.task) ->
+                      match
+                        Hashtbl.find_opt live_tasks victim.Manager.task_id
+                      with
+                      | None -> ()
+                      | Some (request, release_at) -> (
+                          Hashtbl.remove live_tasks victim.Manager.task_id;
+                          match
+                            Manager.relocate manager ~task:victim request
+                          with
+                          | Ok (regrant, delta) ->
+                              incr relocations;
+                              rev_deltas := delta :: !rev_deltas;
+                              if observing then
+                                Obs.Events.record flight_log
+                                  ~ts:(Engine.now engine)
+                                  (Obs.Events.Relocation
+                                     {
+                                       device = df.df_device_id;
+                                       qos_delta = delta;
+                                     });
+                              let new_id =
+                                regrant.Manager.task.Manager.task_id
+                              in
+                              Hashtbl.replace live_tasks new_id
+                                (request, release_at);
+                              schedule_release new_id ~at:release_at
+                          | Error _ -> incr lost_tasks))
+                    evicted;
                   (match df.df_kind with
-                  | `Permanent -> true
-                  | `Transient _ -> false)
-            with
-            | Error _ -> ()
-            | Ok evicted ->
-                bump avail_failures df.df_device_id 1;
-                if not (Hashtbl.mem down_since df.df_device_id) then
-                  Hashtbl.replace down_since df.df_device_id
-                    (Engine.now engine);
-                List.iter
-                  (fun (victim : Manager.task) ->
-                    match
-                      Hashtbl.find_opt live_tasks victim.Manager.task_id
-                    with
-                    | None -> ()
-                    | Some (request, release_at) -> (
-                        Hashtbl.remove live_tasks victim.Manager.task_id;
-                        match Manager.relocate manager ~task:victim request with
-                        | Ok (regrant, delta) ->
-                            incr relocations;
-                            rev_deltas := delta :: !rev_deltas;
-                            if observing then
-                              Obs.Events.record flight_log
-                                ~ts:(Engine.now engine)
-                                (Obs.Events.Relocation
-                                   {
-                                     device = df.df_device_id;
-                                     qos_delta = delta;
-                                   });
-                            let new_id =
-                              regrant.Manager.task.Manager.task_id
-                            in
-                            Hashtbl.replace live_tasks new_id
-                              (request, release_at);
-                            schedule_release engine new_id ~at:release_at
-                        | Error _ -> incr lost_tasks))
-                  evicted;
-                (match df.df_kind with
-                | `Permanent -> ()
-                | `Transient dur ->
-                    Engine.schedule engine ~delay:dur (fun engine ->
-                        if
-                          Manager.restore_device manager
-                            ~device_id:df.df_device_id
-                        then begin
-                          (match
-                             Hashtbl.find_opt down_since df.df_device_id
-                           with
-                          | Some since ->
-                              bump_f avail_downtime df.df_device_id
-                                (Engine.now engine -. since)
-                          | None -> ());
-                          Hashtbl.remove down_since df.df_device_id
-                        end))))
-    spec.device_faults;
-  (* Periodic scrubbing: cheap checksum first, full diagnosis and
-     golden reload on any mismatch. *)
-  (match (spec.scrub_period_us, scrubber) with
-  | Some period, Some s ->
-      let rec scrub_tick engine =
-        incr scrub_runs;
-        if not (Scrubber.checksum_matches s && Scrubber.clean s) then begin
-          let diags = Scrubber.diagnose s in
-          scrub_diagnostics := !scrub_diagnostics + diags;
-          let words = Scrubber.repair s in
-          incr scrub_repairs;
-          Manager.record_scrub manager ~corrupted_words:words
-            ~diagnostics:diags;
-          if observing then
-            Obs.Events.record flight_log ~ts:(Engine.now engine)
-              (Obs.Events.Scrub { corrupted_words = words; diagnostics = diags })
-        end;
-        if Engine.now engine +. period <= duration then
-          Engine.schedule engine ~delay:period scrub_tick
-      in
-      if period <= duration then
-        Engine.schedule_at engine ~time:period scrub_tick
-  | (Some _ | None), _ -> ());
-  (* SEU arrivals: Poisson bit flips into the live image. *)
-  (match (spec.seu_mean_interval_us, scrubber) with
-  | Some mean, Some s ->
-      let rec seu_tick engine =
-        ignore (Injector.flip_word injector (Scrubber.live s));
-        incr seu_injected;
-        let delay = Injector.interval injector ~mean_us:mean in
-        if Engine.now engine +. delay <= duration then
-          Engine.schedule engine ~delay seu_tick
-      in
-      let first = Injector.interval injector ~mean_us:mean in
-      if first <= duration then Engine.schedule_at engine ~time:first seu_tick
-  | (Some _ | None), _ -> ());
-  let events_fired = Engine.run ~until:duration engine in
+                  | `Permanent -> ()
+                  | `Transient dur ->
+                      Engine.schedule engine ~delay:dur (fun engine ->
+                          if
+                            Manager.restore_device manager
+                              ~device_id:df.df_device_id
+                          then begin
+                            (match
+                               Hashtbl.find_opt down_since df.df_device_id
+                             with
+                            | Some since ->
+                                bump_f avail_downtime df.df_device_id
+                                  (Engine.now engine -. since)
+                            | None -> ());
+                            Hashtbl.remove down_since df.df_device_id
+                          end))))
+      spec.device_faults;
+    (* Periodic scrubbing: cheap checksum first, full diagnosis and
+       golden reload on any mismatch. *)
+    (match (spec.scrub_period_us, scrubber) with
+    | Some period, Some s ->
+        let rec scrub_tick engine =
+          incr scrub_runs;
+          if not (Scrubber.checksum_matches s && Scrubber.clean s) then begin
+            let diags = Scrubber.diagnose s in
+            scrub_diagnostics := !scrub_diagnostics + diags;
+            let words = Scrubber.repair s in
+            incr scrub_repairs;
+            record_scrub ~words ~diags
+          end;
+          if Engine.now engine +. period <= duration then
+            Engine.schedule engine ~delay:period scrub_tick
+        in
+        if period <= duration then
+          Engine.schedule_at engine ~time:period scrub_tick
+    | (Some _ | None), _ -> ());
+    (* SEU arrivals: Poisson bit flips into the live image. *)
+    (match (spec.seu_mean_interval_us, scrubber) with
+    | Some mean, Some s ->
+        let rec seu_tick engine =
+          ignore (Injector.flip_word injector (Scrubber.live s));
+          incr seu_injected;
+          let delay = Injector.interval injector ~mean_us:mean in
+          if Engine.now engine +. delay <= duration then
+            Engine.schedule engine ~delay seu_tick
+        in
+        let first = Injector.interval injector ~mean_us:mean in
+        if first <= duration then Engine.schedule_at engine ~time:first seu_tick
+    | (Some _ | None), _ -> ());
+    {
+      Simulate.on_outcome = readback;
+      load =
+        (fun request grant ~hold ->
+          let task_id = grant.Manager.task.Manager.task_id in
+          let release_at = Engine.now engine +. hold in
+          Hashtbl.replace live_tasks task_id (request, release_at);
+          attempt_load grant.Manager.task grant ~release_at ~attempt:0
+            ~backoff_acc:0.0);
+    }
+  in
+  let sim = Simulate.run ?obs ~layer base in
   (* Devices still down at the end of the campaign. *)
   Hashtbl.iter
     (fun device_id since -> bump_f avail_downtime device_id (duration -. since))
@@ -516,42 +417,28 @@ let run ?obs spec =
         })
       base.Simulate.devices
   in
-  (match mttr_hist with
-  | None -> ()
-  | Some h ->
+  (* The retry, relocation and scrub counters are the manager's (see
+     [Manager.publish]); the campaign only adds the repair-time view. *)
+  Option.iter
+    (fun ctx ->
+      let mttr =
+        Obs.Metrics.histogram ctx.Obs.Ctx.registry
+          ~help:"Mean time to repair per failed device, us."
+          ~buckets:Obs.Metrics.default_buckets "qosalloc_device_mttr_us"
+      in
       List.iter
-        (fun a ->
-          if a.av_failures > 0 then Obs.Metrics.observe h a.av_mttr_us)
-        availability);
-  let events = Manager.drain_events manager in
-  let count pred = List.length (List.filter pred events) in
-  let event_counts =
-    [
-      ("granted", count (function Manager.Granted _ -> true | _ -> false));
-      ("refused", count (function Manager.Refused _ -> true | _ -> false));
-      ( "preempted",
-        count (function Manager.Preempted_task _ -> true | _ -> false) );
-      ( "released",
-        count (function Manager.Released_task _ -> true | _ -> false) );
-      ( "reconfig-failed",
-        count (function Manager.Reconfig_failed _ -> true | _ -> false) );
-      ("retried", count (function Manager.Retried _ -> true | _ -> false));
-      ("relocated", count (function Manager.Relocated _ -> true | _ -> false));
-      ( "device-failed",
-        count (function Manager.Device_failed _ -> true | _ -> false) );
-      ( "device-restored",
-        count (function Manager.Device_restored _ -> true | _ -> false) );
-      ("scrubbed", count (function Manager.Scrubbed _ -> true | _ -> false));
-    ]
-  in
+        (fun a -> if a.av_failures > 0 then Obs.Metrics.observe mttr a.av_mttr_us)
+        availability)
+    obs;
+  let totals = sim.Simulate.totals in
   {
     seed = base.Simulate.seed;
     duration_us = duration;
-    requests = !requests;
-    grants = !grants;
-    bypass_grants = !bypass_grants;
-    refusals = !refusals;
-    events_fired;
+    requests = totals.Simulate.requests;
+    grants = totals.Simulate.grants;
+    bypass_grants = totals.Simulate.bypass_grants;
+    refusals = totals.Simulate.refusals;
+    events_fired = sim.Simulate.events_fired;
     corruption =
       {
         seu_injected = !seu_injected;
@@ -581,7 +468,7 @@ let run ?obs spec =
         similarity_deltas = List.rev !rev_deltas;
       };
     availability;
-    event_counts;
+    event_counts = sim.Simulate.event_counts;
   }
 
 let pp ppf r =

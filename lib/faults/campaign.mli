@@ -3,11 +3,18 @@
     failures and flash read errors, with the recovery machinery
     (scrubbing, bounded retry, relocation) engaged end to end.
 
-    A campaign is a pure function of its {!spec}: the workload streams
-    are split from the seed exactly as {!Desim.Simulate.run} splits
-    them, and every fault decision flows through one {!Injector}
-    stream derived from the same seed — so the same seed and spec
-    yield a byte-identical {!to_json} report. *)
+    A campaign runs on {!Desim.Simulate.run}'s loop, as a layer passed
+    to it: the simulation issues the requests, negotiates them and
+    counts their outcomes, and the campaign checks each retrieval
+    against the live image, loads each non-bypass grant under fault
+    injection, and schedules the device faults, scrub passes and SEUs.
+    With every fault model off it reports exactly the simulation's
+    requests, outcomes and event count.
+
+    A campaign is a pure function of its {!spec}: every fault decision
+    flows through one {!Injector} stream derived from the same seed as
+    the workload — so the same seed and spec yield a byte-identical
+    {!to_json} report. *)
 
 type device_fault = {
   df_device_id : string;
@@ -15,25 +22,6 @@ type device_fault = {
   df_kind : [ `Transient of float | `Permanent ];
       (** [`Transient dur] restores the device [dur] us later. *)
 }
-
-type retry_policy = {
-  max_retries : int;  (** Retries after the initial attempt. *)
-  backoff_base_us : float;
-  backoff_factor : float;
-      (** Attempt [k] (0-based) backs off [base * factor^k] ... *)
-  backoff_cap_us : float;
-      (** ... clamped at this cap, so the delay never outgrows the
-          campaign horizon however many attempts the budget allows. *)
-  backoff_jitter : float;
-      (** Relative jitter half-width in [0, 1) (see {!Backoff.policy});
-          the uniform draw comes from the campaign's injector stream.
-          0 disables jitter {e and} consumes no randomness, so legacy
-          jitter-free campaigns replay their exact fault schedule. *)
-}
-
-val default_retry : retry_policy
-(** 3 retries, 200 us base, factor 2, 5000 us cap, 0.1 jitter
-    ({!Backoff.default}). *)
 
 type spec = {
   base : Desim.Simulate.spec;  (** Workload, devices, policy, seed. *)
@@ -49,13 +37,19 @@ type spec = {
       (** When set, a first attempt whose setup time exceeds the
           deadline fails deterministically ([Load_deadline_exceeded]);
           retries are assumed to hit a warm flash path. *)
-  retry : retry_policy;
+  max_retries : int;  (** Retries after the initial attempt. *)
+  backoff : Backoff.policy;
+      (** Delay before each retry.  The jitter draw comes from the
+          campaign's injector stream; a jitter of 0 consumes no
+          randomness, so jitter-free campaigns replay their exact fault
+          schedule. *)
   device_faults : device_fault list;
 }
 
 val default_spec : unit -> spec
 (** The {!Desim.Simulate.default_spec} workload with every fault model
-    disabled — a campaign that must classify as {!Clean}. *)
+    disabled — a campaign that must classify as {!Clean} — and 3
+    retries under {!Backoff.default}. *)
 
 type corruption = {
   seu_injected : int;
@@ -133,12 +127,12 @@ val exit_code : report -> int
     the [qosalloc faults] CI contract. *)
 
 val run : ?obs:Obs.Ctx.t -> spec -> report
-(** With [obs], the manager is created instrumented (scrub, retry and
-    relocation counters are fed from its event stream), the context's
-    clock follows the campaign engine, and per-device repair times land
-    in the [qosalloc_device_mttr_us] histogram.  Instrumentation never
-    touches the injector or workload PRNGs, so the report — including
-    its JSON rendering — is identical with or without it. *)
+(** [obs] instruments the simulation exactly as {!Desim.Simulate.run}
+    does (the scrub, retry and relocation counters come from the
+    manager's event tally) and adds per-device repair times in the
+    [qosalloc_device_mttr_us] histogram.  Instrumentation never touches
+    the injector or workload PRNGs, so the report — including its JSON
+    rendering — is identical with or without it. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -318,6 +318,43 @@ let test_events () =
   | _ -> Alcotest.fail "expected a Granted event");
   check_int "drained" 0 (List.length (M.drain_events m))
 
+let test_event_counts () =
+  let ctx = Obs.Ctx.create () in
+  let m =
+    M.create ~casebase:cb
+      ~devices:[ device "dsp0" Target.Dsp 2 ]
+      ~catalog:(Cat.of_casebase_default cb) ~obs:ctx ()
+  in
+  let g = get_grant "grant" (M.allocate m ~app_id:"a" request) in
+  ignore (M.drain_events m);
+  let b = get_grant "repeat" (M.allocate m ~app_id:"a" request) in
+  check_bool "repeat served by bypass" true b.M.via_bypass;
+  ignore (M.release m ~task_id:g.M.task.M.task_id);
+  M.record_scrub m ~corrupted_words:3 ~diagnostics:1;
+  let counts = M.event_counts m in
+  check_int "every kind listed once" 10 (List.length counts);
+  check_int "granted, drain included" 2 (List.assoc "granted" counts);
+  check_int "released" 1 (List.assoc "released" counts);
+  check_int "scrubbed" 1 (List.assoc "scrubbed" counts);
+  check_int "each event counted once" 4
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 counts);
+  ignore (M.drain_events m);
+  check_bool "drain leaves the tally" true (M.event_counts m = counts);
+  M.publish m;
+  let reg = ctx.Obs.Ctx.registry in
+  let value ?labels name =
+    Obs.Metrics.counter_value (Obs.Metrics.counter reg ?labels name)
+  in
+  check_int "published granted" 2
+    (value ~labels:[ ("event", "granted") ] "qosalloc_alloc_events_total");
+  check_bool "every kind exported, labelled with underscores" true
+    (List.mem "qosalloc_alloc_events_total{event=\"reconfig_failed\"} 0"
+       (String.split_on_char '\n' (Obs.Metrics.to_prometheus reg)));
+  check_int "published bypass grants" 1
+    (value "qosalloc_alloc_bypass_grants_total");
+  check_int "published scrubbed words" 3
+    (value "qosalloc_scrub_corrupted_words_total")
+
 let test_retrieval_latency_modelling () =
   let m =
     M.create ~casebase:cb
@@ -909,6 +946,7 @@ let () =
           Alcotest.test_case "release" `Quick test_release;
           Alcotest.test_case "release app" `Quick test_release_app;
           Alcotest.test_case "events" `Quick test_events;
+          Alcotest.test_case "event counts" `Quick test_event_counts;
         ] );
       ( "robustness",
         [

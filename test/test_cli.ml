@@ -430,7 +430,11 @@ let test_faults_observability () =
   check_bool "MTTR histogram exported" true
     (contains text "# TYPE qosalloc_device_mttr_us histogram");
   check_bool "relocation counter exported" true
-    (contains text "qosalloc_alloc_events_total{event=\"relocated\"}")
+    (contains text "qosalloc_alloc_events_total{event=\"relocated\"}");
+  (* The campaign runs on the simulate loop, so its exports carry the
+     simulation's queue-depth gauge too. *)
+  check_bool "queue-depth gauge exported" true
+    (contains text "# TYPE qosalloc_sim_queue_depth gauge")
 
 let test_bad_input_fails_cleanly () =
   let bad = Filename.concat tmp_dir "bad.cb" in

@@ -170,7 +170,7 @@ let test_campaign_retry_recovers () =
   check_bool "loads recovered" true (r.C.recovery.C.recovered_loads > 0);
   check_int "nothing lost" 0 r.C.recovery.C.lost_allocations;
   check_bool "recovery time recorded" true
-    (r.C.recovery.C.mean_recovery_us >= spec.C.retry.C.backoff_base_us);
+    (r.C.recovery.C.mean_recovery_us >= spec.C.backoff.Faults.Backoff.base_us);
   check_bool "degraded but recovered" true
     (C.classify r = C.Degraded_recovered)
 
@@ -179,7 +179,7 @@ let test_campaign_retries_exhausted () =
     {
       (base_spec ~duration_us:30_000.0 ()) with
       C.reconfig_fail_prob = 0.95;
-      retry = { (C.default_retry) with C.max_retries = 0 };
+      max_retries = 0;
     }
   in
   let r = C.run spec in
