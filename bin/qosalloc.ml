@@ -553,9 +553,28 @@ let parse_device_fault s =
               Some (String.sub rest (plus + 1) (String.length rest - plus - 1))
             )
       in
-      match (float_of_string_opt time_s, Option.map float_of_string_opt dur_s) with
-      | None, _ | _, Some None ->
-          Error (`Msg (Printf.sprintf "bad time in device fault %S" s))
+      let number ok x =
+        match float_of_string_opt x with
+        | Some v when Float.is_finite v && ok v -> Some v
+        | Some _ | None -> None
+      in
+      match
+        ( number (fun t -> t >= 0.0) time_s,
+          Option.map (number (fun d -> d > 0.0)) dur_s )
+      with
+      | None, _ ->
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "bad time in device fault %S, expected a finite number >= 0"
+                  s))
+      | _, Some None ->
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "bad duration in device fault %S, expected a finite number > \
+                   0"
+                  s))
       | Some time, None ->
           Ok
             {
@@ -619,14 +638,14 @@ let faults_cmd =
   let seu_mean =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_float) None
       & info [ "seu-mean-us" ] ~docv:"US"
           ~doc:"Mean interval of the Poisson SEU process (off by default).")
   in
   let scrub_period =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_float) None
       & info [ "scrub-period-us" ] ~docv:"US"
           ~doc:
             "Scrubbing period; omitting it disables scrubbing and the \
@@ -634,20 +653,20 @@ let faults_cmd =
   in
   let reconfig_prob =
     Arg.(
-      value & opt float 0.0
+      value & opt fraction 0.0
       & info [ "reconfig-fail-prob" ] ~docv:"P"
           ~doc:"Per-attempt bitstream-load failure probability.")
   in
   let flash_prob =
     Arg.(
-      value & opt float 0.0
+      value & opt fraction 0.0
       & info [ "flash-error-prob" ] ~docv:"P"
           ~doc:"Per-attempt flash-repository read-error probability.")
   in
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (float_at_least 0.0)) None
       & info [ "load-deadline-us" ] ~docv:"US"
           ~doc:"First-attempt loads slower than this miss their deadline.")
   in

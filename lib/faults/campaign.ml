@@ -126,7 +126,16 @@ let scrub_request apps =
           Request.make ~type_id:t.Apps.t_type_id
             (List.map (fun (a, v, _j, w) -> (a, v, w)) t.Apps.t_constraints))
 
+(* A zero period would reschedule its tick at the same instant forever,
+   and a NaN one would never pass the horizon. *)
+let check_interval what = function
+  | Some v when not (Float.is_finite v && v > 0.0) ->
+      invalid_arg ("Campaign.run: " ^ what ^ " must be finite and > 0")
+  | Some _ | None -> ()
+
 let run ?obs spec =
+  check_interval "scrub_period_us" spec.scrub_period_us;
+  check_interval "seu_mean_interval_us" spec.seu_mean_interval_us;
   let base = spec.base in
   let scrubber =
     match scrub_request base.Simulate.apps with

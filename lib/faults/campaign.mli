@@ -132,7 +132,10 @@ val run : ?obs:Obs.Ctx.t -> spec -> report
     manager's event tally) and adds per-device repair times in the
     [qosalloc_device_mttr_us] histogram.  Instrumentation never touches
     the injector or workload PRNGs, so the report — including its JSON
-    rendering — is identical with or without it. *)
+    rendering — is identical with or without it.
+
+    @raise Invalid_argument when [scrub_period_us] or
+    [seu_mean_interval_us] is non-finite or not positive. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -376,7 +376,8 @@ let test_jobs_determinism () =
    carry enough chaos to retry. *)
 let bad_flags =
   let serve = "serve --duration-us 20000 --kill-frac 0.34 --bounce-mean-us 2000"
-  and faults = "faults --duration-us 20000 --reconfig-fail-prob 0.5" in
+  and faults = "faults --duration-us 20000 --reconfig-fail-prob 0.5"
+  and plain_faults = "faults --duration-us 20000" in
   [
     ("serve", "--load-scale 0");
     ("serve", "--load-scale=-1");
@@ -406,6 +407,24 @@ let bad_flags =
     (faults, "--backoff-factor 0.5");
     (faults, "--backoff-us 0");
     ("simulate", "--duration-us nan");
+    (* A zero scrub period used to reschedule its tick at +0 forever. *)
+    (plain_faults, "--scrub-period-us 0");
+    (plain_faults, "--scrub-period-us=-1");
+    (plain_faults, "--scrub-period-us nan");
+    (plain_faults, "--seu-mean-us 0");
+    (plain_faults, "--seu-mean-us=-5");
+    (plain_faults, "--seu-mean-us nan");
+    (plain_faults, "--load-deadline-us nan");
+    (plain_faults, "--load-deadline-us=-5");
+    (plain_faults, "--reconfig-fail-prob 2");
+    (plain_faults, "--reconfig-fail-prob nan");
+    (plain_faults, "--reconfig-fail-prob=-0.5");
+    (plain_faults, "--flash-error-prob=-1");
+    (plain_faults, "--fail dsp0@-100");
+    (plain_faults, "--fail dsp0@nan");
+    (plain_faults, "--fail dsp0@10000+nan");
+    (plain_faults, "--fail dsp0@10000+-50");
+    (plain_faults, "--fail dsp0@10000+inf");
   ]
 
 let bad_flag_cases =

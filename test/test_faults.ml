@@ -258,6 +258,22 @@ let test_campaign_replays_simulate () =
         r.C.events_fired)
     [ 7; 42; 1234 ]
 
+let test_campaign_rejects_bad_intervals () =
+  List.iter
+    (fun (what, spec) ->
+      match C.run spec with
+      | _ -> Alcotest.fail (what ^ " accepted")
+      | exception Invalid_argument _ -> ())
+    [
+      ("zero scrub period", { (base_spec ()) with C.scrub_period_us = Some 0.0 });
+      ( "NaN scrub period",
+        { (base_spec ()) with C.scrub_period_us = Some Float.nan } );
+      ( "negative SEU mean",
+        { (base_spec ()) with C.seu_mean_interval_us = Some (-5.0) } );
+      ( "infinite SEU mean",
+        { (base_spec ()) with C.seu_mean_interval_us = Some Float.infinity } );
+    ]
+
 let test_verdict_strings () =
   check_bool "clean" true (C.verdict_to_string C.Clean = "clean");
   check_bool "degraded" true
@@ -299,6 +315,8 @@ let () =
             test_campaign_transient_device_failure;
           Alcotest.test_case "fault-free campaign replays the simulate workload"
             `Quick test_campaign_replays_simulate;
+          Alcotest.test_case "bad scrub period or SEU mean rejected" `Quick
+            test_campaign_rejects_bad_intervals;
           Alcotest.test_case "verdict strings" `Quick test_verdict_strings;
         ] );
     ]
