@@ -55,6 +55,37 @@ let request_arg =
   in
   Arg.(value & opt (some file) None & info [ "r"; "request" ] ~docv:"FILE" ~doc)
 
+let format_arg =
+  let fmt_conv =
+    Arg.conv
+      ( (function
+        | "text" -> Ok `Text
+        | "json" -> Ok `Json
+        | s -> Error (`Msg (Printf.sprintf "unknown format %S" s))),
+        fun ppf f ->
+          Format.pp_print_string ppf
+            (match f with `Text -> "text" | `Json -> "json") )
+  in
+  Arg.(
+    value & opt fmt_conv `Text
+    & info [ "format" ] ~docv:"FMT" ~doc:"Output format: $(b,text) or $(b,json).")
+
+(* The rtlsim architecture toggles of [trace] and [profile]. *)
+let machine_config_term =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  Term.(
+    const (fun compacted restart use_divider ->
+        {
+          Rtlsim.Machine.resume_scan = not restart;
+          compacted;
+          use_divider;
+          overlap_compute = false;
+          registered_bram = false;
+        })
+    $ flag "compacted" "Compacted block fetches."
+    $ flag "restart-scan" "Disable resume scanning."
+    $ flag "divider" "Use an iterative divider.")
+
 (* --- shared run flags ---------------------------------------------------- *)
 
 (* [conv] restricted to values satisfying [ok]: an out-of-range value
@@ -398,18 +429,9 @@ let observe_retrieval ctx (o : Rtlsim.Machine.outcome) =
     "retrieval"
 
 let trace_cmd =
-  let run casebase request compacted restart divider vcd metrics trace_out =
+  let run casebase request config vcd metrics trace_out =
     let cb = or_die (load_casebase casebase) in
     let req = or_die (load_request request) in
-    let config =
-      {
-        Rtlsim.Machine.resume_scan = not restart;
-        compacted;
-        use_divider = divider;
-        overlap_compute = false;
-        registered_bram = false;
-      }
-    in
     let o =
       or_die
         (Rtlsim.Engine.retrieve_traced ~config ~trace:true
@@ -438,15 +460,6 @@ let trace_cmd =
           (List.length o.Rtlsim.Machine.waveform)
           path
   in
-  let compacted =
-    Arg.(value & flag & info [ "compacted" ] ~doc:"Compacted block fetches.")
-  in
-  let restart =
-    Arg.(value & flag & info [ "restart-scan" ] ~doc:"Disable resume scanning.")
-  in
-  let divider =
-    Arg.(value & flag & info [ "divider" ] ~doc:"Use an iterative divider.")
-  in
   let vcd =
     Arg.(
       value
@@ -456,8 +469,8 @@ let trace_cmd =
   let doc = "run the hardware retrieval unit with a cycle trace" in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ casebase_arg $ request_arg $ compacted $ restart $ divider
-      $ vcd $ metrics_arg $ trace_out_arg)
+      const run $ casebase_arg $ request_arg $ machine_config_term $ vcd
+      $ metrics_arg $ trace_out_arg)
 
 (* --- resources ------------------------------------------------------------ *)
 
@@ -691,22 +704,6 @@ let faults_cmd =
             "Schedule a device failure: $(b,dsp0@20000) fails dsp0 \
              permanently at t=20000us; $(b,dsp0@20000+15000) restores it \
              15000us later.  Repeatable.")
-  in
-  let format_arg =
-    let fmt_conv =
-      Arg.conv
-        ( (function
-          | "text" -> Ok `Text
-          | "json" -> Ok `Json
-          | s -> Error (`Msg (Printf.sprintf "unknown format %S" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with `Text -> "text" | `Json -> "json") )
-    in
-    Arg.(
-      value & opt fmt_conv `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,text) or $(b,json).")
   in
   let doc = "run a deterministic fault-injection campaign with recovery" in
   let man =
@@ -1001,25 +998,17 @@ let serve_cmd =
 (* --- profile --------------------------------------------------------------- *)
 
 let profile_cmd =
-  let run casebase request compacted restart divider format max_cycles engine =
+  let run casebase request config format max_cycles engine =
     let cb = or_die (load_casebase casebase) in
     let req = or_die (load_request request) in
-    let config =
-      {
-        Rtlsim.Machine.resume_scan = not restart;
-        compacted;
-        use_divider = divider;
-        overlap_compute = false;
-        registered_bram = false;
-      }
-    in
-    let report =
+    let engine =
       match engine with
       | "rtlsim" ->
           (* The config toggles only exist on the rtlsim machine. *)
-          or_die (Obs.Profile.run ~config cb req)
-      | name -> or_die (Obs.Profile.run_engine (make_engine name cb) req)
+          or_die (Rtlsim.Engine.create ~config cb)
+      | name -> make_engine name cb
     in
+    let report = or_die (Obs.Profile.run engine req) in
     (match format with
     | `Json -> print_string (Obs.Profile.report_to_json report)
     | `Text -> Format.printf "@[<v>%a@]@." Obs.Profile.pp_report report);
@@ -1030,31 +1019,6 @@ let profile_cmd =
           report.Obs.Profile.breakdown.Obs.Profile.total_cycles budget;
         exit 1
     | Some _ | None -> ()
-  in
-  let compacted =
-    Arg.(value & flag & info [ "compacted" ] ~doc:"Compacted block fetches.")
-  in
-  let restart =
-    Arg.(value & flag & info [ "restart-scan" ] ~doc:"Disable resume scanning.")
-  in
-  let divider =
-    Arg.(value & flag & info [ "divider" ] ~doc:"Use an iterative divider.")
-  in
-  let format_arg =
-    let fmt_conv =
-      Arg.conv
-        ( (function
-          | "text" -> Ok `Text
-          | "json" -> Ok `Json
-          | s -> Error (`Msg (Printf.sprintf "unknown format %S" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with `Text -> "text" | `Json -> "json") )
-    in
-    Arg.(
-      value & opt fmt_conv `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,text) or $(b,json).")
   in
   let max_cycles =
     Arg.(
@@ -1093,8 +1057,8 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc ~man)
     Term.(
-      const run $ casebase_arg $ request_arg $ compacted $ restart $ divider
-      $ format_arg $ max_cycles $ engine)
+      const run $ casebase_arg $ request_arg $ machine_config_term $ format_arg
+      $ max_cycles $ engine)
 
 (* --- export --------------------------------------------------------------------- *)
 
@@ -1211,22 +1175,6 @@ let lint_cmd =
           (Analysis.Diagnostic.errors diags)
           (Analysis.Diagnostic.warnings diags));
     exit (Analysis.Diagnostic.exit_code diags)
-  in
-  let format_arg =
-    let fmt_conv =
-      Arg.conv
-        ( (function
-          | "text" -> Ok `Text
-          | "json" -> Ok `Json
-          | s -> Error (`Msg (Printf.sprintf "unknown format %S" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with `Text -> "text" | `Json -> "json") )
-    in
-    Arg.(
-      value & opt fmt_conv `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,text) or $(b,json).")
   in
   let cb_hex =
     Arg.(

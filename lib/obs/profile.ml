@@ -1,4 +1,3 @@
-module Machine = Rtlsim.Machine
 module Request = Qos_core.Request
 
 type breakdown = {
@@ -6,15 +5,6 @@ type breakdown = {
   phase_cycles : (string * int) list;
   consistent : bool;
 }
-
-let breakdown_of_stats (s : Machine.stats) =
-  let phase_cycles =
-    List.map
-      (fun p -> (Machine.phase_name p, Machine.phase_cycles_get p s.phases))
-      Machine.all_phases
-  in
-  let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 phase_cycles in
-  { total_cycles = s.cycles; phase_cycles; consistent = sum = s.cycles }
 
 type linearity = {
   points : (int * int) list;
@@ -50,7 +40,7 @@ let prefix_request (r : Request.t) k =
   in
   Request.make ~type_id:r.type_id constrs
 
-let run_engine (eng : Qos_core.Engine.t) request =
+let run (eng : Qos_core.Engine.t) request =
   let module E = Qos_core.Engine in
   let ( let* ) = Result.bind in
   if not eng.E.caps.E.reports_cycles then
@@ -100,31 +90,6 @@ let run_engine (eng : Qos_core.Engine.t) request =
         linearity = { points; increments; linear = judge_linear increments };
         best_impl_id = full.E.impl_id;
       }
-
-let run ?config casebase request =
-  let ( let* ) = Result.bind in
-  let retrieve req = Rtlsim.Engine.retrieve_traced ?config casebase req in
-  let* full = retrieve request in
-  let n = Request.constraint_count request in
-  let rec ladder k acc =
-    if k > n then Ok (List.rev acc)
-    else
-      let* req = prefix_request request k in
-      let* outcome = retrieve req in
-      ladder (k + 1) ((k, outcome.Machine.stats.cycles) :: acc)
-  in
-  let* points = ladder 0 [] in
-  let rec deltas = function
-    | (_, a) :: ((_, b) :: _ as rest) -> (b - a) :: deltas rest
-    | _ -> []
-  in
-  let increments = deltas points in
-  Ok
-    {
-      breakdown = breakdown_of_stats full.Machine.stats;
-      linearity = { points; increments; linear = judge_linear increments };
-      best_impl_id = full.Machine.best_impl_id;
-    }
 
 let pp_report ppf r =
   Format.fprintf ppf "profile: total-cycles=%d best-impl=%d@\n"

@@ -1,24 +1,26 @@
-(** Cycle-attribution profiler for the rtlsim retrieval unit.
+(** Cycle-attribution profiler for any cycle-reporting retrieval
+    engine.
 
-    Splits a retrieval's total cycle count into the four machine phases
-    ({!Rtlsim.Machine.phase}) and checks the paper's central claim that
-    retrieval effort grows linearly with request size: the hardware
-    walks ID-sorted attribute lists with resumable scans, so each added
-    constraint costs a near-constant increment (Sec. 4.1).
+    Splits a retrieval's total cycle count into the engine's phases
+    (for [rtlsim], the four machine phases of [Rtlsim.Machine.phase])
+    and checks the paper's central claim that retrieval effort grows
+    linearly with request size: the hardware walks ID-sorted attribute
+    lists with resumable scans, so each added constraint costs a
+    near-constant increment (Sec. 4.1).
 
-    Phase attribution is exact by construction — every cycle the
-    machine ticks is charged to exactly one phase — and {!breakdown}
-    re-checks the sum anyway so a future accounting bug turns into a
-    visible [consistent = false] rather than silent drift. *)
+    Phase attribution is exact by construction on the rtlsim machine —
+    every cycle it ticks is charged to exactly one phase — and
+    {!breakdown} re-checks the sum anyway so a future accounting bug
+    turns into a visible [consistent = false] rather than silent
+    drift. *)
 
 type breakdown = {
   total_cycles : int;
   phase_cycles : (string * int) list;
-      (** In {!Rtlsim.Machine.all_phases} order. *)
+      (** In the engine's phase order ([Rtlsim.Machine.all_phases] for
+          [rtlsim]); empty for an engine without phase attribution. *)
   consistent : bool;  (** Phase sum equals [total_cycles]. *)
 }
-
-val breakdown_of_stats : Rtlsim.Machine.stats -> breakdown
 
 type linearity = {
   points : (int * int) list;
@@ -36,20 +38,13 @@ type report = {
   best_impl_id : int;
 }
 
-val run :
-  ?config:Rtlsim.Machine.config ->
-  Qos_core.Casebase.t ->
-  Qos_core.Request.t ->
-  (report, string) result
-(** Profile one retrieval: full-request breakdown plus the
-    prefix-ladder linearity check (one extra retrieval per prefix). *)
-
-val run_engine :
-  Qos_core.Engine.t -> Qos_core.Request.t -> (report, string) result
-(** The same profile against any cycle-reporting engine.  Errors when
-    the engine's capabilities say it reports no cycles.  Phase
-    attribution comes from the engine's [phase_cycles] hook; engines
-    without one get an empty, vacuously consistent breakdown. *)
+val run : Qos_core.Engine.t -> Qos_core.Request.t -> (report, string) result
+(** Profile one retrieval: the full-request breakdown plus the
+    prefix-ladder linearity check (one extra retrieval per prefix).
+    Errors when the engine's capabilities say it reports no cycles.
+    Phase attribution comes from the engine's [phase_cycles] hook;
+    engines without one get an empty, vacuously consistent
+    breakdown. *)
 
 val pp_report : Format.formatter -> report -> unit
 val report_to_json : report -> string

@@ -427,10 +427,14 @@ let test_instrumented_simulation () =
 
 (* --- Profiler ---------------------------------------------------------- *)
 
+(* The rtlsim machine under the paper configuration, as an engine. *)
+let rtlsim cb =
+  match Rtlsim.Engine.create cb with Ok eng -> eng | Error e -> Alcotest.fail e
+
 let test_profile_audio () =
   let cb = Qos_core.Scenario_audio.casebase in
   let req = Qos_core.Scenario_audio.request in
-  match P.run cb req with
+  match P.run (rtlsim cb) req with
   | Error e -> Alcotest.fail e
   | Ok r ->
       check_bool "phase sum equals total cycles" true r.P.breakdown.P.consistent;
@@ -454,7 +458,7 @@ let test_profile_audio () =
 let test_profile_report_renders () =
   let cb = Qos_core.Scenario_audio.casebase in
   let req = Qos_core.Scenario_audio.request in
-  match P.run cb req with
+  match P.run (rtlsim cb) req with
   | Error e -> Alcotest.fail e
   | Ok r ->
       let text = Format.asprintf "%a" P.pp_report r in
@@ -503,18 +507,25 @@ let profiler_props =
       QCheck2.Gen.(int_range 0 100_000)
       (fun seed ->
         let cb, req = scenario_of_seed seed in
-        match Mach.retrieve cb req with
-        | Error _ -> true
-        | Ok o ->
-            let b = P.breakdown_of_stats o.Mach.stats in
-            b.P.consistent
-            && List.fold_left (fun acc (_, n) -> acc + n) 0 b.P.phase_cycles
-               = o.Mach.stats.Mach.cycles);
+        match (Mach.retrieve cb req, Rtlsim.Engine.create cb) with
+        | Error _, _ -> true
+        | Ok _, Error _ -> false
+        | Ok o, Ok eng -> (
+            match P.run eng req with
+            | Error _ -> false
+            | Ok r ->
+                let b = r.P.breakdown in
+                b.P.consistent
+                && List.length b.P.phase_cycles
+                   = List.length Mach.all_phases
+                && List.fold_left (fun acc (_, n) -> acc + n) 0
+                     b.P.phase_cycles
+                   = o.Mach.stats.Mach.cycles));
     prop "prefix-ladder cycles are monotone on generated scenarios"
       QCheck2.Gen.(int_range 0 100_000)
       (fun seed ->
         let cb, req = scenario_of_seed seed in
-        match P.run cb req with
+        match Result.bind (Rtlsim.Engine.create cb) (fun eng -> P.run eng req) with
         | Error _ -> true
         | Ok r ->
             let rec mono = function
