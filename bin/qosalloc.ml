@@ -68,7 +68,8 @@ let format_arg =
   in
   Arg.(
     value & opt fmt_conv `Text
-    & info [ "format" ] ~docv:"FMT" ~doc:"Output format: $(b,text) or $(b,json).")
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:"Output format: $(b,text) or $(b,json).")
 
 (* The rtlsim architecture toggles of [trace] and [profile]. *)
 let machine_config_term =
@@ -571,23 +572,18 @@ let parse_device_fault s =
         | Some v when Float.is_finite v && ok v -> Some v
         | Some _ | None -> None
       in
+      let bad what expect =
+        Error
+          (`Msg
+             (Printf.sprintf "bad %s in device fault %S, expected a finite %s"
+                what s expect))
+      in
       match
         ( number (fun t -> t >= 0.0) time_s,
           Option.map (number (fun d -> d > 0.0)) dur_s )
       with
-      | None, _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "bad time in device fault %S, expected a finite number >= 0"
-                  s))
-      | _, Some None ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "bad duration in device fault %S, expected a finite number > \
-                   0"
-                  s))
+      | None, _ -> bad "time" "number >= 0"
+      | _, Some None -> bad "duration" "number > 0"
       | Some time, None ->
           Ok
             {
