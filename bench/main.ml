@@ -1,10 +1,15 @@
 (* Benchmark / reproduction harness.
 
    Prints a reproduction section for every table and figure of the
-   paper (experiment IDs from DESIGN.md), then runs Bechamel
-   micro-benchmarks of the hot paths.
+   paper (experiment IDs from DESIGN.md), plus host-time sections.
+   The clock-free sections print the same bytes on every run
+   (bench/reproduction.golden.txt pins them); the host-time sections
+   time their variants with Harness, which writes the sampled
+   BENCH_*.json records.
 
-   Sections:
+     bench [--only SECTION[,SECTION...]]
+
+   Clock-free sections:
      T1  Table 1  - retrieval similarity example
      T2  Table 2  - synthesis results on XC2V3000
      T3  Table 3  - case-base memory consumption
@@ -14,12 +19,24 @@
      S4  Sec. 5   - compacted attribute blocks (>= 2x projection)
      S5  Sec. 3   - threshold rejection and relaxation loop
      S6  Sec. 3   - bypass tokens on repeated calls
+     S7  Sec. 5   - n most similar variants from hardware
+     S8  Sec. 5   - dynamic case-base updates (retain/revise)
+     A1  extra    - column placement and fragmentation
+     A2  extra    - system behaviour under increasing offered load
      B1  extra    - allocation quality vs naive baselines
      B2  extra    - Mahalanobis cost comparison (Sec. 2.2 claim)
+     B3  extra    - amalgamation choice and threshold sensitivity
      R1  extra    - fault campaigns: scrubbing on vs off under SEUs
-     NETLIST extra - IR elaboration + pass-suite cost (BENCH_netlist.json)
-     OBS extra    - observability instrumentation overhead (BENCH_obs.json)
-     OBS2 extra   - flight-recorder overhead on the serve path (BENCH_obs2.json) *)
+     CLUSTER  extra - replicated serving under outages
+     CLUSTER2 extra - work stealing and streaming arrivals
+     SCORECARD      - paper vs measured, in one table
+
+   Host-time sections (process CPU time, sampled by Harness):
+     NATIVE   extra - engine throughput (BENCH_native.json)
+     NETLIST  extra - IR elaboration + pass-suite cost (BENCH_netlist.json)
+     OBS      extra - observability overhead on simulate (BENCH_obs.json)
+     OBS2     extra - flight-recorder overhead on serve (BENCH_obs2.json)
+     BENCH    extra - micro-benchmarks of the hot paths (table only) *)
 
 open Qos_core
 
@@ -276,13 +293,17 @@ let run_s1 () =
 (* S2: fixed-point vs floating-point identity                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_s2 () =
-  section "S2" "Sec. 4.2: 16-bit fixed point matches floating point";
-  let trials = 2000 in
+(* The S2 scenario loop: how many of [scenarios] random case bases the
+   fixed-point engine decides like float ([agree]) and the RTL unit
+   bit-equals the fixed-point engine ([hw_agree]).  S2 and the
+   scorecard both report it. *)
+type s2 = { scenarios : int; agree : int; hw_agree : int }
+
+let s2_agreement () =
+  let scenarios = 2000 in
   let agree = ref 0 in
   let hw_agree = ref 0 in
-  let applicable = ref 0 in
-  for seed = 1 to trials do
+  for seed = 1 to scenarios do
     let rng = Workload.Prng.create ~seed in
     let schema =
       Workload.Generator.schema rng
@@ -304,25 +325,27 @@ let run_s2 () =
           value_slack = 0.15;
         }
     in
-    incr applicable;
     if Engine_fixed.agrees_with_float cb req then incr agree;
-    (match (Rtlsim.Machine.retrieve cb req, Engine_fixed.best cb req) with
+    match (Rtlsim.Machine.retrieve cb req, Engine_fixed.best cb req) with
     | Ok o, Ok fixed
       when o.Rtlsim.Machine.best_impl_id = fixed.Retrieval.impl.Impl.id
            && Fxp.Q15.equal o.Rtlsim.Machine.best_score fixed.Retrieval.score
       ->
         incr hw_agree
     | Error _, Error _ -> incr hw_agree
-    | _ -> ())
+    | _ -> ()
   done;
+  { scenarios; agree = !agree; hw_agree = !hw_agree }
+
+let run_s2 () =
+  section "S2" "Sec. 4.2: 16-bit fixed point matches floating point";
+  let r = s2_agreement () in
+  let pct k = 100.0 *. float_of_int k /. float_of_int r.scenarios in
   Printf.printf
     "random scenarios: %d\n\
      fixed-point engine picks a float-top-group variant: %d (%.1f%%)\n\
      rtl unit bit-equals the fixed-point engine:         %d (%.1f%%)\n"
-    !applicable !agree
-    (100.0 *. float_of_int !agree /. float_of_int !applicable)
-    !hw_agree
-    (100.0 *. float_of_int !hw_agree /. float_of_int !applicable);
+    r.scenarios r.agree (pct r.agree) r.hw_agree (pct r.hw_agree);
   Printf.printf
     "paper claim: identical retrieval results between Matlab floating point\n\
      and the 16-bit VHDL implementation.\n"
@@ -925,107 +948,70 @@ let run_r1 () =
      retrievals; without it corrupted images are consumed unnoticed.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
+(* Micro-benchmarks of the hot paths                                   *)
 (* ------------------------------------------------------------------ *)
 
-open Bechamel
-open Toolkit
-
-let micro_tests () =
+let run_micro () =
+  section "BENCH" "micro-benchmarks of the hot paths (process CPU time)";
   let cb = Scenario_audio.casebase in
   let request = Scenario_audio.request in
   let big_cb = Workload.Generator.sized_casebase ~seed:61 ~types:15 ~impls:10 ~attrs:10 in
   let big_req = Workload.Generator.sized_request ~seed:62 big_cb in
   let image = get (Memlayout.build_system big_cb big_req) in
   let printed = Textfmt.print_casebase big_cb in
-  [
-    Test.make ~name:"engine-float/paper" (Staged.stage (fun () ->
-        ignore (Engine_float.best cb request)));
-    Test.make ~name:"engine-fixed/paper" (Staged.stage (fun () ->
-        ignore (Engine_fixed.best cb request)));
-    Test.make ~name:"engine-float/15x10x10" (Staged.stage (fun () ->
-        ignore (Engine_float.best big_cb big_req)));
-    Test.make ~name:"engine-fixed/15x10x10" (Staged.stage (fun () ->
-        ignore (Engine_fixed.best big_cb big_req)));
-    Test.make ~name:"rtlsim/15x10x10" (Staged.stage (fun () ->
-        ignore (Rtlsim.Machine.run image)));
-    Test.make ~name:"mblaze/15x10x10" (Staged.stage (fun () ->
-        ignore (Mblaze.Retrieval_prog.run_on_image image)));
-    Test.make ~name:"mblaze-compiled/15x10x10" (Staged.stage (fun () ->
-        ignore
-          (Mblaze.Retrieval_prog.run_on_image
-             ~style:Mblaze.Retrieval_prog.Compiled_c image)));
-    Test.make ~name:"rtlsim-nbest4/15x10x10" (Staged.stage (fun () ->
-        ignore (Rtlsim.Machine.run_nbest ~k:4 image)));
-    Test.make ~name:"memlayout/encode-15x10x10" (Staged.stage (fun () ->
-        ignore (Memlayout.build_system big_cb big_req)));
-    Test.make ~name:"textfmt/parse-15x10x10" (Staged.stage (fun () ->
-        ignore (Textfmt.parse_casebase printed)));
-    Test.make ~name:"mahalanobis/prepare-10x10" (Staged.stage (fun () ->
-        ignore (Baselines.Mahalanobis.prepare big_cb ~type_id:1)));
-    (* Allocation-path overhead of the integrity guard: an allocate +
-       release cycle alone, then the same cycle preceded by the
-       scrubber's checksum probe (the per-retrieval cost campaigns pay
-       when scrubbing is enabled). *)
-    (let mgr =
-       Allocator.Manager.create ~casebase:cb
-         ~devices:(Allocator.Device.default_system ())
-         ~catalog:(Allocator.Catalog.of_casebase_default cb) ()
-     in
-     Test.make ~name:"manager/alloc-release" (Staged.stage (fun () ->
-         (match Allocator.Manager.allocate mgr ~app_id:"bench" request with
-         | Ok g ->
-             ignore
-               (Allocator.Manager.release mgr
-                  ~task_id:g.Allocator.Manager.task.Allocator.Manager.task_id)
-         | Error _ -> ());
-         ignore (Allocator.Manager.drain_events mgr))));
-    (let mgr =
-       Allocator.Manager.create ~casebase:cb
-         ~devices:(Allocator.Device.default_system ())
-         ~catalog:(Allocator.Catalog.of_casebase_default cb) ()
-     in
-     let scrubber = get (Faults.Scrubber.create cb request) in
-     Test.make ~name:"manager/alloc-release+scrub" (Staged.stage (fun () ->
-         if not (Faults.Scrubber.checksum_matches scrubber) then
-           ignore (Faults.Scrubber.repair scrubber);
-         (match Allocator.Manager.allocate mgr ~app_id:"bench" request with
-         | Ok g ->
-             ignore
-               (Allocator.Manager.release mgr
-                  ~task_id:g.Allocator.Manager.task.Allocator.Manager.task_id)
-         | Error _ -> ());
-         ignore (Allocator.Manager.drain_events mgr))));
-  ]
-
-let run_micro () =
-  section "BENCH" "Bechamel micro-benchmarks (monotonic clock)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  (* Allocation-path overhead of the integrity guard: an allocate +
+     release cycle alone, then the same cycle preceded by the
+     scrubber's checksum probe (the per-retrieval cost campaigns pay
+     when scrubbing is enabled). *)
+  let alloc_release ?scrubber () =
+    let mgr =
+      Allocator.Manager.create ~casebase:cb
+        ~devices:(Allocator.Device.default_system ())
+        ~catalog:(Allocator.Catalog.of_casebase_default cb) ()
+    in
+    fun () ->
+      Option.iter
+        (fun s ->
+          if not (Faults.Scrubber.checksum_matches s) then
+            ignore (Faults.Scrubber.repair s))
+        scrubber;
+      (match Allocator.Manager.allocate mgr ~app_id:"bench" request with
+      | Ok g ->
+          ignore
+            (Allocator.Manager.release mgr
+               ~task_id:g.Allocator.Manager.task.Allocator.Manager.task_id)
+      | Error _ -> ());
+      Allocator.Manager.drain_events mgr
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"qosalloc" ~fmt:"%s/%s" (micro_tests ()))
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  (* Plain-text summary: ns per run from the OLS estimate. *)
-  (match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | None -> Printf.printf "no results\n"
-  | Some per_test ->
-      let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) per_test [] in
-      List.iter
-        (fun (name, ols) ->
-          match Analyze.OLS.estimates ols with
-          | Some [ ns ] -> Printf.printf "%-40s %12.1f ns/run\n" name ns
-          | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-        (List.sort (fun (a, _) (b, _) -> String.compare a b) rows))
+  let scrubber = get (Faults.Scrubber.create cb request) in
+  let m = Harness.make in
+  print_string
+    (Harness.to_table
+       (Harness.run_all
+          [
+            m ~name:"engine-float/paper" (fun () -> Engine_float.best cb request);
+            m ~name:"engine-fixed/paper" (fun () -> Engine_fixed.best cb request);
+            m ~name:"engine-float/15x10x10" (fun () ->
+                Engine_float.best big_cb big_req);
+            m ~name:"engine-fixed/15x10x10" (fun () ->
+                Engine_fixed.best big_cb big_req);
+            m ~name:"rtlsim/15x10x10" (fun () -> Rtlsim.Machine.run image);
+            m ~name:"mblaze/15x10x10" (fun () ->
+                Mblaze.Retrieval_prog.run_on_image image);
+            m ~name:"mblaze-compiled/15x10x10" (fun () ->
+                Mblaze.Retrieval_prog.run_on_image
+                  ~style:Mblaze.Retrieval_prog.Compiled_c image);
+            m ~name:"rtlsim-nbest4/15x10x10" (fun () ->
+                Rtlsim.Machine.run_nbest ~k:4 image);
+            m ~name:"memlayout/encode-15x10x10" (fun () ->
+                Memlayout.build_system big_cb big_req);
+            m ~name:"textfmt/parse-15x10x10" (fun () ->
+                Textfmt.parse_casebase printed);
+            m ~name:"mahalanobis/prepare-10x10" (fun () ->
+                Baselines.Mahalanobis.prepare big_cb ~type_id:1);
+            m ~name:"manager/alloc-release" (alloc_release ());
+            m ~name:"manager/alloc-release+scrub" (alloc_release ~scrubber ());
+          ]))
 
 (* ------------------------------------------------------------------ *)
 (* CLUSTER: replicated serving under a seeded outage campaign          *)
@@ -1033,7 +1019,7 @@ let run_micro () =
 
 let run_cluster () =
   section "CLUSTER"
-    "extra: replicated multi-node serving under outages (BENCH_cluster.json)";
+    "extra: replicated multi-node serving under outages";
   Printf.printf
     "the standard application workload on a 6-node cluster (3 fault\n\
      domains) while a seeded campaign permanently kills 2 nodes and\n\
@@ -1084,29 +1070,7 @@ let run_cluster () =
     "\nreplication-3 availability: %.4f (acceptance: >= 0.99)\n\
      unrecovered requests: %d (acceptance: 0)\n\
      report byte-identical at --jobs 1 vs 4: %b\n"
-    r3.Cluster.Serve.availability r3.Cluster.Serve.failed identical;
-  let oc = open_out "BENCH_cluster.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"cluster\",\"nodes\":6,\"fault_domains\":3,\"seed\":7,\
-     \"duration_us\":100000,\"replication\":{%s},\
-     \"jobs_digest_match\":%b}\n"
-    (String.concat ","
-       (List.map
-          (fun (repl, (r : Cluster.Serve.report)) ->
-            Printf.sprintf
-              "\"%d\":{\"requests\":%d,\"full\":%d,\"degraded\":%d,\
-               \"failed\":%d,\"availability\":%.4f,\"failovers\":%d,\
-               \"sheds\":%d,\"outage_events\":%d,\
-               \"results_digest\":\"%s\"}"
-              repl r.Cluster.Serve.requests r.Cluster.Serve.full
-              r.Cluster.Serve.degraded r.Cluster.Serve.failed
-              r.Cluster.Serve.availability r.Cluster.Serve.failovers
-              r.Cluster.Serve.sheds r.Cluster.Serve.outage_events
-              (Cluster.Serve.results_digest r))
-          sweep))
-    identical;
-  close_out oc;
-  Printf.printf "-> BENCH_cluster.json\n"
+    r3.Cluster.Serve.availability r3.Cluster.Serve.failed identical
 
 (* ------------------------------------------------------------------ *)
 (* CLUSTER2: work stealing + streaming arrivals                        *)
@@ -1114,7 +1078,7 @@ let run_cluster () =
 
 let run_cluster2 () =
   section "CLUSTER2"
-    "extra: work stealing + streaming arrivals (BENCH_cluster2.json)";
+    "extra: work stealing + streaming arrivals";
   Printf.printf
     "a skewed mix — one hot Poisson application hammering a single\n\
      function type next to the standard mp3/video apps — saturates the\n\
@@ -1185,37 +1149,11 @@ let run_cluster2 () =
      steal-on digest byte-identical stream vs pregenerated: %b\n"
     sheds_decrease off.Cluster.Serve.sheds on.Cluster.Serve.sheds
     (p99_improves && avail_equal)
-    (p99 off) (p99 on) jobs_match stream_match;
-  let oc = open_out "BENCH_cluster2.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"cluster2\",\"nodes\":6,\"fault_domains\":3,\"seed\":11,\
-     \"duration_us\":50000,\
-     \"off\":{\"requests\":%d,\"sheds\":%d,\"retries\":%d,\
-     \"availability\":%.4f,\"p99_us\":%.1f,\"results_digest\":\"%s\"},\
-     \"on\":{\"requests\":%d,\"sheds\":%d,\"steals\":%d,\
-     \"steal_denials\":%d,\"retries\":%d,\"availability\":%.4f,\
-     \"p99_us\":%.1f,\"results_digest\":\"%s\"},\
-     \"sheds_decrease\":%b,\"p99_improves\":%b,\
-     \"jobs_digest_match\":%b,\"stream_digest_match\":%b}\n"
-    off.Cluster.Serve.requests off.Cluster.Serve.sheds
-    off.Cluster.Serve.retries off.Cluster.Serve.availability (p99 off)
-    (Cluster.Serve.results_digest off)
-    on.Cluster.Serve.requests on.Cluster.Serve.sheds on.Cluster.Serve.steals
-    on.Cluster.Serve.steal_denials on.Cluster.Serve.retries
-    on.Cluster.Serve.availability (p99 on)
-    (Cluster.Serve.results_digest on)
-    sheds_decrease
-    (p99_improves && avail_equal)
-    jobs_match stream_match;
-  close_out oc;
-  Printf.printf "-> BENCH_cluster2.json\n"
+    (p99 off) (p99 on) jobs_match stream_match
 
 (* ------------------------------------------------------------------ *)
 (* NATIVE: IR-compiled engine throughput                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Harness results accumulate here so --csv can dump whatever ran. *)
-let harness_results : Harness.result list ref = ref []
 
 let run_native () =
   section "NATIVE"
@@ -1224,8 +1162,7 @@ let run_native () =
     "every registered engine serves the same 256-request batch against\n\
      the Table 3 case base (15 types x 10 impls x 10 attrs).  The native\n\
      engine compiles the Fig. 4/5 BRAM image into straight-line OCaml\n\
-     closures; rtlsim walks the same image one FSM state per cycle.\n\
-     elements/s counts CB-MEM words scanned per wall-clock second.\n\n";
+     closures; rtlsim walks the same image one FSM state per cycle.\n\n";
   let cb =
     Workload.Generator.sized_casebase ~seed:91 ~types:15 ~impls:10 ~attrs:10
   in
@@ -1245,145 +1182,102 @@ let run_native () =
   let engines = List.map (fun nm -> (nm, engine_of nm)) Engines.names in
   (* Decision identity on the bench batch itself: the throughput claim
      is only meaningful if every engine returns the same answers. *)
-  let fixed_engine = List.assoc "fixed" engines in
-  let identical =
-    List.for_all
-      (fun req ->
-        let expected = fixed_engine.Engine.retrieve req in
-        List.for_all
-          (fun (name, eng) ->
-            if String.equal name "float" then true
-            else
-              match (expected, eng.Engine.retrieve req) with
-              | Ok a, Ok b ->
-                  a.Engine.impl_id = b.Engine.impl_id
-                  && Fxp.Q15.equal a.Engine.score b.Engine.score
-              | Error _, Error _ -> true
-              | _ -> false)
-          engines)
-      requests
+  let expected = List.map (List.assoc "fixed" engines).Engine.retrieve requests in
+  let disagrees (_, eng) =
+    eng.Engine.caps.Engine.bit_accurate
+    && List.exists2
+         (fun req expected ->
+           match (expected, eng.Engine.retrieve req) with
+           | Ok a, Ok b ->
+               a.Engine.impl_id <> b.Engine.impl_id
+               || not (Fxp.Q15.equal a.Engine.score b.Engine.score)
+           | Error _, Error _ -> false
+           | _ -> true)
+         requests expected
   in
-  let specs =
-    List.map
-      (fun (name, eng) ->
-        Harness.make ~name:("engine/" ^ name) ~requests_per_iter:n
-          ~elements_per_iter:(n * words) (fun () ->
-            List.iter (fun req -> ignore (eng.Engine.retrieve req)) requests))
-      engines
+  Printf.printf "CB-MEM image: %d words\n" words;
+  (match List.filter disagrees engines with
+  | [] ->
+      Printf.printf "bit-accurate engines decision-identical on the batch: true\n\n"
+  | bad ->
+      Printf.eprintf "NATIVE: engine %s disagrees with fixed on the bench batch\n"
+        (String.concat ", " (List.map fst bad));
+      exit 1);
+  let results =
+    Harness.run_all
+      (List.map
+         (fun (name, eng) ->
+           Harness.make ~name:("engine/" ^ name) ~requests_per_iter:n (fun () ->
+               List.iter (fun req -> ignore (eng.Engine.retrieve req)) requests))
+         engines)
   in
-  let results = Harness.run_all specs in
-  harness_results := !harness_results @ results;
   print_string (Harness.to_table results);
-  let rps name =
-    match Harness.find ("engine/" ^ name) results with
-    | Some r -> r.Harness.requests_per_sec
-    | None -> 0.0
-  in
-  let ratio = rps "native" /. rps "rtlsim" in
+  let engine name = Harness.find ("engine/" ^ name) results in
+  (* Per round, rtlsim's time per batch over native's. *)
+  let factor = Harness.paired ( /. ) (engine "rtlsim") (engine "native") in
+  let s = Harness.summary factor in
   Printf.printf
-    "\nbit-accurate engines decision-identical on the batch: %b\n\
-     native vs interpretive rtlsim: %.1fx requests/sec (acceptance: >= 5x)\n"
-    identical ratio;
-  let oc = open_out "BENCH_native.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"native\",\"requests\":%d,\"case_base\":\"15x10x10\",\
-     \"cb_words\":%d,\"engines\":{%s},\
-     \"native_vs_rtlsim_requests_per_sec\":%.1f,\
-     \"identical_decisions\":%b}\n"
-    n words
-    (String.concat ","
-       (List.map
-          (fun (name, _) ->
-            match Harness.find ("engine/" ^ name) results with
-            | Some r ->
-                Printf.sprintf
-                  "\"%s\":{\"requests_per_sec\":%.1f,\
-                   \"elements_per_sec\":%.1f,\"ns_per_iter\":%.1f}"
-                  name r.Harness.requests_per_sec r.Harness.elements_per_sec
-                  r.Harness.ns_per_iter
-            | None -> Printf.sprintf "\"%s\":null" name)
-          engines))
-    ratio identical;
-  close_out oc;
-  Printf.printf "-> BENCH_native.json\n"
+    "\nnative vs interpretive rtlsim: %.1fx requests/sec (min %.1fx, max %.1fx;\n\
+     acceptance: >= 5x)\n"
+    s.Workload.Stats.p50 s.minimum s.maximum;
+  Harness.write_json ~bench:"native"
+    (List.map
+       (fun r ->
+         ( r.Harness.spec.Harness.name ^ ".requests_per_s",
+           "1/s",
+           Harness.requests_per_s r ))
+       results
+    @ [ ("native_vs_rtlsim", "ratio", factor) ])
 
 (* ------------------------------------------------------------------ *)
 (* OBS: instrumentation overhead                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The variants of an overhead section after the uninstrumented base:
+   ns per run of each, then each variant's overhead over the base,
+   paired within each round. *)
+let report_overhead ~bench results =
+  print_string (Harness.to_table results);
+  let base = List.hd results and variants = List.tl results in
+  let name r = r.Harness.spec.Harness.name in
+  let overheads =
+    List.map (fun v -> (name v, Harness.overhead_pct ~base v)) variants
+  in
+  Printf.printf "\n";
+  List.iter
+    (fun (variant, pct) ->
+      let s = Harness.summary pct in
+      Printf.printf "%s overhead: %+.2f%% (min %+.2f%%, max %+.2f%%)\n" variant
+        s.Workload.Stats.p50 s.minimum s.maximum)
+    overheads;
+  Harness.write_json ~bench
+    (Harness.ns_per_run results
+    @ List.map (fun (v, pct) -> (v ^ ".overhead_pct", "%", pct)) overheads)
+
 let run_obs_bench () =
-  section "OBS" "observability overhead on the simulate hot path";
+  section "OBS" "observability overhead on the simulate hot path (BENCH_obs.json)";
   Printf.printf
     "the same 20 ms simulation three ways: uninstrumented, with an obs\n\
      context whose trace sink is the no-op (metrics only), and with the\n\
-     collecting tracer recording every span.\n\n";
+     collecting tracer recording every span.  Disabled tracing is one\n\
+     constructor match per call site; metrics are int-ref bumps.\n\n";
   let spec =
     {
       (Desim.Simulate.default_spec ()) with
       Desim.Simulate.duration_us = 20_000.0;
     }
   in
-  let tests =
-    [
-      Test.make ~name:"off"
-        (Staged.stage (fun () -> ignore (Desim.Simulate.run spec)));
-      Test.make ~name:"noop-sink"
-        (Staged.stage (fun () ->
-             ignore (Desim.Simulate.run ~obs:(Obs.Ctx.create ()) spec)));
-      Test.make ~name:"full"
-        (Staged.stage (fun () ->
-             ignore
-               (Desim.Simulate.run
-                  ~obs:(Obs.Ctx.create ~tracer:(Obs.Tracer.collecting ()) ())
-                  spec)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~stabilize:true ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"obs" ~fmt:"%s/%s" tests)
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  let estimate name =
-    match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-    | None -> None
-    | Some per_test ->
-        Option.bind
-          (Hashtbl.find_opt per_test ("obs/" ^ name))
-          (fun ols ->
-            match Analyze.OLS.estimates ols with
-            | Some [ ns ] -> Some ns
-            | Some _ | None -> None)
-  in
-  match (estimate "off", estimate "noop-sink", estimate "full") with
-  | Some off, Some noop, Some full ->
-      let pct v = 100.0 *. (v -. off) /. off in
-      let noop_pct = pct noop and full_pct = pct full in
-      Printf.printf "%-12s %14s %10s\n" "variant" "ns/run" "overhead";
-      Printf.printf "%-12s %14.0f %10s\n" "off" off "-";
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "noop-sink" noop noop_pct;
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "full" full full_pct;
-      Printf.printf
-        "\nacceptance: no-op-sink overhead < 5%% (disabled tracing is one\n\
-         constructor match per call site; metrics are int-ref bumps).\n";
-      let oc = open_out "BENCH_obs.json" in
-      Printf.fprintf oc
-        "{\"bench\":\"obs\",\"workload\":\"simulate-20ms\",\
-         \"ns_per_run\":{\"off\":%.1f,\"noop_sink\":%.1f,\"full\":%.1f},\
-         \"noop_sink_overhead_pct\":%.2f,\"full_overhead_pct\":%.2f}\n"
-        off noop full noop_pct full_pct;
-      close_out oc;
-      Printf.printf "-> BENCH_obs.json\n"
-  | _ -> Printf.printf "no estimates (benchmark failed to stabilise)\n"
+  report_overhead ~bench:"obs"
+    (Harness.run_all
+       [
+         Harness.make ~name:"off" (fun () -> Desim.Simulate.run spec);
+         Harness.make ~name:"noop-sink" (fun () ->
+             Desim.Simulate.run ~obs:(Obs.Ctx.create ()) spec);
+         Harness.make ~name:"full" (fun () ->
+             Desim.Simulate.run
+               ~obs:(Obs.Ctx.create ~tracer:(Obs.Tracer.collecting ()) ())
+               spec);
+       ])
 
 let run_obs2_bench () =
   section "OBS2" "flight-recorder overhead on the serve path (BENCH_obs2.json)";
@@ -1392,8 +1286,8 @@ let run_obs2_bench () =
      the structured event log recording every admission / failover /\n\
      verdict, and with the full recorder (events + metrics +\n\
      spans + two SLO trackers).  Events are recorded only from the\n\
-     sequential control phase, so the cost is a ring-slot write per\n\
-     event — never a lock or an allocation proportional to the run.\n\n";
+     sequential control phase, one ring-slot write per event; each\n\
+     instrumented run also allocates its own 65536-slot event ring.\n\n";
   let outage =
     {
       Faults.Outages.permanent_frac = 0.34;
@@ -1416,72 +1310,22 @@ let run_obs2_bench () =
   let slo =
     Cluster.Serve.default_slo ~availability:0.99 ~latency_us:500.0
   in
-  let tests =
-    [
-      Test.make ~name:"off"
-        (Staged.stage (fun () -> ignore (get (Cluster.Serve.run (spec ())))));
-      Test.make ~name:"events"
-        (Staged.stage (fun () ->
+  report_overhead ~bench:"obs2"
+    (Harness.run_all
+       [
+         Harness.make ~name:"off" (fun () -> get (Cluster.Serve.run (spec ())));
+         Harness.make ~name:"events" (fun () ->
              let obs = Obs.Ctx.create ~events:(Obs.Events.recording ()) () in
-             ignore (get (Cluster.Serve.run ~obs (spec ())))));
-      Test.make ~name:"full"
-        (Staged.stage (fun () ->
+             get (Cluster.Serve.run ~obs (spec ())));
+         Harness.make ~name:"full" (fun () ->
              let obs =
                Obs.Ctx.create
                  ~tracer:(Obs.Tracer.collecting ())
                  ~events:(Obs.Events.recording ())
                  ()
              in
-             ignore (get (Cluster.Serve.run ~obs (spec ~slo ())))));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~stabilize:true ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"obs2" ~fmt:"%s/%s" tests)
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  let estimate name =
-    match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-    | None -> None
-    | Some per_test ->
-        Option.bind
-          (Hashtbl.find_opt per_test ("obs2/" ^ name))
-          (fun ols ->
-            match Analyze.OLS.estimates ols with
-            | Some [ ns ] -> Some ns
-            | Some _ | None -> None)
-  in
-  match (estimate "off", estimate "events", estimate "full") with
-  | Some off, Some events, Some full ->
-      let pct v = 100.0 *. (v -. off) /. off in
-      let events_pct = pct events and full_pct = pct full in
-      Printf.printf "%-12s %14s %10s\n" "variant" "ns/run" "overhead";
-      Printf.printf "%-12s %14.0f %10s\n" "off" off "-";
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "events" events events_pct;
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "full" full full_pct;
-      Printf.printf
-        "\nacceptance: events-enabled serve overhead < 5%% (the decision\n\
-         phase never records; the control phase pays one ring write per\n\
-         event).\n";
-      let oc = open_out "BENCH_obs2.json" in
-      Printf.fprintf oc
-        "{\"bench\":\"obs2\",\"workload\":\"serve-50ms-repl3-chaos\",\
-         \"ns_per_run\":{\"off\":%.1f,\"events\":%.1f,\"full\":%.1f},\
-         \"events_overhead_pct\":%.2f,\"full_overhead_pct\":%.2f}\n"
-        off events full events_pct full_pct;
-      close_out oc;
-      Printf.printf "-> BENCH_obs2.json\n"
-  | _ -> Printf.printf "no estimates (benchmark failed to stabilise)\n"
+             get (Cluster.Serve.run ~obs (spec ~slo ())));
+       ])
 
 let run_netlist_bench () =
   section "NETLIST"
@@ -1493,19 +1337,6 @@ let run_netlist_bench () =
      development-time costs, so the acceptance is loose: the whole\n\
      elaborate + lint cycle must stay well under a second.\n\n"
     (List.length Analysis.Netlist_check.pass_names);
-  let time_ms f =
-    (* CPU-time a thunk: repeat until >= 50 ms total, report ms/run. *)
-    let rec go n =
-      let t0 = Sys.time () in
-      for _ = 1 to n do
-        ignore (Sys.opaque_identity (f ()))
-      done;
-      let dt = Sys.time () -. t0 in
-      if dt < 0.05 && n < 1_000_000 then go (n * 4)
-      else dt *. 1000.0 /. float_of_int n
-    in
-    go 1
-  in
   let rom_words (d : Netlist.Ir.design) =
     List.fold_left
       (fun acc m ->
@@ -1517,49 +1348,35 @@ let run_netlist_bench () =
       0 d.Netlist.Ir.modules
   in
   let sizes = [ (2, 3, 3); (5, 5, 5); (10, 10, 10); (15, 10, 10) ] in
-  Printf.printf "%6s %6s %6s %10s %13s %11s %6s\n" "types" "impls" "attrs"
-    "rom-words" "elaborate-ms" "passes-ms" "diags";
-  let rows =
-    List.map
+  Printf.printf "%6s %6s %6s %10s %6s\n" "types" "impls" "attrs" "rom-words"
+    "diags";
+  let specs =
+    List.concat_map
       (fun (types, impls, attrs) ->
         let cb =
           Workload.Generator.sized_casebase ~seed:81 ~types ~impls ~attrs
         in
         let req = Workload.Generator.sized_request ~seed:82 cb in
         let design = get (Netlist.Elaborate.design_of_scenario cb req) in
-        let words = rom_words design in
         let diags = Analysis.Netlist_check.check design in
-        let errors = Analysis.Diagnostic.errors diags in
-        if errors > 0 then
+        if Analysis.Diagnostic.errors diags > 0 then
           failwith "generated scenario must elaborate to a clean netlist";
-        let elaborate_ms =
-          time_ms (fun () -> get (Netlist.Elaborate.design_of_scenario cb req))
-        in
-        let passes_ms =
-          time_ms (fun () -> Analysis.Netlist_check.check design)
-        in
-        Printf.printf "%6d %6d %6d %10d %13.3f %11.3f %6d\n" types impls attrs
-          words elaborate_ms passes_ms (List.length diags);
-        (types, impls, attrs, words, elaborate_ms, passes_ms,
-         List.length diags))
+        Printf.printf "%6d %6d %6d %10d %6d\n" types impls attrs
+          (rom_words design) (List.length diags);
+        let size = Printf.sprintf "%dx%dx%d" types impls attrs in
+        [
+          Harness.make ~name:("elaborate/" ^ size) (fun () ->
+              get (Netlist.Elaborate.design_of_scenario cb req));
+          Harness.make ~name:("passes/" ^ size) (fun () ->
+              Analysis.Netlist_check.check design);
+        ])
       sizes
   in
+  let results = Harness.run_all specs in
+  Printf.printf "\n%s" (Harness.to_table results);
   Printf.printf
     "\nacceptance: elaborate + all passes < 1000 ms at every size.\n";
-  let oc = open_out "BENCH_netlist.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"netlist\",\"passes\":%d,\"sizes\":[%s]}\n"
-    (List.length Analysis.Netlist_check.pass_names)
-    (String.concat ","
-       (List.map
-          (fun (types, impls, attrs, words, elaborate_ms, passes_ms, diags) ->
-            Printf.sprintf
-              "{\"types\":%d,\"impls\":%d,\"attrs\":%d,\"rom_words\":%d,\
-               \"elaborate_ms\":%.3f,\"passes_ms\":%.3f,\"diagnostics\":%d}"
-              types impls attrs words elaborate_ms passes_ms diags)
-          rows));
-  close_out oc;
-  Printf.printf "-> BENCH_netlist.json\n"
+  Harness.write_json ~bench:"netlist" (Harness.ns_per_run results)
 
 (* ------------------------------------------------------------------ *)
 (* Reproduction scorecard                                              *)
@@ -1597,12 +1414,15 @@ let run_scorecard () =
           ~include_end_marker:true));
   Printf.printf "%-44s | %-18s | %.2fx\n" "S1 hw speedup vs compiled C" "~8.5x"
     speedup;
-  Printf.printf "%-44s | %-18s | 100%% over 2000 scenarios\n"
-    "S2 fixed = float decisions" "identical";
+  let s2 = s2_agreement () in
+  (* Whole percent rounded down, so one disagreeing scenario shows. *)
+  Printf.printf "%-44s | %-18s | %d%% over %d scenarios\n"
+    "S2 fixed = float decisions" "identical"
+    (100 * s2.agree / s2.scenarios) s2.scenarios;
   Printf.printf "%-44s | %-18s | %.2fx\n" "S4 compacted+pipelined" ">= 2x" piped
 
 (* ------------------------------------------------------------------ *)
-(* Driver: section registry, --only filter, --csv export               *)
+(* Driver: section registry and --only filter                         *)
 (* ------------------------------------------------------------------ *)
 
 let sections =
@@ -1636,18 +1456,15 @@ let sections =
 
 let usage () =
   Printf.eprintf
-    "usage: bench [--only SECTION[,SECTION...]] [--csv FILE]\n\
+    "usage: bench [--only SECTION[,SECTION...]]\n\
      sections: %s\n"
     (String.concat " " (List.map fst sections));
   exit 2
 
 let () =
-  let csv = ref None and only = ref [] in
+  let only = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--csv" :: path :: rest ->
-        csv := Some path;
-        parse rest
     | "--only" :: names :: rest ->
         only :=
           !only
@@ -1671,10 +1488,4 @@ let () =
     "QoS-based function allocation: reproduction harness\n\
      (Ullmann, Jin, Becker - DATE; see EXPERIMENTS.md for the index)\n";
   List.iter (fun (_, run) -> run ()) (selected !only);
-  (match !csv with
-  | Some path ->
-      Harness.write_csv path !harness_results;
-      Printf.printf "\n-> %s (%d harness rows)\n" path
-        (List.length !harness_results)
-  | None -> ());
   Printf.printf "\nall sections completed.\n"
