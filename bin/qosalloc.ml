@@ -285,11 +285,12 @@ let factory_conv =
 
 let n_arg =
   let doc = "Report the $(docv) most similar variants (Sec. 5 extension)." in
-  Arg.(value & opt int 1 & info [ "n" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "n" ] ~docv:"N" ~doc)
 
 let threshold_arg =
   let doc = "Reject variants below this global similarity (Sec. 3)." in
-  Arg.(value & opt (some float) None & info [ "t"; "threshold" ] ~docv:"S" ~doc)
+  Arg.(
+    value & opt (some fraction) None & info [ "t"; "threshold" ] ~docv:"S" ~doc)
 
 let print_float_ranked threshold ranked =
   let kept =
@@ -1019,7 +1020,7 @@ let profile_cmd =
   let max_cycles =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative_int) None
       & info [ "max-cycles" ] ~docv:"N"
           ~doc:
             "Cycle budget: exit 1 when the full retrieval exceeds $(docv) \
@@ -1346,7 +1347,10 @@ let difftest_cmd =
     if !failures > 0 then exit 1
   in
   let trials =
-    Arg.(value & opt int 1000 & info [ "n"; "trials" ] ~docv:"N" ~doc:"Scenario count.")
+    Arg.(
+      value
+      & opt positive_int 1000
+      & info [ "n"; "trials" ] ~docv:"N" ~doc:"Scenario count.")
   in
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Base seed.")

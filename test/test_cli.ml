@@ -425,6 +425,13 @@ let bad_flags =
     (plain_faults, "--fail dsp0@10000+nan");
     (plain_faults, "--fail dsp0@10000+-50");
     (plain_faults, "--fail dsp0@10000+inf");
+    (* A non-positive trial count used to pass vacuously. *)
+    ("difftest", "--trials=-3");
+    ("difftest", "--trials 0");
+    ("profile", "--max-cycles=-1");
+    ("retrieve", "-t nan");
+    ("retrieve", "-t 2");
+    ("retrieve", "-n 0");
   ]
 
 let bad_flag_cases =
