@@ -26,9 +26,13 @@ let floor_s = 0.1
 let make ~name ?(requests_per_iter = 1) f =
   if requests_per_iter < 1 then
     invalid_arg "Harness.make: requests_per_iter must be >= 1";
-  { name; requests_per_iter; f = (fun () -> ignore (Sys.opaque_identity (f ()))) }
+  let f () = ignore (Sys.opaque_identity (f ())) in
+  { name; requests_per_iter; f }
 
+(* The full major collection settles the garbage of whatever ran before,
+   so it is not collected on this batch's clock. *)
 let time_batch spec batch =
+  Gc.full_major ();
   let t0 = Sys.time () in
   for _ = 1 to batch do
     spec.f ()
@@ -53,7 +57,11 @@ let run_all specs =
     done
   done;
   List.init n (fun i ->
-      { spec = specs.(i); batch = batches.(i); per_iter_s = List.rev samples.(i) })
+      {
+        spec = specs.(i);
+        batch = batches.(i);
+        per_iter_s = List.rev samples.(i);
+      })
 
 let find name results =
   List.find (fun r -> String.equal r.spec.name name) results
@@ -94,8 +102,8 @@ let to_table results =
     (fun r ->
       let t = summary (ns r) in
       Buffer.add_string b
-        (Printf.sprintf "%-28s %8d %12.0f %12.0f %12.0f %14s\n" r.spec.name r.batch
-           t.Workload.Stats.p50 t.minimum t.maximum
+        (Printf.sprintf "%-28s %8d %12.0f %12.0f %12.0f %14s\n" r.spec.name
+           r.batch t.Workload.Stats.p50 t.minimum t.maximum
            (rate (summary (requests_per_s r)).p50)))
     results;
   Buffer.contents b
@@ -105,7 +113,9 @@ let to_table results =
 (* The checked-out commit when run from a git work tree, read from
    [.git] directly; "unknown" in an exported tree. *)
 let commit () =
-  let read path = String.trim (In_channel.with_open_bin path In_channel.input_all) in
+  let read path =
+    String.trim (In_channel.with_open_bin path In_channel.input_all)
+  in
   try
     match String.split_on_char ' ' (read ".git/HEAD") with
     | [ "ref:"; name ] -> read (Filename.concat ".git" name)
@@ -120,7 +130,8 @@ let write_json ~bench metrics =
   let sample (name, unit_, samples) =
     let s = summary samples in
     Printf.sprintf
-      "    %s: {\"unit\": %s, \"n\": %d, \"median\": %s, \"min\": %s, \"max\": %s}"
+      "    %s: {\"unit\": %s, \"n\": %d, \"median\": %s, \"min\": %s, \
+       \"max\": %s}"
       (str name) (str unit_) s.Workload.Stats.n (num s.p50) (num s.minimum)
       (num s.maximum)
   in

@@ -1182,7 +1182,9 @@ let run_native () =
   let engines = List.map (fun nm -> (nm, engine_of nm)) Engines.names in
   (* Decision identity on the bench batch itself: the throughput claim
      is only meaningful if every engine returns the same answers. *)
-  let expected = List.map (List.assoc "fixed" engines).Engine.retrieve requests in
+  let expected =
+    List.map (List.assoc "fixed" engines).Engine.retrieve requests
+  in
   let disagrees (_, eng) =
     eng.Engine.caps.Engine.bit_accurate
     && List.exists2
@@ -1198,27 +1200,30 @@ let run_native () =
   Printf.printf "CB-MEM image: %d words\n" words;
   (match List.filter disagrees engines with
   | [] ->
-      Printf.printf "bit-accurate engines decision-identical on the batch: true\n\n"
+      Printf.printf
+        "bit-accurate engines decision-identical on the batch: true\n\n"
   | bad ->
-      Printf.eprintf "NATIVE: engine %s disagrees with fixed on the bench batch\n"
+      Printf.eprintf
+        "NATIVE: engine %s disagrees with fixed on the bench batch\n"
         (String.concat ", " (List.map fst bad));
       exit 1);
   let results =
     Harness.run_all
       (List.map
          (fun (name, eng) ->
-           Harness.make ~name:("engine/" ^ name) ~requests_per_iter:n (fun () ->
+           Harness.make ~name:("engine/" ^ name) ~requests_per_iter:n
+             (fun () ->
                List.iter (fun req -> ignore (eng.Engine.retrieve req)) requests))
          engines)
   in
   print_string (Harness.to_table results);
   let engine name = Harness.find ("engine/" ^ name) results in
-  (* Per round, rtlsim's time per batch over native's. *)
+  (* Per round, rtlsim's time for the 256 requests over native's. *)
   let factor = Harness.paired ( /. ) (engine "rtlsim") (engine "native") in
   let s = Harness.summary factor in
   Printf.printf
-    "\nnative vs interpretive rtlsim: %.1fx requests/sec (min %.1fx, max %.1fx;\n\
-     acceptance: >= 5x)\n"
+    "\nnative vs interpretive rtlsim: %.1fx requests/sec\n\
+     (min %.1fx, max %.1fx; acceptance: >= 5x)\n"
     s.Workload.Stats.p50 s.minimum s.maximum;
   Harness.write_json ~bench:"native"
     (List.map
@@ -1233,9 +1238,9 @@ let run_native () =
 (* OBS: instrumentation overhead                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The variants of an overhead section after the uninstrumented base:
-   ns per run of each, then each variant's overhead over the base,
-   paired within each round. *)
+(* [results] start with the uninstrumented base.  Prints and records
+   each variant's ns per run and its overhead over the base, paired
+   within each round. *)
 let report_overhead ~bench results =
   print_string (Harness.to_table results);
   let base = List.hd results and variants = List.tl results in
@@ -1255,7 +1260,8 @@ let report_overhead ~bench results =
     @ List.map (fun (v, pct) -> (v ^ ".overhead_pct", "%", pct)) overheads)
 
 let run_obs_bench () =
-  section "OBS" "observability overhead on the simulate hot path (BENCH_obs.json)";
+  section "OBS"
+    "observability overhead on the simulate hot path (BENCH_obs.json)";
   Printf.printf
     "the same 20 ms simulation three ways: uninstrumented, with an obs\n\
      context whose trace sink is the no-op (metrics only), and with the\n\
