@@ -760,6 +760,46 @@ let props =
         let nodes = List.init node_count (fun i -> (i, i mod 3)) in
         let ring = get (Ring.create ~vnodes ~nodes ()) in
         Ring.route ring ~key ~replicas = ref_route ~nodes ~vnodes ~key ~replicas);
+    (* The substrate's placement accessors answer exactly what the ring
+       routes and what each node hosts, for every case-base type and
+       for keys outside the case base, at any cluster shape. *)
+    prop "substrate placement accessors match the ring"
+      QCheck2.Gen.(
+        tup6 (int_range 1 8) (int_range 1 16) (int_range 1 8) (int_range 1 4)
+          (option (int_range 0 10_000))
+          (int_range 1 12))
+      (fun (nodes, vnodes, replication, fault_domains, sized, types) ->
+        let cb =
+          match sized with
+          | None -> Desim.Apps.reference_casebase
+          | Some seed ->
+              Workload.Generator.sized_casebase ~seed ~types ~impls:3 ~attrs:4
+        in
+        let sub =
+          get
+            (Substrate.create ~vnodes ~fault_domains ~nodes ~replication
+               ~engine:native cb)
+        in
+        let node_ids = List.init nodes Fun.id in
+        let max_id =
+          List.fold_left (fun a (ft : Ftype.t) -> max a ft.Ftype.id) 0
+            cb.Casebase.ftypes
+        in
+        (* Every case-base type, plus keys on both sides of it. *)
+        let keys = List.init (max_id + 24) (fun k -> k - 3) in
+        Substrate.members sub = node_ids
+        && List.for_all
+             (fun key ->
+               Substrate.replicas_for sub ~type_id:key
+               = Ring.route sub.Substrate.ring ~key
+                   ~replicas:sub.Substrate.replication
+               && List.for_all
+                    (fun node ->
+                      Substrate.holds sub ~node ~type_id:key
+                      = List.mem key
+                          (Substrate.node sub node).Substrate.hosted_types)
+                    node_ids)
+             keys);
     (* Pulling arrivals on demand must produce the byte-identical
        report to pregenerating the whole trace, with or without chaos
        or stealing in play. *)
