@@ -390,17 +390,15 @@ let run ?obs (spec : spec) =
      retry tail past the workload horizon still sees them down. *)
   let down =
     Array.init spec.nodes (fun node ->
-        Faults.Outages.down_intervals events ~duration_us:Float.infinity ~node)
+        Faults.Outages.down_table events ~duration_us:Float.infinity ~node)
   in
-  let is_down node t =
-    List.exists (fun (lo, hi) -> lo <= t && t < hi) down.(node)
-  in
+  let is_down node t = Faults.Outages.is_down down.(node) t in
   let next_failure node t s =
     if is_down node t then Some (t +. spec.connect_timeout_us)
     else
-      List.find_map
-        (fun (lo, _) -> if t < lo && lo <= t +. s then Some lo else None)
-        down.(node)
+      match Faults.Outages.next_down down.(node) t with
+      | Some lo as next when lo <= t +. s -> next
+      | Some _ | None -> None
   in
   let sim = Desim.Engine.create () in
   (match obs with
@@ -522,9 +520,9 @@ let run ?obs (spec : spec) =
   (* Rejoin after a transient outage: the node re-replicates what it
      missed before taking traffic again. *)
   Array.iteri
-    (fun node intervals ->
-      List.iter
-        (fun (_, hi) ->
+    (fun node (d : Faults.Outages.down_table) ->
+      Array.iter
+        (fun hi ->
           if Float.is_finite hi then
             Desim.Engine.schedule_at sim ~time:hi (fun _ ->
                 let entries = (Substrate.node sub node).Substrate.entries in
@@ -535,7 +533,7 @@ let run ?obs (spec : spec) =
                   Obs.Events.record ev ~ts:hi ~node
                     (Obs.Events.Node_rejoin { resync_lag_us = lag });
                 observe lag_h lag))
-        intervals)
+        d.Faults.Outages.ends)
     down;
   (* Per-request degradation ladder. *)
   let start_request idx ~app ~t0 ~(request : Request.t) ~decision =
@@ -833,12 +831,13 @@ let run ?obs (spec : spec) =
     else Ok ()
   in
   let downtime node =
-    List.fold_left
-      (fun a (lo, hi) ->
-        a
-        +. Float.max 0.0
+    let d = down.(node) in
+    Array.fold_left ( +. ) 0.0
+      (Array.map2
+         (fun lo hi ->
+           Float.max 0.0
              (Float.min spec.duration_us hi -. Float.min spec.duration_us lo))
-      0.0 down.(node)
+         d.Faults.Outages.starts d.Faults.Outages.ends)
   in
   let per_node =
     List.init spec.nodes (fun i ->

@@ -15,12 +15,20 @@ type node = {
   mutable peak_inflight : int;
 }
 
+(* Filled by [create] before any worker domain starts and never
+   written afterwards, so every domain may read it. *)
+type placement = {
+  routes : (int, int list) Hashtbl.t;  (* case-base type ID -> replicas *)
+  ids : int list;  (* every node ID, ascending *)
+}
+
 type t = {
   nodes : node array;
   ring : Ring.t;
   replication : int;
   fault_domains : int;
   casebase : Casebase.t;
+  placement : placement;
 }
 
 let ( let* ) = Result.bind
@@ -70,12 +78,13 @@ let create ?(vnodes = 64) ?(fault_domains = 3) ~nodes:count ~replication
     (* Placement: each function type lands on its replica set; a node
        hosts the full type (every variant), so any replica answers
        decision-identically to the full case base. *)
+    let routes = Hashtbl.create 16 in
     let hosted = Array.make count [] in
     List.iter
       (fun (ft : Ftype.t) ->
-        List.iter
-          (fun n -> hosted.(n) <- ft :: hosted.(n))
-          (Ring.route ring ~key:ft.Ftype.id ~replicas:replication))
+        let replicas = Ring.route ring ~key:ft.Ftype.id ~replicas:replication in
+        Hashtbl.replace routes ft.Ftype.id replicas;
+        List.iter (fun n -> hosted.(n) <- ft :: hosted.(n)) replicas)
       cb.Casebase.ftypes;
     let* node_list =
       collect_results
@@ -123,14 +132,24 @@ let create ?(vnodes = 64) ?(fault_domains = 3) ~nodes:count ~replication
         replication;
         fault_domains;
         casebase = cb;
+        placement = { routes; ids = List.map fst members };
       }
 
+(* A type outside the case base is hosted nowhere; it still routes
+   where the ring would place it. *)
 let replicas_for t ~type_id =
-  Ring.route t.ring ~key:type_id ~replicas:t.replication
+  match Hashtbl.find t.placement.routes type_id with
+  | replicas -> replicas
+  | exception Not_found ->
+      Ring.route t.ring ~key:type_id ~replicas:t.replication
 
 let node t i = t.nodes.(i)
-let members t = List.init (Array.length t.nodes) (fun i -> i)
-let holds t ~node ~type_id = List.mem type_id t.nodes.(node).hosted_types
+let members t = t.placement.ids
+
+let holds t ~node ~type_id =
+  match Hashtbl.find t.placement.routes type_id with
+  | replicas -> List.mem node replicas
+  | exception Not_found -> false
 
 let acquire t ~node =
   let n = t.nodes.(node) in

@@ -12,7 +12,12 @@
 
     Construction is a pure function of (case base, node count,
     replication, fault domains, engine factory): same inputs, same
-    placement, same engines, on every run. *)
+    placement, same engines, on every run.
+
+    Placement is routed once per run: {!create} walks the ring for
+    every case-base type and keeps the replica lists in a read-only
+    table, so {!replicas_for}, {!holds} and {!members} are lookups
+    that any domain may call while requests are served. *)
 
 type node = {
   node_id : int;
@@ -27,12 +32,17 @@ type node = {
   mutable peak_inflight : int;  (** High-water mark of [inflight]. *)
 }
 
+type placement
+(** The table {!create} builds: each case-base type's replica set and
+    the node IDs.  Never written after [create] returns. *)
+
 type t = {
   nodes : node array;  (** Indexed by [node_id]. *)
   ring : Ring.t;
   replication : int;  (** Effective (clamped to the node count). *)
   fault_domains : int;
   casebase : Qos_core.Casebase.t;  (** The full case base. *)
+  placement : placement;
 }
 
 val create :
@@ -49,15 +59,21 @@ val create :
     chosen engine. *)
 
 val replicas_for : t -> type_id:int -> int list
-(** Replica node IDs in routing order (primary first). *)
+(** Replica node IDs in routing order (primary first): the list
+    {!create} routed for a case-base type, read from its table.  A
+    type outside the case base falls back to
+    [Ring.route ring ~key:type_id ~replicas:replication], which is
+    also what the table holds for every case-base type. *)
 
 val node : t -> int -> node
 
 val members : t -> int list
-(** Every node ID, ascending. *)
+(** Every node ID, ascending; built once by {!create}. *)
 
 val holds : t -> node:int -> type_id:int -> bool
-(** Whether [node] hosts [type_id]'s sub-case-base. *)
+(** Whether [node] hosts [type_id]'s sub-case-base, read from the
+    table {!create} built: [node] is in the type's replica list.
+    [false] for a type outside the case base. *)
 
 (** {1 Load accounting}
 

@@ -120,3 +120,33 @@ let down_intervals events ~duration_us ~node =
          | (plo, phi) :: rest when lo <= phi -> (plo, Float.max phi hi) :: rest
          | _ -> (lo, hi) :: acc)
        [] sorted)
+
+type down_table = { starts : float array; ends : float array }
+
+let down_table events ~duration_us ~node =
+  let spans = down_intervals events ~duration_us ~node in
+  {
+    starts = Array.of_list (List.map fst spans);
+    ends = Array.of_list (List.map snd spans);
+  }
+
+(* How many intervals start at or before [t]: a binary search over the
+   ascending starts.  Those intervals are a prefix of the table. *)
+let started d t =
+  let lo = ref 0 and hi = ref (Array.length d.starts) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if d.starts.(mid) <= t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Every earlier interval ends before the last started one begins, so
+   only that one can still be running at [t]. *)
+let is_down d t =
+  let i = started d t in
+  i > 0 && t < d.ends.(i - 1)
+
+let next_down d t =
+  let i = started d t in
+  if i < Array.length d.starts && t < d.starts.(i) then Some d.starts.(i)
+  else None

@@ -49,3 +49,27 @@ val down_intervals : event list -> duration_us:float -> node:int -> (float * flo
     [(from, until)] intervals (a permanent kill extends to
     [duration_us]) — the oracle health checks and availability
     accounting read. *)
+
+(** {1 Lookups}
+
+    {!down_intervals} sorts a node's spans by start and merges any span
+    that starts at or before the previous one's end, so each interval
+    starts after every earlier one has ended.  The array form keeps
+    that order; both lookups binary-search the starts for the last
+    interval that began at or before the query time, in O(log n)
+    instead of a scan of the list. *)
+
+type down_table = private { starts : float array; ends : float array }
+(** One node's {!down_intervals}: interval [i] is
+    [[starts.(i), ends.(i))].  Read-only. *)
+
+val down_table : event list -> duration_us:float -> node:int -> down_table
+(** [down_intervals events ~duration_us ~node] as arrays. *)
+
+val is_down : down_table -> float -> bool
+(** Whether [t] lies in some interval [lo <= t < hi]: the last
+    interval with [lo <= t] has [t < hi]. *)
+
+val next_down : down_table -> float -> float option
+(** The start of the first interval with [lo > t], the next time the
+    node goes down after [t]; [None] when no interval starts later. *)

@@ -800,6 +800,67 @@ let props =
                           (Substrate.node sub node).Substrate.hosted_types)
                     node_ids)
              keys);
+    (* The down table's binary-search lookups answer what serve's list
+       scans answered, at every interval edge and one ulp either side
+       of it, for campaigns that end at the horizon or (as in serve)
+       never. *)
+    prop "outage lookups match the interval scans"
+      QCheck2.Gen.(
+        tup6 (int_range 0 10_000) (int_range 1 8) (float_range 0.0 1.0)
+          (option (float_range 2_000.0 20_000.0))
+          (pair (float_range 0.0 3_000.0) (float_range 0.0 3_000.0))
+          (pair bool (float_range 0.0 5_000.0)))
+      (fun ( seed,
+             nodes,
+             permanent_frac,
+             transient_mean_us,
+             (dlo, dw),
+             (forever, s) ) ->
+        let duration_us = 100_000.0 in
+        let events =
+          Outages.generate (Injector.create ~seed) ~nodes ~duration_us
+            {
+              outage_spec with
+              Outages.permanent_frac;
+              transient_mean_us;
+              transient_down_us = (dlo, dlo +. dw);
+            }
+        in
+        let horizon = if forever then Float.infinity else duration_us in
+        List.for_all
+          (fun node ->
+            let spans =
+              Outages.down_intervals events ~duration_us:horizon ~node
+            in
+            let d = Outages.down_table events ~duration_us:horizon ~node in
+            let scan_down t =
+              List.exists (fun (lo, hi) -> lo <= t && t < hi) spans
+            in
+            let scan_next t within =
+              List.find_map
+                (fun (lo, _) -> if t < lo && within lo then Some lo else None)
+                spans
+            in
+            let next_within t =
+              match Outages.next_down d t with
+              | Some lo when lo <= t +. s -> Some lo
+              | Some _ | None -> None
+            in
+            let times =
+              List.concat_map
+                (fun (lo, hi) ->
+                  List.concat_map
+                    (fun x -> [ Float.pred x; x; Float.succ x ])
+                    [ lo; hi ])
+                spans
+            in
+            List.for_all
+              (fun t ->
+                Outages.is_down d t = scan_down t
+                && Outages.next_down d t = scan_next t (fun _ -> true)
+                && next_within t = scan_next t (fun lo -> lo <= t +. s))
+              (0.0 :: times))
+          (List.init nodes Fun.id));
     (* Pulling arrivals on demand must produce the byte-identical
        report to pregenerating the whole trace, with or without chaos
        or stealing in play. *)
