@@ -292,13 +292,22 @@ let threshold_arg =
   Arg.(
     value & opt (some fraction) None & info [ "t"; "threshold" ] ~docv:"S" ~doc)
 
+let no_variant_passes () = print_endline "no variant passes the threshold"
+
+(* A Q15 score passes when it is at least the threshold rounded into
+   Q15: the comparison of [Engine_fixed.above_threshold]. *)
+let passes_q15 threshold score =
+  match threshold with
+  | None -> true
+  | Some t -> Fxp.Q15.compare score (Fxp.Q15.of_float t) >= 0
+
 let print_float_ranked threshold ranked =
   let kept =
     match threshold with
     | None -> ranked
     | Some t -> List.filter (fun r -> r.Retrieval.score >= t) ranked
   in
-  if kept = [] then print_endline "no variant passes the threshold"
+  if kept = [] then no_variant_passes ()
   else
     List.iteri
       (fun i (r : Engine_float.ranked) ->
@@ -308,59 +317,95 @@ let print_float_ranked threshold ranked =
           r.Retrieval.score)
       kept
 
+(* Only float and fixed rank every variant; the registry engines and
+   the soft core answer with the best one, so -n above 1 is refused
+   instead of ignored. *)
+let best_only = function
+  | Float_engine | Fixed_engine -> None
+  | Sw_engine -> Some "sw"
+  | Named_engine name -> Some name
+
 let retrieve_cmd =
   let run casebase request engine n threshold =
-    let cb = or_die (load_casebase casebase) in
-    let req = or_die (load_request request) in
-    match engine with
-    | Float_engine ->
-        let ranked =
-          or_die
-            (Result.map_error Retrieval.error_to_string
-               (Engine_float.n_best ~n cb req))
-        in
-        print_float_ranked threshold ranked
-    | Fixed_engine ->
-        let ranked =
-          or_die
-            (Result.map_error Retrieval.error_to_string
-               (Engine_fixed.n_best ~n cb req))
-        in
-        List.iteri
-          (fun i (r : Engine_fixed.ranked) ->
-            Printf.printf "%d. impl %d on %s: S = %.4f (raw %d)\n" (i + 1)
-              r.Retrieval.impl.Impl.id
-              (Target.to_string r.Retrieval.impl.Impl.target)
-              (Fxp.Q15.to_float r.Retrieval.score)
-              (Fxp.Q15.to_raw r.Retrieval.score))
-          ranked
-    | Named_engine name -> (
-        let eng = make_engine name cb in
-        let d =
-          or_die
-            (Result.map_error Engine.error_to_string (eng.Engine.retrieve req))
-        in
-        Printf.printf "best: impl %d, S = %.4f (raw %d)\n" d.Engine.impl_id
-          (Fxp.Q15.to_float d.Engine.score)
-          (Fxp.Q15.to_raw d.Engine.score);
-        (match d.Engine.cycles with
-        | Some c -> Printf.printf "cycles=%d\n" c
-        | None -> ());
-        match Option.map (fun f -> f req) eng.Engine.phase_cycles with
-        | Some (Ok phases) ->
-            print_string "phases:";
-            List.iter (fun (n, c) -> Printf.printf " %s=%d" n c) phases;
-            print_newline ()
-        | Some (Error _) | None -> ())
-    | Sw_engine ->
-        let r = or_die (Mblaze.Retrieval_prog.run cb req) in
-        Format.printf "%a@." Mblaze.Retrieval_prog.pp_result r
+    match best_only engine with
+    | Some name when n > 1 ->
+        Error
+          (Printf.sprintf
+             "engine %s reports only the best variant; -n %d needs -e float \
+              or -e fixed"
+             name n)
+    | Some _ | None ->
+        let cb = or_die (load_casebase casebase) in
+        let req = or_die (load_request request) in
+        (match engine with
+        | Float_engine ->
+            let ranked =
+              or_die
+                (Result.map_error Retrieval.error_to_string
+                   (Engine_float.n_best ~n cb req))
+            in
+            print_float_ranked threshold ranked
+        | Fixed_engine ->
+            let ranked =
+              or_die
+                (Result.map_error Retrieval.error_to_string
+                   (Engine_fixed.n_best ~n cb req))
+            in
+            let kept =
+              List.filter
+                (fun r -> passes_q15 threshold r.Retrieval.score)
+                ranked
+            in
+            if kept = [] then no_variant_passes ()
+            else
+              List.iteri
+                (fun i (r : Engine_fixed.ranked) ->
+                  Printf.printf "%d. impl %d on %s: S = %.4f (raw %d)\n"
+                    (i + 1) r.Retrieval.impl.Impl.id
+                    (Target.to_string r.Retrieval.impl.Impl.target)
+                    (Fxp.Q15.to_float r.Retrieval.score)
+                    (Fxp.Q15.to_raw r.Retrieval.score))
+                kept
+        | Named_engine name -> (
+            let eng = make_engine name cb in
+            let d =
+              or_die
+                (Result.map_error Engine.error_to_string
+                   (eng.Engine.retrieve req))
+            in
+            if not (passes_q15 threshold d.Engine.score) then
+              no_variant_passes ()
+            else begin
+              Printf.printf "best: impl %d, S = %.4f (raw %d)\n"
+                d.Engine.impl_id
+                (Fxp.Q15.to_float d.Engine.score)
+                (Fxp.Q15.to_raw d.Engine.score);
+              (match d.Engine.cycles with
+              | Some c -> Printf.printf "cycles=%d\n" c
+              | None -> ());
+              match Option.map (fun f -> f req) eng.Engine.phase_cycles with
+              | Some (Ok phases) ->
+                  print_string "phases:";
+                  List.iter (fun (n, c) -> Printf.printf " %s=%d" n c) phases;
+                  print_newline ()
+              | Some (Error _) | None -> ()
+            end)
+        | Sw_engine ->
+            let r = or_die (Mblaze.Retrieval_prog.run cb req) in
+            if
+              r.Mblaze.Retrieval_prog.status = Mblaze.Retrieval_prog.Found
+              && not (passes_q15 threshold r.Mblaze.Retrieval_prog.best_score)
+            then no_variant_passes ()
+            else Format.printf "%a@." Mblaze.Retrieval_prog.pp_result r);
+        Ok ()
   in
   let doc = "run CBR retrieval for a QoS-constrained function request" in
   Cmd.v
     (Cmd.info "retrieve" ~doc)
-    Term.(const run $ casebase_arg $ request_arg $ engine_arg $ n_arg
-          $ threshold_arg)
+    Term.(
+      term_result'
+        (const run $ casebase_arg $ request_arg $ engine_arg $ n_arg
+       $ threshold_arg))
 
 (* --- layout -------------------------------------------------------------- *)
 

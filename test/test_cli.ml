@@ -444,6 +444,41 @@ let bad_flag_cases =
           check_bool "no internal error" false (contains out "internal error")))
     bad_flags
 
+(* -t applies on every engine, and an engine that reports only its
+   best variant refuses -n above 1 with a command-line error naming
+   it.  An exit-0 row gives the whole output, an exit-124 row the
+   engine the message must name. *)
+let retrieve_rows =
+  let none = "no variant passes the threshold\n" in
+  [
+    ("-e float -t 0.99", 0, none);
+    ("-e fixed -t 0.99", 0, none);
+    ("-e rtlsim -t 0.99", 0, none);
+    ("-e netlist -t 0.99", 0, none);
+    ("-e native -t 0.99", 0, none);
+    ("-e sw -t 0.99", 0, none);
+    ("-e fixed -n 3 -t 0.9", 0, "1. impl 2 on dsp: S = 0.9640 (raw 31588)\n");
+    ("-e native -t 0.9", 0, "best: impl 2, S = 0.9640 (raw 31588)\n");
+    ( "-e sw -t 0.9",
+      0,
+      "found impl=2 score=0.9640 (31588) code=344B [cycles=674 insns=396 \
+       loads=82 stores=3 mults=18 branches=134 taken=65]\n" );
+    ("-e native -n 3", 124, "engine native");
+    ("-e rtlsim -n 3", 124, "engine rtlsim");
+    ("-e netlist -n 3", 124, "engine netlist");
+    ("-e sw -n 3 -t 0.99", 124, "engine sw");
+  ]
+
+let retrieve_row_cases =
+  List.map
+    (fun (args, code, expect) ->
+      Alcotest.test_case args `Quick (fun () ->
+          let got, out = run_cli ("retrieve " ^ args) in
+          check_int "exit code" code got;
+          if code = 0 then Alcotest.(check string) "output" expect out
+          else check_bool "names the engine" true (contains out expect)))
+    retrieve_rows
+
 let test_faults_observability () =
   let prom = Filename.concat tmp_dir "faults.prom" in
   let code, _ =
@@ -510,6 +545,7 @@ let () =
         [ Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism ]
       );
       ("flag ranges", bad_flag_cases);
+      ("retrieve -n and -t", retrieve_row_cases);
       ( "lint",
         [
           Alcotest.test_case "clean fixtures exit 0" `Quick
