@@ -475,6 +475,18 @@ let run ?obs (spec : spec) =
   let steal_denials = ref 0 in
   let retain = spec.retain_requests in
   let outcomes : response option Vec.t = Vec.create () in
+  (* A run gives few distinct answers (a few hundred over 500k
+     chaos-steal requests), so the retained outcomes share one block
+     per distinct response instead of keeping one per request. *)
+  let distinct : (response, response option) Hashtbl.t = Hashtbl.create 256 in
+  let retained r =
+    match Hashtbl.find distinct r with
+    | shared -> shared
+    | exception Not_found ->
+        let shared = Some r in
+        Hashtbl.add distinct r shared;
+        shared
+  in
   let meta : (string * int * float) Vec.t = Vec.create () in
   let steals = ref 0 in
   let full_c = ref 0 in
@@ -547,7 +559,7 @@ let run ?obs (spec : spec) =
         (Obs.Events.Request_admitted { app; type_id });
     let respond r =
       let now = Desim.Engine.now sim in
-      if retain then Vec.set outcomes idx (Some r);
+      if retain then Vec.set outcomes idx (retained r);
       let lat = now -. t0 in
       Workload.Stats.add lat_acc lat;
       lat_sum := !lat_sum +. lat;

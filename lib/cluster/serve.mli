@@ -104,9 +104,10 @@ type spec = {
           sequence, identical for either source). *)
   retain_requests : bool;
       (** Keep per-request outcomes/meta for {!results_to_string}.
-          Off, the run holds only aggregates — how the streaming bench
-          reaches millions of requests; [report.outcomes] is then
-          empty. *)
+          Equal outcomes share one value, so the array costs one word
+          per request beyond the run's distinct answers.  Off, the run
+          holds only aggregates — how the streaming bench reaches
+          millions of requests; [report.outcomes] is then empty. *)
   load_scale : float;
       (** Divide every app's inter-arrival period by this factor;
           1.0 leaves the standard mix untouched. *)
