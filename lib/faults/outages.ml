@@ -146,6 +146,7 @@ let is_down d t =
   let i = started d t in
   i > 0 && t < d.ends.(i - 1)
 
+(* The start test only fails for a NaN [t], which no start follows. *)
 let next_down d t =
   let i = started d t in
   if i < Array.length d.starts && t < d.starts.(i) then Some d.starts.(i)

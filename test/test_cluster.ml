@@ -302,6 +302,26 @@ let test_serve_degraded_path () =
       | Serve.Failed msg -> Alcotest.fail ("unexpected failure: " ^ msg))
     r.Serve.outcomes
 
+let test_serve_shares_outcomes () =
+  (* A retained report keeps one value per distinct response: equal
+     outcomes, full and degraded alike, are physically shared. *)
+  let outage = { outage_spec with Outages.permanent_frac = 0.5 } in
+  let r =
+    get
+      (Serve.run
+         (spec ~duration_us:100_000.0 ~seed:3 ~replication:1 ~outage ()))
+  in
+  let first = Hashtbl.create 64 in
+  Array.iter
+    (fun o ->
+      match Hashtbl.find_opt first o with
+      | None -> Hashtbl.add first o o
+      | Some shared ->
+          check_bool "equal outcomes are one value" true (shared == o))
+    r.Serve.outcomes;
+  check_bool "fewer distinct outcomes than requests" true
+    (Hashtbl.length first < Array.length r.Serve.outcomes)
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -915,6 +935,8 @@ let () =
           Alcotest.test_case "chaos acceptance" `Quick
             test_serve_chaos_acceptance;
           Alcotest.test_case "degraded path" `Quick test_serve_degraded_path;
+          Alcotest.test_case "shared outcomes" `Quick
+            test_serve_shares_outcomes;
           Alcotest.test_case "obs metrics" `Quick test_serve_obs;
           Alcotest.test_case "event log" `Quick test_serve_eventlog;
           Alcotest.test_case "work stealing" `Quick test_serve_steal;
