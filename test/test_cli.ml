@@ -545,7 +545,10 @@ let () =
         [ Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism ]
       );
       ("flag ranges", bad_flag_cases);
-      ("retrieve -n and -t", retrieve_row_cases);
+      (* Alcotest pads suite names to the longest and cuts test names
+         at 80 columns: a name longer than "observability" would cut
+         the longest flag-range names. *)
+      ("engine -n/-t", retrieve_row_cases);
       ( "lint",
         [
           Alcotest.test_case "clean fixtures exit 0" `Quick
