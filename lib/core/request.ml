@@ -34,9 +34,19 @@ let make ~type_id triples =
           |> List.map (fun (attr, value, weight) -> { attr; value; weight })
           |> List.sort (fun a b -> Int.compare a.attr b.attr)
         in
-        Result.map
-          (fun () -> { type_id; constraints })
-          (check_unique constraints)
+        (* Summed as [normalized_weights] sums it: an overflowing total
+           would normalise every weight to 0. *)
+        let total =
+          List.fold_left (fun acc c -> acc +. c.weight) 0.0 constraints
+        in
+        if not (Float.is_finite total) then
+          Error
+            (Printf.sprintf
+               "constraint weights sum to a non-finite total (%g)" total)
+        else
+          Result.map
+            (fun () -> { type_id; constraints })
+            (check_unique constraints)
 
 let equal_weights ~type_id pairs =
   make ~type_id (List.map (fun (aid, v) -> (aid, v, 1.0)) pairs)

@@ -18,9 +18,10 @@ type t = private {
 }
 
 val make : type_id:int -> (Attr.id * Attr.value * float) list -> (t, string) result
-(** Sorts constraints by ID; rejects duplicates, non-positive weights
-    and out-of-word-range IDs/values.  An empty constraint list is
-    legal (a pure type lookup). *)
+(** Sorts constraints by ID; rejects duplicates, non-positive weights,
+    weights whose sum overflows to infinity and out-of-word-range
+    IDs/values.  An empty constraint list is legal (a pure type
+    lookup). *)
 
 val equal_weights : type_id:int -> (Attr.id * Attr.value) list -> (t, string) result
 (** Convenience: every constraint gets weight 1 (engines normalise). *)

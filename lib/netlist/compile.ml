@@ -7,56 +7,87 @@ let q15_one = Q.to_raw Q.one
 let q15_half = Q.to_raw Q.half
 let raw_max = 65535
 
-(* One function type's kernel inputs: the variant IDs and the word
-   addresses of their ID-sorted level-2 attribute lists, both in image
-   order (the hardware's strict greater-than best update makes the
-   first maximum win, so order matters). *)
-type ctype = { impl_ids : int array; impl_addrs : int array }
+(* One function type's score table, rows in image order (the
+   hardware's strict greater-than best update makes the first maximum
+   win, so order matters): [vals.(k * slots + j)] is variant k's value
+   of supplemental attribute j, or -1 when the variant lacks it. *)
+type ctype = { impl_ids : int array; vals : int array }
 
 type t = {
   words : int array;  (* the elaborated CB-MEM ROM image *)
-  types : (int, ctype) Hashtbl.t;
-  supp_ids : int array;  (* ascending attribute IDs *)
-  supp_recips : int array;  (* raw Q15 reciprocals, same order *)
+  types : ctype option array;  (* indexed by function-type ID *)
+  slots : int;  (* supplemental attributes: the row width of [vals] *)
+  slot : int array;  (* attribute ID -> supplemental slot, or -1 *)
+  recip : int array;  (* attribute ID -> raw Q15 reciprocal, or -1 *)
 }
 
 let bram_image t = Array.copy t.words
 
-(* Walk an END-terminated list of (a, b) word pairs. *)
-let walk_pairs words addr =
-  let rec go addr acc =
-    if addr >= Array.length words || words.(addr) = end_marker then
-      List.rev acc
-    else go (addr + 2) ((words.(addr), words.(addr + 1)) :: acc)
-  in
-  go addr []
+(* Entries of the END-terminated list of [stride]-word entries at
+   [addr]. *)
+let list_length words addr stride =
+  let a = ref addr in
+  while !a < Array.length words && words.(!a) <> end_marker do
+    a := !a + stride
+  done;
+  (!a - addr) / stride
 
-let compile_supplemental words base =
-  let rec go addr acc =
-    if addr >= Array.length words || words.(addr) = end_marker then
-      List.rev acc
-    else if addr + 3 >= Array.length words then
-      Error "truncated supplemental block" :: []
-    else go (addr + 4) (Ok (words.(addr), words.(addr + 3)) :: acc)
-  in
-  let blocks = go base [] in
-  match List.find_opt Result.is_error blocks with
-  | Some (Error e) -> Error e
-  | _ ->
-      let pairs = List.map Result.get_ok blocks in
-      let ids = Array.of_list (List.map fst pairs) in
-      let sorted = ref true in
-      Array.iteri (fun i id -> if i > 0 && id <= ids.(i - 1) then sorted := false) ids;
-      if not !sorted then Error "supplemental list is not ID-sorted"
-      else Ok (ids, Array.of_list (List.map snd pairs))
+(* The supplemental list's (attr ID, lower, upper, recip) blocks as the
+   direct slot and reciprocal arrays. *)
+let supplemental words base =
+  let slots = list_length words base 4 in
+  let id j = words.(base + (4 * j)) in
+  if base + (4 * slots) > Array.length words then
+    Error "truncated supplemental block"
+  else
+    let sorted = ref true in
+    for j = 1 to slots - 1 do
+      if id j <= id (j - 1) then sorted := false
+    done;
+    if not !sorted then Error "supplemental list is not ID-sorted"
+    else
+      let size = if slots = 0 then 0 else id (slots - 1) + 1 in
+      let slot = Array.make size (-1) and recip = Array.make size (-1) in
+      for j = 0 to slots - 1 do
+        slot.(id j) <- j;
+        recip.(id j) <- words.(base + (4 * j) + 3)
+      done;
+      Ok (slots, slot, recip)
+
+(* One score table per entry of the level-0 list (the tree starts at
+   word 0), filled from the level-1 and level-2 lists it points to. *)
+let type_tables words ~slots ~slot =
+  let types = list_length words 0 2 in
+  let max_id = ref 0 in
+  for i = 0 to types - 1 do
+    max_id := max !max_id words.(2 * i)
+  done;
+  let table = Array.make (!max_id + 1) None in
+  for i = 0 to types - 1 do
+    let l1 = words.((2 * i) + 1) in
+    let n = list_length words l1 2 in
+    let vals = Array.make (n * slots) (-1) in
+    for k = 0 to n - 1 do
+      let p = ref words.(l1 + (2 * k) + 1) in
+      while !p < Array.length words && words.(!p) <> end_marker do
+        let aid = words.(!p) in
+        if aid < Array.length slot && slot.(aid) >= 0 then
+          vals.((k * slots) + slot.(aid)) <- words.(!p + 1);
+        p := !p + 2
+      done
+    done;
+    table.(words.(2 * i)) <-
+      Some { impl_ids = Array.init n (fun k -> words.(l1 + (2 * k))); vals }
+  done;
+  table
 
 let of_casebase cb =
   match Memlayout.encode_cb cb with
   | Error e -> Error e
   | Ok image -> (
-      (* Round-trip the image through the elaborator: the kernels are
-         compiled from the ROM module's own words, i.e. from the same
-         IR that the VHDL printer and the netlist simulator consume. *)
+      (* Round-trip the image through the elaborator: the tables are
+         built from the ROM module's own words, i.e. from the same IR
+         that the VHDL printer and the netlist simulator consume. *)
       match Elaborate.rom_module ~name:"qos_cb_rom" ~words:image.Memlayout.cb_words with
       | Error e -> Error ("elaborate: " ^ e)
       | Ok rom -> (
@@ -68,113 +99,92 @@ let of_casebase cb =
           match rom_words with
           | None -> Error "elaborated ROM module has no Rom cell"
           | Some words ->
-              if words <> image.Memlayout.cb_words then
-                Error "IR ROM image diverges from the Memlayout encoding"
+              (* The ROM cell holds the encoded array itself, which
+                 nothing else references: no copy, and no word-by-word
+                 comparison unless the elaborator made one. *)
+              if words != image.Memlayout.cb_words
+                 && words <> image.Memlayout.cb_words
+              then Error "IR ROM image diverges from the Memlayout encoding"
               else
-                let layout = image.Memlayout.cb_layout in
-                let types = Hashtbl.create 16 in
-                List.iter
-                  (fun (type_id, l1_addr) ->
-                    let impls = walk_pairs words l1_addr in
-                    Hashtbl.replace types type_id
-                      {
-                        impl_ids = Array.of_list (List.map fst impls);
-                        impl_addrs = Array.of_list (List.map snd impls);
-                      })
-                  layout.Memlayout.type_directory;
                 Result.map
-                  (fun (supp_ids, supp_recips) ->
-                    { words = Array.copy words; types; supp_ids; supp_recips })
-                  (compile_supplemental words image.Memlayout.cb_supplemental_base)))
+                  (fun (slots, slot, recip) ->
+                    {
+                      words;
+                      types = type_tables words ~slots ~slot;
+                      slots;
+                      slot;
+                      recip;
+                    })
+                  (supplemental words image.Memlayout.cb_supplemental_base)))
 
-let recip_of t aid =
-  let lo = ref 0 and hi = ref (Array.length t.supp_ids - 1) in
-  let found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = t.supp_ids.(mid) in
-    if v = aid then begin
-      found := t.supp_recips.(mid);
-      lo := !hi + 1
-    end
-    else if v < aid then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-(* The straight-line similarity kernel: one resume scan down the
-   variant's ID-sorted level-2 list, inline Q15 arithmetic identical
-   to Fxp.Q15 (mul_int/complement_to_one/mul/add with saturation and
-   round-to-nearest). *)
-let score_impl words start n c_id c_val c_w c_recip ~sorted =
-  let acc = ref 0 in
-  let p = ref start in
-  for i = 0 to n - 1 do
-    if not sorted then p := start;
-    let aid = Array.unsafe_get c_id i in
-    while
-      Array.unsafe_get words !p <> end_marker
-      && Array.unsafe_get words !p < aid
-    do
-      p := !p + 2
+(* Scores every variant of [ct] against [cs], four words per
+   constraint: slot, value, reciprocal, raw Q15 weight.  The Q15
+   arithmetic is Fxp.Q15's (abs_diff_int/mul_int/complement_to_one/
+   mul/add): a local similarity of 0 when recip * d reaches one or the
+   variant lacks the attribute, round-to-nearest weighting, and a sum
+   saturating at 0xFFFF.  No weighted term exceeds one, so only the sum
+   can saturate, and every term is non-negative, so saturating the
+   total once equals saturating each partial sum.  [x asr 62] is -1
+   when the 63-bit [x] is negative and 0 otherwise: [|x|] and both
+   zero cases are masks, not branches, which mispredict on random-sign
+   distances. *)
+let best_of ct ~slots cs n =
+  let vals = ct.vals in
+  let best = ref (-1) and best_k = ref 0 in
+  for k = 0 to Array.length ct.impl_ids - 1 do
+    let row = k * slots in
+    let acc = ref 0 and i = ref 0 in
+    while !i < n do
+      let v = Array.unsafe_get vals (row + Array.unsafe_get cs !i) in
+      let x = Array.unsafe_get cs (!i + 1) - v in
+      let d = (x lxor (x asr 62)) - (x asr 62) in
+      let local = q15_one - (Array.unsafe_get cs (!i + 2) * d) in
+      let local = local land lnot ((local asr 62) lor (v asr 62)) in
+      let w = Array.unsafe_get cs (!i + 3) in
+      acc := !acc + (((local * w) + q15_half) lsr 15);
+      i := !i + 4
     done;
-    let recip = Array.unsafe_get c_recip i in
-    let local =
-      if recip < 0 || Array.unsafe_get words !p <> aid then 0
-      else begin
-        let d = abs (Array.unsafe_get c_val i - Array.unsafe_get words (!p + 1)) in
-        let m = recip * d in
-        let m = if m > raw_max then raw_max else m in
-        if m >= q15_one then 0 else q15_one - m
-      end
-    in
-    let contrib = (local * Array.unsafe_get c_w i + q15_half) lsr 15 in
-    let contrib = if contrib > raw_max then raw_max else contrib in
-    let sum = !acc + contrib in
-    acc := if sum > raw_max then raw_max else sum
+    let s = if !acc > raw_max then raw_max else !acc in
+    if s > !best then begin
+      best := s;
+      best_k := k
+    end
   done;
-  !acc
+  (ct.impl_ids.(!best_k), !best)
 
 let retrieve t (request : Request.t) =
-  match Hashtbl.find_opt t.types request.Request.type_id with
-  | None -> Error (E.Unknown_type request.Request.type_id)
+  let type_id = request.Request.type_id in
+  match
+    if type_id < Array.length t.types then t.types.(type_id) else None
+  with
+  | None -> Error (E.Unknown_type type_id)
   | Some ct when Array.length ct.impl_ids = 0 ->
-      Error (E.No_implementations request.Request.type_id)
+      Error (E.No_implementations type_id)
   | Some ct ->
-      let constrs = Request.normalized_weights request in
-      let n = List.length constrs in
-      let c_id = Array.make n 0
-      and c_val = Array.make n 0
-      and c_w = Array.make n 0
-      and c_recip = Array.make n 0 in
-      List.iteri
-        (fun i (aid, v, w) ->
-          c_id.(i) <- aid;
-          c_val.(i) <- v;
-          c_w.(i) <- Q.to_raw (Q.of_float w);
-          c_recip.(i) <- recip_of t aid)
-        constrs;
-      let sorted = ref true in
-      for i = 1 to n - 1 do
-        if c_id.(i) < c_id.(i - 1) then sorted := false
-      done;
-      let best = ref (-1) and best_id = ref 0 in
-      for k = 0 to Array.length ct.impl_ids - 1 do
-        let s =
-          score_impl t.words ct.impl_addrs.(k) n c_id c_val c_w c_recip
-            ~sorted:!sorted
-        in
-        if s > !best then begin
-          best := s;
-          best_id := ct.impl_ids.(k)
-        end
-      done;
-      Ok
-        {
-          E.impl_id = !best_id;
-          score = Q.of_raw_exn !best;
-          cycles = None;
-        }
+      let constraints = request.Request.constraints in
+      (* Request.normalized_weights' total and quotients, without its
+         list.  A constraint on an attribute outside the supplemental
+         list scores 0 on every variant, so it is left out. *)
+      let total =
+        List.fold_left
+          (fun acc (c : Request.constr) -> acc +. c.Request.weight)
+          0.0 constraints
+      in
+      let cs = Array.make (4 * List.length constraints) 0 in
+      let n = ref 0 in
+      List.iter
+        (fun (c : Request.constr) ->
+          let aid = c.Request.attr in
+          if aid < Array.length t.slot && t.slot.(aid) >= 0 then begin
+            cs.(!n) <- t.slot.(aid);
+            cs.(!n + 1) <- c.Request.value;
+            cs.(!n + 2) <- t.recip.(aid);
+            cs.(!n + 3) <- Q.to_raw (Q.of_float (c.Request.weight /. total));
+            n := !n + 4
+          end)
+        constraints;
+      let impl_id, best = best_of ct ~slots:t.slots cs !n in
+      Ok { E.impl_id; score = Q.of_raw_exn best; cycles = None }
 
 let engine t =
   let retrieve = retrieve t in

@@ -1,15 +1,28 @@
-(** The native engine: a case base compiled to specialized retrieval
-    kernels over flat unboxed int arrays.
+(** The native engine: a case base compiled to dense score tables over
+    flat unboxed int arrays.
 
     [of_casebase] encodes the case base with [Memlayout.encode_cb],
     elaborates the CB-MEM ROM with {!Elaborate.rom_module} — the same
-    IR module [Rtlgen.Vhdl] prints and {!Sim} executes — and compiles
-    retrieval kernels directly over that ROM's word image: the exact
-    Fig. 4/5 BRAM layout (ID-sorted level-2 attribute lists, the
-    supplemental reciprocal table), scanned with the hardware's
-    resume-scan discipline and scored with inline Q15 arithmetic that
-    replicates [Fxp.Q15] operation for operation (saturating add,
-    round-to-nearest multiply, complement-to-one).
+    IR module [Rtlgen.Vhdl] prints and {!Sim} executes — and reads its
+    tables, once, from that ROM's word image (the exact Fig. 4/5 BRAM
+    layout):
+
+    - per function type, one dense value table with a row per variant
+      in image order and a column per attribute of the supplemental
+      list: variant k's level-2 value of attribute j, or -1 when the
+      variant lacks it;
+    - direct arrays from attribute ID to its column and to the
+      supplemental list's Q15 reciprocal, and from type ID to its
+      table.
+
+    A retrieval looks up each constraint's column, reciprocal and
+    quantised weight once, then scores every variant with array reads
+    and inline Q15 arithmetic that replicates [Fxp.Q15] operation for
+    operation (saturating add, round-to-nearest multiply,
+    complement-to-one).  It keeps no state between calls, so worker
+    domains may share one compiled case base.  The hardware's
+    word-serial resume scan down the level-2 lists, and its cycles,
+    stay modelled in [Rtlsim] and the netlist.
 
     The result is decision-identical to [Qos_core.Engine_fixed] —
     same winning variant, same raw Q15 score — at native int-array
@@ -27,7 +40,7 @@ val of_casebase : Qos_core.Casebase.t -> (t, string) result
     Memlayout encoding. *)
 
 val bram_image : t -> int array
-(** The ROM word image the kernels were compiled from — byte-for-word
+(** The ROM word image the tables were read from — byte-for-word
     the Fig. 4/5 CB-MEM content of the elaborated IR (a copy). *)
 
 val retrieve :

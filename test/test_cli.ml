@@ -446,8 +446,9 @@ let bad_flag_cases =
 
 (* -t applies on every engine, and an engine that reports only its
    best variant refuses -n above 1 with a command-line error naming
-   it.  An exit-0 row gives the whole output, an exit-124 row the
-   engine the message must name. *)
+   it.  An exit-0 row gives the whole output, a failing row what the
+   message must name: the engine, or why the request file is
+   refused. *)
 let retrieve_rows =
   let none = "no variant passes the threshold\n" in
   [
@@ -467,6 +468,9 @@ let retrieve_rows =
     ("-e rtlsim -n 3", 124, "engine rtlsim");
     ("-e netlist -n 3", 124, "engine netlist");
     ("-e sw -n 3 -t 0.99", 124, "engine sw");
+    (* Finite weights whose sum overflows used to score every variant
+       0 and answer the first one. *)
+    ("-e native -r fixtures/weight_overflow.req", 1, "non-finite total");
   ]
 
 let retrieve_row_cases =
@@ -476,7 +480,7 @@ let retrieve_row_cases =
           let got, out = run_cli ("retrieve " ^ args) in
           check_int "exit code" code got;
           if code = 0 then Alcotest.(check string) "output" expect out
-          else check_bool "names the engine" true (contains out expect)))
+          else check_bool "names the cause" true (contains out expect)))
     retrieve_rows
 
 let test_faults_observability () =

@@ -176,6 +176,19 @@ let test_request_make () =
   ignore (get_err "nan weight" (Request.make ~type_id:1 [ (1, 0, Float.nan) ]));
   ignore (get_err "bad type" (Request.make ~type_id:0 []))
 
+let test_request_weight_overflow () =
+  (* Each weight is finite but their sum is not: normalising would
+     turn every weight into 0, so the request is refused. *)
+  Alcotest.(check string)
+    "overflowing total refused"
+    "constraint weights sum to a non-finite total (inf)"
+    (get_err "overflowing total"
+       (Request.make ~type_id:1
+          [ (1, 16, 1e308); (4, 44, 1e308); (5, 10, 1.0) ]));
+  let r = get (Request.make ~type_id:1 [ (1, 16, 1e308); (5, 10, 1.0) ]) in
+  check_int "finite total accepted" 2 (Request.constraint_count r);
+  ignore (get_err "reweight into overflow" (Request.reweight r 5 1e308))
+
 let test_request_normalization () =
   let r = get (Request.make ~type_id:1 [ (1, 5, 1.0); (2, 6, 3.0) ]) in
   let normalized = Request.normalized_weights r in
@@ -372,6 +385,8 @@ let () =
       ( "requests",
         [
           Alcotest.test_case "make" `Quick test_request_make;
+          Alcotest.test_case "weight total overflow" `Quick
+            test_request_weight_overflow;
           Alcotest.test_case "normalization" `Quick test_request_normalization;
           Alcotest.test_case "edits" `Quick test_request_edits;
         ] );

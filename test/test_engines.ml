@@ -284,6 +284,45 @@ let test_native_rom_is_the_encoded_image () =
   check_bool "BRAM image identical to the Memlayout encoding" true
     (Netlist.Compile.bram_image compiled = image.Memlayout.cb_words)
 
+(* The hardware's strict greater-than best update, on every
+   bit-accurate engine: the first maximum in image order wins. *)
+let test_constraint_free_request () =
+  let req = get (Request.make ~type_id:1 []) in
+  List.iter
+    (fun (name, _) ->
+      match (engine_of name cb).E.retrieve req with
+      | Error e -> Alcotest.fail (name ^ ": " ^ E.error_to_string e)
+      | Ok d ->
+          check_int (name ^ ": every score 0, first variant wins") 1
+            d.E.impl_id;
+          check_int (name ^ " raw Q15 score") 0 (Fxp.Q15.to_raw d.E.score))
+    Engines.bit_accurate
+
+let test_identical_variants () =
+  let schema = cb.Casebase.schema in
+  let impl id attrs = get (Impl.make ~id ~target:Target.Dsp attrs) in
+  let twin id = impl id [ (1, 16); (3, 1); (4, 36) ] in
+  let ft =
+    get
+      (Ftype.make ~id:1 ~name:"twins"
+         [ impl 1 [ (1, 8); (3, 1); (4, 30) ]; twin 2; twin 3 ])
+  in
+  let c = get (Casebase.make ~name:"twins" ~schema [ ft ]) in
+  let req =
+    get (Request.make ~type_id:1 [ (1, 16, 1.0); (3, 1, 2.0); (4, 40, 1.0) ])
+  in
+  let expect = getr (Engine_fixed.best c req) in
+  List.iter
+    (fun (name, factory) ->
+      match (get (factory c)).E.retrieve req with
+      | Error e -> Alcotest.fail (name ^ ": " ^ E.error_to_string e)
+      | Ok d ->
+          check_int (name ^ ": the first twin wins") 2 d.E.impl_id;
+          check_int (name ^ " raw Q15 score")
+            (Fxp.Q15.to_raw expect.Retrieval.score)
+            (Fxp.Q15.to_raw d.E.score))
+    Engines.bit_accurate
+
 let test_engine_errors_classified () =
   let missing = get (Request.make ~type_id:77 [ (1, 16, 1.0) ]) in
   List.iter
@@ -342,6 +381,48 @@ let scenario_of_seed seed =
       }
   in
   (cb, req)
+
+(* The same per seed at the width of the large case bases: up to 15
+   types of up to 40 variants over 10-12 attributes, variants missing
+   some of them, 1-10 random-weight constraints whose values may lie
+   past the design bounds (distances beyond dmax), and one constraint
+   on an attribute ID above the schema's largest. *)
+let wide_scenario_of_seed seed =
+  let rng = Workload.Prng.create ~seed in
+  let attr_count = Workload.Prng.int_in rng ~lo:10 ~hi:12 in
+  let schema =
+    Workload.Generator.schema rng
+      { Workload.Generator.attr_count; max_bound = 1000 }
+  in
+  let types = Workload.Prng.int_in rng ~lo:1 ~hi:15 in
+  let cb =
+    Workload.Generator.casebase rng ~schema
+      {
+        Workload.Generator.type_count = types;
+        impls_per_type = (1, 40);
+        attrs_per_impl = (1, attr_count);
+      }
+  in
+  let req =
+    Workload.Generator.request rng ~schema
+      ~type_id:(Workload.Prng.int_in rng ~lo:1 ~hi:types)
+      {
+        Workload.Generator.constraints = (1, 10);
+        weight_profile = `Random;
+        value_slack = 0.2;
+      }
+  in
+  let unknown =
+    ( attr_count + 1 + Workload.Prng.int rng ~bound:100,
+      Workload.Prng.int rng ~bound:1000,
+      0.1 +. (0.9 *. Workload.Prng.float rng) )
+  in
+  let triples =
+    List.map
+      (fun (c : Request.constr) -> (c.Request.attr, c.Request.value, c.weight))
+      req.Request.constraints
+  in
+  (cb, get (Request.make ~type_id:req.Request.type_id (unknown :: triples)))
 
 let seed_gen = QCheck2.Gen.int_range 0 100_000
 
@@ -406,20 +487,23 @@ let props =
         | _ -> true);
     prop "fixed, rtlsim and native are decision-identical" seed_gen
       (fun seed ->
-        let c, req = scenario_of_seed seed in
-        let via name =
-          match Result.bind (Engines.of_name name) (fun f -> f c) with
-          | Error m -> Error (E.Engine_failure m)
-          | Ok e -> e.E.retrieve req
+        let identical (c, req) =
+          let via name =
+            match Result.bind (Engines.of_name name) (fun f -> f c) with
+            | Error m -> Error (E.Engine_failure m)
+            | Ok e -> e.E.retrieve req
+          in
+          match (via "fixed", via "rtlsim", via "native") with
+          | Ok a, Ok b, Ok c ->
+              a.E.impl_id = b.E.impl_id
+              && b.E.impl_id = c.E.impl_id
+              && Fxp.Q15.equal a.E.score b.E.score
+              && Fxp.Q15.equal b.E.score c.E.score
+          | Error _, Error _, Error _ -> true
+          | _ -> false
         in
-        match (via "fixed", via "rtlsim", via "native") with
-        | Ok a, Ok b, Ok c ->
-            a.E.impl_id = b.E.impl_id
-            && b.E.impl_id = c.E.impl_id
-            && Fxp.Q15.equal a.E.score b.E.score
-            && Fxp.Q15.equal b.E.score c.E.score
-        | Error _, Error _, Error _ -> true
-        | _ -> false);
+        identical (scenario_of_seed seed)
+        && identical (wide_scenario_of_seed seed));
     prop_n 40 "all five engines agree on small random scenarios" seed_gen
       (fun seed ->
         (* Small sizes keep the gate-level netlist simulation cheap. *)
@@ -510,6 +594,10 @@ let () =
             test_cycle_reporting_engines_agree;
           Alcotest.test_case "native ROM is the encoded image" `Quick
             test_native_rom_is_the_encoded_image;
+          Alcotest.test_case "constraint-free request" `Quick
+            test_constraint_free_request;
+          Alcotest.test_case "identical variants" `Quick
+            test_identical_variants;
           Alcotest.test_case "errors classified" `Quick
             test_engine_errors_classified;
           Alcotest.test_case "batch matches single" `Quick
