@@ -1161,8 +1161,8 @@ let run_native () =
   Printf.printf
     "every registered engine serves the same 256-request batch against\n\
      the Table 3 case base (15 types x 10 impls x 10 attrs).  The native\n\
-     engine compiles the Fig. 4/5 BRAM image into straight-line OCaml\n\
-     closures; rtlsim walks the same image one FSM state per cycle.\n\n";
+     engine reads the Fig. 4/5 BRAM image into one dense value table\n\
+     per type; rtlsim walks the same image one FSM state per cycle.\n\n";
   let cb =
     Workload.Generator.sized_casebase ~seed:91 ~types:15 ~impls:10 ~attrs:10
   in
