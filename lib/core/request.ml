@@ -9,6 +9,9 @@ let rec check_unique = function
         Error (Printf.sprintf "duplicate constraint on attribute %d" a.attr)
       else check_unique rest
 
+let sum_weights constraints =
+  List.fold_left (fun acc c -> acc +. c.weight) 0.0 constraints
+
 let make ~type_id triples =
   if type_id <= 0 || type_id > Attr.max_word then
     Error
@@ -28,31 +31,30 @@ let make ~type_id triples =
         Error
           (Printf.sprintf "constraint (attr %d, value %d, weight %g) invalid"
              aid v w)
-    | None ->
+    | None -> (
         let constraints =
           triples
           |> List.map (fun (attr, value, weight) -> { attr; value; weight })
           |> List.sort (fun a b -> Int.compare a.attr b.attr)
         in
-        (* Summed as [normalized_weights] sums it: an overflowing total
-           would normalise every weight to 0. *)
-        let total =
-          List.fold_left (fun acc c -> acc +. c.weight) 0.0 constraints
-        in
-        if not (Float.is_finite total) then
-          Error
-            (Printf.sprintf
-               "constraint weights sum to a non-finite total (%g)" total)
-        else
-          Result.map
-            (fun () -> { type_id; constraints })
-            (check_unique constraints)
+        match check_unique constraints with
+        | Error _ as e -> e
+        | Ok () ->
+            (* An overflowing total would normalise every weight to 0. *)
+            let total = sum_weights constraints in
+            if Float.is_finite total then Ok { type_id; constraints }
+            else
+              Error
+                (Printf.sprintf
+                   "constraint weights sum to a non-finite total (%g)" total))
 
 let equal_weights ~type_id pairs =
   make ~type_id (List.map (fun (aid, v) -> (aid, v, 1.0)) pairs)
 
+let weight_total t = sum_weights t.constraints
+
 let normalized_weights t =
-  let total = List.fold_left (fun acc c -> acc +. c.weight) 0.0 t.constraints in
+  let total = weight_total t in
   if total <= 0.0 then []
   else List.map (fun c -> (c.attr, c.value, c.weight /. total)) t.constraints
 

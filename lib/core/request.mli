@@ -26,6 +26,11 @@ val make : type_id:int -> (Attr.id * Attr.value * float) list -> (t, string) res
 val equal_weights : type_id:int -> (Attr.id * Attr.value) list -> (t, string) result
 (** Convenience: every constraint gets weight 1 (engines normalise). *)
 
+val weight_total : t -> float
+(** The constraint weights summed left to right in attribute-ID order:
+    the divisor {!normalized_weights} uses.  Finite; 0.0 without
+    constraints. *)
+
 val normalized_weights : t -> (Attr.id * Attr.value * float) list
 (** Constraints with weights rescaled to sum to 1.  Empty list when the
     request has no constraints. *)

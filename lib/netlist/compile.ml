@@ -162,14 +162,10 @@ let retrieve t (request : Request.t) =
       Error (E.No_implementations type_id)
   | Some ct ->
       let constraints = request.Request.constraints in
-      (* Request.normalized_weights' total and quotients, without its
-         list.  A constraint on an attribute outside the supplemental
-         list scores 0 on every variant, so it is left out. *)
-      let total =
-        List.fold_left
-          (fun acc (c : Request.constr) -> acc +. c.Request.weight)
-          0.0 constraints
-      in
+      (* Request.normalized_weights' quotients, without its list.  A
+         constraint on an attribute outside the supplemental list
+         scores 0 on every variant, so it is left out. *)
+      let total = Request.weight_total request in
       let cs = Array.make (4 * List.length constraints) 0 in
       let n = ref 0 in
       List.iter
