@@ -230,58 +230,30 @@ let emit_obs obs ~metrics ~trace_out ~events_out =
       | None -> ()
       | Some path -> write_file path (Obs.Events.to_ndjson ctx.Obs.Ctx.events))
 
-(* --- retrieve ----------------------------------------------------------- *)
-
-(* Float and fixed keep their pretty ranked output and sw its program
-   result; every other engine goes through the registry uniformly. *)
-type engine = Float_engine | Fixed_engine | Sw_engine | Named_engine of string
-
-let engine_conv =
-  let parse = function
-    | "float" -> Ok Float_engine
-    | "fixed" -> Ok Fixed_engine
-    | "sw" -> Ok Sw_engine
-    | name -> (
-        match Engines.of_name name with
-        | Ok _ ->
-            Ok (Named_engine (if name = "rtl" then "rtlsim" else name))
-        | Error _ ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown engine %S (expected %s)" name
-                    (String.concat "|" (Engines.names @ [ "sw" ])))))
+(* One --engine axis for every subcommand: a registry name, [rtl]
+   canonicalised to [rtlsim].  Only [retrieve] also takes [-e] and
+   runs the soft-core routine [sw]. *)
+let engine_arg ?(retrieve = false) ~default doc =
+  let names = if retrieve then Engines.names @ [ "sw" ] else Engines.names in
+  let parse name =
+    let name = if name = "rtl" then "rtlsim" else name in
+    if List.mem name names then Ok name
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown engine %S (expected %s)" name
+             (String.concat "|" names)))
   in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | Float_engine -> "float"
-      | Fixed_engine -> "fixed"
-      | Sw_engine -> "sw"
-      | Named_engine name -> name)
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  let doc =
-    "Engine: $(b,float) (reference), $(b,fixed) (Q15 bit-accurate), \
-     $(b,rtlsim) (cycle-accurate hardware unit; alias $(b,rtl)), \
-     $(b,netlist) (elaborated gate-level IR simulation), $(b,native) \
-     (IR-compiled native kernels), $(b,sw) (soft-core routine)."
-  in
-  Arg.(value & opt engine_conv Float_engine & info [ "e"; "engine" ] ~doc)
+  let flags = if retrieve then [ "e"; "engine" ] else [ "engine" ] in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_string)) default
+    & info flags ~docv:"ENGINE" ~doc)
 
 let make_engine name cb =
   or_die (Result.bind (Engines.of_name name) (fun factory -> factory cb))
 
-(* The factory-selecting --engine axis for simulate/faults/profile:
-   carries the canonical registry name. *)
-let factory_conv =
-  let parse name =
-    match Engines.of_name name with
-    | Ok _ -> Ok (if name = "rtl" then "rtlsim" else name)
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, Format.pp_print_string)
+(* --- retrieve ----------------------------------------------------------- *)
 
 let n_arg =
   let doc = "Report the $(docv) most similar variants (Sec. 5 extension)." in
@@ -317,35 +289,31 @@ let print_float_ranked threshold ranked =
           r.Retrieval.score)
       kept
 
-(* Only float and fixed rank every variant; the registry engines and
-   the soft core answer with the best one, so -n above 1 is refused
-   instead of ignored. *)
-let best_only = function
-  | Float_engine | Fixed_engine -> None
-  | Sw_engine -> Some "sw"
-  | Named_engine name -> Some name
-
+(* Float and fixed keep their pretty ranked output and sw its program
+   result; every other engine goes through the registry uniformly.
+   Only float and fixed rank every variant, so -n above 1 is refused
+   on the others instead of ignored. *)
 let retrieve_cmd =
   let run casebase request engine n threshold =
-    match best_only engine with
-    | Some name when n > 1 ->
+    match engine with
+    | name when n > 1 && name <> "float" && name <> "fixed" ->
         Error
           (Printf.sprintf
              "engine %s reports only the best variant; -n %d needs -e float \
               or -e fixed"
              name n)
-    | Some _ | None ->
+    | _ ->
         let cb = or_die (load_casebase casebase) in
         let req = or_die (load_request request) in
         (match engine with
-        | Float_engine ->
+        | "float" ->
             let ranked =
               or_die
                 (Result.map_error Retrieval.error_to_string
                    (Engine_float.n_best ~n cb req))
             in
             print_float_ranked threshold ranked
-        | Fixed_engine ->
+        | "fixed" ->
             let ranked =
               or_die
                 (Result.map_error Retrieval.error_to_string
@@ -366,7 +334,14 @@ let retrieve_cmd =
                     (Fxp.Q15.to_float r.Retrieval.score)
                     (Fxp.Q15.to_raw r.Retrieval.score))
                 kept
-        | Named_engine name -> (
+        | "sw" ->
+            let r = or_die (Mblaze.Retrieval_prog.run cb req) in
+            if
+              r.Mblaze.Retrieval_prog.status = Mblaze.Retrieval_prog.Found
+              && not (passes_q15 threshold r.Mblaze.Retrieval_prog.best_score)
+            then no_variant_passes ()
+            else Format.printf "%a@." Mblaze.Retrieval_prog.pp_result r
+        | name -> (
             let eng = make_engine name cb in
             let d =
               or_die
@@ -389,14 +364,7 @@ let retrieve_cmd =
                   List.iter (fun (n, c) -> Printf.printf " %s=%d" n c) phases;
                   print_newline ()
               | Some (Error _) | None -> ()
-            end)
-        | Sw_engine ->
-            let r = or_die (Mblaze.Retrieval_prog.run cb req) in
-            if
-              r.Mblaze.Retrieval_prog.status = Mblaze.Retrieval_prog.Found
-              && not (passes_q15 threshold r.Mblaze.Retrieval_prog.best_score)
-            then no_variant_passes ()
-            else Format.printf "%a@." Mblaze.Retrieval_prog.pp_result r);
+            end));
         Ok ()
   in
   let doc = "run CBR retrieval for a QoS-constrained function request" in
@@ -404,8 +372,14 @@ let retrieve_cmd =
     (Cmd.info "retrieve" ~doc)
     Term.(
       term_result'
-        (const run $ casebase_arg $ request_arg $ engine_arg $ n_arg
-       $ threshold_arg))
+        (const run $ casebase_arg $ request_arg
+        $ engine_arg ~retrieve:true ~default:"float"
+            "Engine: $(b,float) (reference), $(b,fixed) (Q15 bit-accurate), \
+             $(b,rtlsim) (cycle-accurate hardware unit; alias $(b,rtl)), \
+             $(b,netlist) (elaborated gate-level IR simulation), \
+             $(b,native) (IR-compiled native kernels), $(b,sw) (soft-core \
+             routine)."
+        $ n_arg $ threshold_arg))
 
 (* --- layout -------------------------------------------------------------- *)
 
@@ -547,14 +521,13 @@ let resources_cmd =
 
 let simulate_cmd =
   let run duration_us seed trace_csv metrics trace_out engine =
-    let retrieval_engine = Option.map (fun n -> or_die (Engines.of_name n)) engine in
     let spec =
       {
         (Desim.Simulate.default_spec ()) with
         Desim.Simulate.duration_us;
         seed;
         collect_trace = trace_csv <> None;
-        retrieval_engine;
+        retrieval_engine = Some (or_die (Engines.of_name engine));
       }
     in
     let obs = make_obs ~metrics ~trace_out ~events_out:None in
@@ -580,21 +553,15 @@ let simulate_cmd =
       & info [ "trace-csv" ] ~docv:"FILE"
           ~doc:"Write a per-request CSV trace and print its analysis.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (some factory_conv) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Retrieval engine backing the manager's latency model: \
-             $(b,float), $(b,fixed), $(b,rtlsim) (the default), $(b,netlist) \
-             or $(b,native).")
-  in
   let doc = "simulate the Fig. 1 multi-device system under load" in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run $ duration_arg $ seed_arg $ trace_csv $ metrics_arg
-      $ trace_out_arg $ engine)
+      $ trace_out_arg
+      $ engine_arg ~default:"rtlsim"
+          "Retrieval engine backing the manager's latency model: \
+           $(b,float), $(b,fixed), $(b,rtlsim) (the default), $(b,netlist) \
+           or $(b,native).")
 
 (* --- faults ---------------------------------------------------------------- *)
 
@@ -654,8 +621,7 @@ let faults_cmd =
         (Desim.Simulate.default_spec ()) with
         Desim.Simulate.duration_us;
         seed;
-        retrieval_engine =
-          Option.map (fun n -> or_die (Engines.of_name n)) engine;
+        retrieval_engine = Some (or_die (Engines.of_name engine));
       }
     in
     List.iter
@@ -767,21 +733,15 @@ let faults_cmd =
          image).";
     ]
   in
-  let engine =
-    Arg.(
-      value
-      & opt (some factory_conv) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Retrieval engine backing the manager's latency model during \
-             the campaign (default $(b,rtlsim)).")
-  in
   Cmd.v (Cmd.info "faults" ~doc ~man)
     Term.(
       const run $ duration_arg $ seed_arg $ seu_mean $ scrub_period
       $ reconfig_prob $ flash_prob $ deadline $ max_retries $ backoff_term
       $ device_faults $ format_arg $ metrics_arg $ trace_out_arg
-      $ events_out_arg $ engine)
+      $ events_out_arg
+      $ engine_arg ~default:"rtlsim"
+          "Retrieval engine backing the manager's latency model during the \
+           campaign (default $(b,rtlsim)).")
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -812,7 +772,6 @@ let serve_cmd =
           };
         backoff;
         max_retries = retries;
-        min_availability;
         slo =
           Option.map
             (fun (availability, latency_us) ->
@@ -872,11 +831,7 @@ let serve_cmd =
              is byte-identical at any value.")
   in
   let engine =
-    Arg.(
-      value
-      & opt factory_conv "native"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Per-node retrieval engine (default $(b,native)).")
+    engine_arg ~default:"native" "Per-node retrieval engine (default $(b,native))."
   in
   let kill_frac =
     Arg.(
@@ -1087,20 +1042,14 @@ let profile_cmd =
          the full retrieval exceeds the budget.";
     ]
   in
-  let engine =
-    Arg.(
-      value
-      & opt factory_conv "rtlsim"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Cycle-reporting engine to profile (default $(b,rtlsim); \
-             $(b,netlist) also reports cycles).  Engines without a timing \
-             model are rejected.")
-  in
   Cmd.v (Cmd.info "profile" ~doc ~man)
     Term.(
       const run $ casebase_arg $ request_arg $ machine_config_term $ format_arg
-      $ max_cycles $ engine)
+      $ max_cycles
+      $ engine_arg ~default:"rtlsim"
+          "Cycle-reporting engine to profile (default $(b,rtlsim); \
+           $(b,netlist) also reports cycles).  Engines without a timing \
+           model are rejected.")
 
 (* --- export --------------------------------------------------------------------- *)
 
@@ -1170,43 +1119,42 @@ let export_cmd =
 (* --- lint ------------------------------------------------------------------------ *)
 
 let lint_cmd =
-  let run casebase request format cb_hex req_hex supp_base =
-    let diags =
-      match (cb_hex, req_hex) with
-      | Some cb_file, Some req_file ->
-          (* Raw mode: lint bare hex images, however corrupted. *)
-          let load_hex path =
-            or_die (Rtlgen.Memfiles.parse_hex (or_die (read_file path)))
-          in
-          let cb_mem = load_hex cb_file in
-          let req_mem = load_hex req_file in
-          let supplemental_base =
-            match supp_base with
-            | Some b -> b
-            | None ->
-                or_die
-                  (Error "--supp-base is required with --cb-hex/--req-hex")
-          in
-          Analysis.Driver.lint_raw ~cb_mem ~req_mem ~supplemental_base
-      | None, None ->
-          (* Scenario mode: encode the case base + request and run
-             every pass family, including the netlist IR passes and
-             the generated VHDL.  A scenario that does not encode is a
-             lint finding (exit 2), not a CLI failure. *)
-          let cb = or_die (load_casebase casebase) in
-          let req = or_die (load_request request) in
-          let vhdl =
-            match Rtlgen.Vhdl.project cb req with
-            | Ok files ->
-                List.map
-                  (fun (f : Rtlgen.Vhdl.file) ->
-                    (f.Rtlgen.Vhdl.filename, f.Rtlgen.Vhdl.contents))
-                  files
-            | Error _ -> []
-          in
-          Analysis.Driver.lint_scenario ~vhdl cb req
-      | _ -> or_die (Error "--cb-hex and --req-hex must be given together")
+  let ( let* ) = Result.bind in
+  (* An input that cannot be read or parsed is one error diagnostic in
+     the ordinary stream, so it exits 2 like any other lint error. *)
+  let input loc r =
+    Result.map_error
+      (fun m -> [ Analysis.Diagnostic.errorf ~pass:"input" ~loc "%s" m ])
+      r
+  in
+  (* Raw mode: lint bare hex images, however corrupted. *)
+  let raw cb_file req_file supplemental_base =
+    let load path =
+      input path (Result.bind (read_file path) Rtlgen.Memfiles.parse_hex)
     in
+    let* cb_mem = load cb_file in
+    let* req_mem = load req_file in
+    Ok (Analysis.Driver.lint_raw ~cb_mem ~req_mem ~supplemental_base)
+  in
+  (* Scenario mode: encode the case base + request and run every pass
+     family, including the netlist IR passes and the generated VHDL.  A
+     scenario that does not encode is a lint finding (exit 2), not a
+     CLI failure. *)
+  let scenario casebase request =
+    let* cb = input "casebase" (load_casebase casebase) in
+    let* req = input "request" (load_request request) in
+    let vhdl =
+      match Rtlgen.Vhdl.project cb req with
+      | Ok files ->
+          List.map
+            (fun (f : Rtlgen.Vhdl.file) ->
+              (f.Rtlgen.Vhdl.filename, f.Rtlgen.Vhdl.contents))
+            files
+      | Error _ -> []
+    in
+    Ok (Analysis.Driver.lint_scenario ~vhdl cb req)
+  in
+  let report format (Ok diags | Error diags) =
     (match format with
     | `Json -> print_string (Analysis.Diagnostic.to_json diags)
     | `Text ->
@@ -1217,6 +1165,15 @@ let lint_cmd =
           (Analysis.Diagnostic.errors diags)
           (Analysis.Diagnostic.warnings diags));
     exit (Analysis.Diagnostic.exit_code diags)
+  in
+  let run casebase request format cb_hex req_hex supp_base =
+    match (cb_hex, req_hex, supp_base) with
+    | Some cb_file, Some req_file, Some base ->
+        report format (raw cb_file req_file base)
+    | None, None, _ -> report format (scenario casebase request)
+    | Some _, Some _, None ->
+        Error "--supp-base is required with --cb-hex/--req-hex"
+    | _ -> Error "--cb-hex and --req-hex must be given together"
   in
   let cb_hex =
     Arg.(
@@ -1255,13 +1212,15 @@ let lint_cmd =
          conflicts, clock domains), and a lint of the generated VHDL.";
       `P
         "Exit status: 0 when clean (Info findings allowed), 1 when any \
-         warning was reported, 2 when any error was reported.";
+         warning was reported, 2 when any error was reported, including \
+         an input that cannot be read or parsed.";
     ]
   in
   Cmd.v (Cmd.info "lint" ~doc ~man)
     Term.(
-      const run $ casebase_arg $ request_arg $ format_arg $ cb_hex $ req_hex
-      $ supp_base)
+      term_result'
+        (const run $ casebase_arg $ request_arg $ format_arg $ cb_hex
+       $ req_hex $ supp_base))
 
 (* --- verify ---------------------------------------------------------------------- *)
 

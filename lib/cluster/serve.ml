@@ -1,22 +1,9 @@
 open Qos_core
 
-type slo_spec = {
-  slo_availability : float;
-  slo_latency_us : float;
-  slo_fast_window_us : float;
-  slo_slow_window_us : float;
-  slo_burn_threshold : float;
-}
+type slo_spec = { slo_availability : float; slo_latency_us : float }
 
 let default_slo ~availability ~latency_us =
-  let d = Obs.Slo.default_spec in
-  {
-    slo_availability = availability;
-    slo_latency_us = latency_us;
-    slo_fast_window_us = d.Obs.Slo.fast_window_us;
-    slo_slow_window_us = d.Obs.Slo.slow_window_us;
-    slo_burn_threshold = d.Obs.Slo.burn_threshold;
-  }
+  { slo_availability = availability; slo_latency_us = latency_us }
 
 type source = Pregenerated | Stream
 
@@ -39,14 +26,6 @@ type spec = {
   outage : Faults.Outages.spec;
   backoff : Faults.Backoff.policy;
   max_retries : int;
-  heartbeat_period_us : float;
-  suspect_phi : float;
-  down_phi : float;
-  breaker : Breaker.config;
-  connect_timeout_us : float;
-  min_service_us : float;
-  resync_rate : float;
-  min_availability : float;
   slo : slo_spec option;
   steal : Steal.policy;
   source : source;
@@ -56,6 +35,9 @@ type spec = {
 }
 
 let clock_mhz = 75.0
+let heartbeat_period_us = 500.0
+let min_service_us = 40.0
+let resync_rate = 0.01
 
 let default_spec () =
   let engine =
@@ -81,14 +63,6 @@ let default_spec () =
        to outlast a typical transient bounce plus the detector beat and
        the rejoin re-replication before answering degraded. *)
     max_retries = 5;
-    heartbeat_period_us = 500.0;
-    suspect_phi = 1.0;
-    down_phi = 3.0;
-    breaker = Breaker.default_config;
-    connect_timeout_us = 100.0;
-    min_service_us = 40.0;
-    resync_rate = 0.01;
-    min_availability = 0.99;
     slo = None;
     steal = Steal.default;
     source = Pregenerated;
@@ -97,13 +71,13 @@ let default_spec () =
     load_scale = 1.0;
   }
 
-type reason = Breaker_open | All_replicas_down | Saturated | Retries_exhausted
+type reason = Ladder.reason =
+  | Breaker_open
+  | All_replicas_down
+  | Saturated
+  | Retries_exhausted
 
-let reason_to_string = function
-  | Breaker_open -> "breaker-open"
-  | All_replicas_down -> "all-replicas-down"
-  | Saturated -> "saturated"
-  | Retries_exhausted -> "retries-exhausted"
+let reason_to_string = Ladder.reason_to_string
 
 let reason_index = function
   | Breaker_open -> 0
@@ -271,10 +245,10 @@ let compute_decisions sub (arrivals : (int * float * Request.t) array) ~jobs =
 
 (* --- sequential control phase ----------------------------------------------- *)
 
-let service_us (spec : spec) (d : Engine.decision) =
+let service_us (d : Engine.decision) =
   match d.Engine.cycles with
-  | Some c -> Float.max spec.min_service_us (float_of_int c /. clock_mhz)
-  | None -> spec.min_service_us
+  | Some c -> Float.max min_service_us (float_of_int c /. clock_mhz)
+  | None -> min_service_us
 
 (* Growable per-request storage, only populated when the spec retains
    requests; the streaming 1M+ bench runs with retention off so memory
@@ -297,80 +271,276 @@ module Vec = struct
   let to_array v = Array.sub v.data 0 v.len
 end
 
-(* The report's counters and the saturation gauge, written into the
-   registry once the run is over.  Only the latency, steal-latency and
-   replication-lag histograms record samples while it runs. *)
-let publish reg (r : report) ~failovers =
-  let count ?labels ~help name v =
-    Obs.Metrics.inc_by (Obs.Metrics.counter reg ?labels ~help name) v
-  in
-  List.iter
-    (fun (outcome, v) ->
-      count ~help:"Cluster requests by outcome"
-        ~labels:[ ("outcome", outcome) ]
-        "qosalloc_cluster_requests_total" v)
-    [ ("full", r.full); ("degraded", r.degraded); ("failed", r.failed) ];
-  count ~help:"Backoff rounds scheduled" "qosalloc_cluster_retries_total"
-    r.retries;
-  count ~help:"Heartbeats observed by the detector"
-    "qosalloc_cluster_heartbeats_total" r.heartbeats;
-  count ~help:"Steal attempts that found no victim with headroom"
-    "qosalloc_cluster_steal_denied_total" r.steal_denials;
-  List.iter
-    (fun ns ->
-      let labels = [ ("node", string_of_int ns.ns_node) ] in
-      let count = count ~labels in
-      count ~help:"Requests served at full QoS" "qosalloc_cluster_served_total"
-        ns.ns_served;
-      count ~help:"Requests shed from a saturated node"
-        "qosalloc_cluster_shed_total" ns.ns_shed;
-      count ~help:"Requests stolen onto this node as the victim"
-        "qosalloc_cluster_stolen_total" ns.ns_stolen;
-      count ~help:"Requests this overloaded node handed to a victim"
-        "qosalloc_cluster_donated_total" ns.ns_donated;
-      count ~help:"In-flight attempts failed over to a replica"
-        "qosalloc_cluster_failover_total" failovers.(ns.ns_node);
-      count ~help:"Circuit-breaker trips" "qosalloc_cluster_breaker_opens_total"
-        ns.ns_breaker_opens;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge reg ~labels
-           ~help:"Peak in-flight service fraction per node"
-           "qosalloc_cluster_node_saturation")
-        (float_of_int ns.ns_peak_inflight /. float_of_int ns.ns_slots))
-    r.per_node
+(* Every record a run makes goes through one observer, built once per
+   run from [?obs] and [spec.slo]: the event log (with the node and
+   breaker transition tracking), the request and attempt spans, the
+   latency, steal-latency and replication-lag histograms, the SLO
+   trackers and, at the end, the report's counters.  Without [?obs]
+   its sinks are the no-op ones and no hook builds a payload.  It
+   draws no PRNG value and reads no host clock. *)
+module Observer = struct
+  (* The SLO trackers live independently of [?obs]: [--slo] must move
+     the exit code even when nothing is exported. *)
+  type slo_tracker = {
+    st_slo : Obs.Slo.t;
+    st_name : string;
+    st_good : response -> float -> bool;  (* response, latency_us *)
+  }
 
-(* The SLO trackers live independently of [?obs]: [--slo] must move the
-   exit code even when nothing is exported. *)
-type slo_tracker = {
-  st_slo : Obs.Slo.t;
-  st_name : string;
-  st_good : response -> float -> bool;  (* response, latency_us *)
-}
+  type t = {
+    registry : Obs.Metrics.t option;
+    ev : Obs.Events.t;
+    observing : bool;
+    tracer : Obs.Tracer.t;
+    latency : Obs.Metrics.histogram option;
+    steal_latency : Obs.Metrics.histogram option;
+    lag : Obs.Metrics.histogram option;
+    slos : slo_tracker list;
+    (* Last observed detector verdict / breaker state per node, so the
+       event log carries transitions rather than a level sample per
+       tick.  Both start in their creation state. *)
+    last_health : Health.status array;
+    last_breaker : Breaker.state array;
+  }
 
-let make_slo_trackers (s : slo_spec) =
-  let mk name =
-    Obs.Slo.create
+  let slo_trackers (s : slo_spec) =
+    let mk name =
+      Obs.Slo.create
+        { Obs.Slo.default_spec with Obs.Slo.name; target = s.slo_availability }
+    in
+    [
       {
-        Obs.Slo.name;
-        target = s.slo_availability;
-        fast_window_us = s.slo_fast_window_us;
-        slow_window_us = s.slo_slow_window_us;
-        burn_threshold = s.slo_burn_threshold;
-        min_samples = Obs.Slo.default_spec.Obs.Slo.min_samples;
-      }
-  in
-  [
+        st_slo = mk "availability";
+        st_name = "availability";
+        st_good = (fun r _ -> match r with Full _ -> true | _ -> false);
+      };
+      {
+        st_slo = mk "latency";
+        st_name = "latency";
+        st_good = (fun _ lat -> lat <= s.slo_latency_us);
+      };
+    ]
+
+  let create ?obs ~nodes ~clock slo =
+    let ev, tracer =
+      match obs with
+      | Some o ->
+          Obs.Ctx.set_clock o clock;
+          (o.Obs.Ctx.events, o.Obs.Ctx.tracer)
+      | None -> (Obs.Events.noop (), Obs.Tracer.noop ())
+    in
+    let histogram ~help ~buckets name =
+      Option.map
+        (fun o -> Obs.Metrics.histogram o.Obs.Ctx.registry ~help ~buckets name)
+        obs
+    in
+    let latency =
+      histogram ~help:"Request latency, arrival to response (us)"
+        ~buckets:Obs.Metrics.latency_buckets_us "qosalloc_cluster_latency_us"
+    in
+    let steal_latency =
+      histogram ~help:"Latency of stolen requests, arrival to response (us)"
+        ~buckets:Obs.Metrics.latency_buckets_us
+        "qosalloc_cluster_steal_latency_us"
+    in
+    let lag =
+      histogram ~help:"Catch-up re-replication lag on rejoin (us)"
+        ~buckets:Obs.Metrics.lag_buckets_us
+        "qosalloc_cluster_replication_lag_us"
+    in
     {
-      st_slo = mk "availability";
-      st_name = "availability";
-      st_good = (fun r _ -> match r with Full _ -> true | _ -> false);
-    };
-    {
-      st_slo = mk "latency";
-      st_name = "latency";
-      st_good = (fun _ lat -> lat <= s.slo_latency_us);
-    };
-  ]
+      registry = Option.map (fun o -> o.Obs.Ctx.registry) obs;
+      ev;
+      observing = Obs.Events.enabled ev;
+      tracer;
+      latency;
+      steal_latency;
+      lag;
+      slos = Option.fold ~none:[] ~some:slo_trackers slo;
+      last_health = Array.make nodes Health.Up;
+      last_breaker = Array.make nodes Breaker.Closed;
+    }
+
+  let observe h v = match h with Some h -> Obs.Metrics.observe h v | None -> ()
+
+  (* Log a node's state only when it differs from the last one seen. *)
+  let track t last ~node ~at st kind =
+    if st <> last.(node) then begin
+      Obs.Events.record t.ev ~ts:at ~node (kind last.(node) st);
+      last.(node) <- st
+    end
+
+  let health t detector ~node ~at =
+    if t.observing then
+      track t t.last_health ~node ~at (Health.status detector ~node ~at)
+        (fun prev next ->
+          Obs.Events.Node_transition
+            {
+              prev = Health.status_to_string prev;
+              next = Health.status_to_string next;
+            })
+
+  (* A breaker changes state on marks but also by cooldown expiry, so
+     the ladder reports every point where it consults or marks one. *)
+  let breaker t b ~node ~at =
+    if t.observing then
+      track t t.last_breaker ~node ~at (Breaker.state b ~at) (fun prev next ->
+          Obs.Events.Breaker_transition
+            {
+              prev = Breaker.state_to_string prev;
+              next = Breaker.state_to_string next;
+            })
+
+  let rejoin t ~node ~lag ~at =
+    if t.observing then
+      Obs.Events.record t.ev ~ts:at ~node
+        (Obs.Events.Node_rejoin { resync_lag_us = lag });
+    observe t.lag lag
+
+  let admitted t idx ~app ~type_id ~at =
+    if t.observing then
+      Obs.Events.record t.ev ~ts:at ~request:idx
+        (Obs.Events.Request_admitted { app; type_id })
+
+  let retry t idx ~attempt ~delay ~at =
+    if t.observing then
+      Obs.Events.record t.ev ~ts:at ~request:idx
+        (Obs.Events.Request_retry { attempt; delay_us = delay })
+
+  (* A steal grant, or a denial when no victim had headroom. *)
+  let steal t idx ~node pick ~at =
+    if t.observing then begin
+      let to_node, scope =
+        match pick with
+        | Some p -> (Some p.Steal.victim, Steal.scope_to_string p.Steal.scope)
+        | None -> (None, "denied")
+      in
+      Obs.Events.record t.ev ~ts:at ~request:idx ~node
+        (Obs.Events.Request_steal { from_node = node; to_node; scope })
+    end
+
+  let shed t idx ~node ~at =
+    if t.observing then
+      Obs.Events.record t.ev ~ts:at ~request:idx ~node
+        (Obs.Events.Request_shed { at_node = node })
+
+  let attempt_span t idx ~node ~since ~at outcome =
+    if Obs.Tracer.enabled t.tracer then
+      Obs.Tracer.complete t.tracer ~ts:since ~dur:(at -. since)
+        ~args:
+          [
+            ("request", string_of_int idx);
+            ("node", string_of_int node);
+            ("outcome", outcome);
+          ]
+        "attempt"
+
+  let served t idx ~node ~stolen ~t0 ~since ~at =
+    if stolen then observe t.steal_latency (at -. t0);
+    attempt_span t idx ~node ~since ~at "ok"
+
+  let failover t idx ~node ~since ~at =
+    if t.observing then
+      Obs.Events.record t.ev ~ts:at ~request:idx ~node
+        (Obs.Events.Request_failover { from_node = node });
+    attempt_span t idx ~node ~since ~at "failover"
+
+  let responded t idx ~app ~t0 ~at r =
+    let lat = at -. t0 in
+    if t.observing then begin
+      let node, kind =
+        match r with
+        | Full { node; decision } ->
+            ( Some node,
+              Obs.Events.Request_completed
+                {
+                  at_node = node;
+                  impl_id = decision.Engine.impl_id;
+                  latency_us = lat;
+                } )
+        | Degraded { stale_impl; reason } ->
+            ( None,
+              Obs.Events.Request_degraded
+                { reason = reason_to_string reason; stale_impl } )
+        | Failed msg -> (None, Obs.Events.Request_failed { error = msg })
+      in
+      Obs.Events.record t.ev ~ts:at ~request:idx ?node kind
+    end;
+    observe t.latency lat;
+    (* Overlapping requests forbid B/E nesting; X events carry their
+       own extent and Perfetto nests them by time containment. *)
+    if Obs.Tracer.enabled t.tracer then
+      Obs.Tracer.complete t.tracer ~ts:t0 ~dur:lat
+        ~args:
+          [
+            ("request", string_of_int idx);
+            ("app", app);
+            ("outcome", response_tag r);
+          ]
+        "request";
+    List.iter
+      (fun st ->
+        match Obs.Slo.record st.st_slo ~at ~good:(st.st_good r lat) with
+        | Some al when t.observing ->
+            Obs.Events.record t.ev ~ts:at
+              (Obs.Events.Slo_alert
+                 {
+                   objective = st.st_name;
+                   state = Obs.Slo.transition_to_string al.Obs.Slo.al_transition;
+                   burn_fast = al.Obs.Slo.al_burn_fast;
+                   burn_slow = al.Obs.Slo.al_burn_slow;
+                 })
+        | Some _ | None -> ())
+      t.slos
+
+  let slo_reports t ~at =
+    List.map (fun st -> Obs.Slo.report st.st_slo ~at) t.slos
+
+  (* The report's counters and the saturation gauge, written into the
+     registry once the run is over.  Only the histograms record
+     samples while it runs. *)
+  let publish t (r : report) ~failovers =
+    match t.registry with
+    | None -> ()
+    | Some reg ->
+        let count ?labels ~help name v =
+          Obs.Metrics.inc_by (Obs.Metrics.counter reg ?labels ~help name) v
+        in
+        List.iter
+          (fun (outcome, v) ->
+            count ~help:"Cluster requests by outcome"
+              ~labels:[ ("outcome", outcome) ]
+              "qosalloc_cluster_requests_total" v)
+          [ ("full", r.full); ("degraded", r.degraded); ("failed", r.failed) ];
+        count ~help:"Backoff rounds scheduled" "qosalloc_cluster_retries_total"
+          r.retries;
+        count ~help:"Heartbeats observed by the detector"
+          "qosalloc_cluster_heartbeats_total" r.heartbeats;
+        count ~help:"Steal attempts that found no victim with headroom"
+          "qosalloc_cluster_steal_denied_total" r.steal_denials;
+        List.iter
+          (fun ns ->
+            let labels = [ ("node", string_of_int ns.ns_node) ] in
+            let count = count ~labels in
+            count ~help:"Requests served at full QoS"
+              "qosalloc_cluster_served_total" ns.ns_served;
+            count ~help:"Requests shed from a saturated node"
+              "qosalloc_cluster_shed_total" ns.ns_shed;
+            count ~help:"Requests stolen onto this node as the victim"
+              "qosalloc_cluster_stolen_total" ns.ns_stolen;
+            count ~help:"Requests this overloaded node handed to a victim"
+              "qosalloc_cluster_donated_total" ns.ns_donated;
+            count ~help:"In-flight attempts failed over to a replica"
+              "qosalloc_cluster_failover_total" failovers.(ns.ns_node);
+            count ~help:"Circuit-breaker trips"
+              "qosalloc_cluster_breaker_opens_total" ns.ns_breaker_opens;
+            Obs.Metrics.set
+              (Obs.Metrics.gauge reg ~labels
+                 ~help:"Peak in-flight service fraction per node"
+                 "qosalloc_cluster_node_saturation")
+              (float_of_int ns.ns_peak_inflight /. float_of_int ns.ns_slots))
+          r.per_node
+end
 
 let run ?obs (spec : spec) =
   let ( let* ) = Result.bind in
@@ -392,55 +562,16 @@ let run ?obs (spec : spec) =
     Array.init spec.nodes (fun node ->
         Faults.Outages.down_table events ~duration_us:Float.infinity ~node)
   in
-  let is_down node t = Faults.Outages.is_down down.(node) t in
-  let next_failure node t s =
-    if is_down node t then Some (t +. spec.connect_timeout_us)
-    else
-      match Faults.Outages.next_down down.(node) t with
-      | Some lo as next when lo <= t +. s -> next
-      | Some _ | None -> None
-  in
   let sim = Desim.Engine.create () in
-  (match obs with
-  | Some o -> Obs.Ctx.set_clock o (fun () -> Desim.Engine.now sim)
-  | None -> ());
-  let ev =
-    match obs with Some o -> o.Obs.Ctx.events | None -> Obs.Events.noop ()
+  let o =
+    Observer.create ?obs ~nodes:spec.nodes
+      ~clock:(fun () -> Desim.Engine.now sim)
+      spec.slo
   in
-  let tracer =
-    match obs with Some o -> o.Obs.Ctx.tracer | None -> Obs.Tracer.noop ()
-  in
-  let histogram ~help ~buckets name =
-    Option.map
-      (fun o -> Obs.Metrics.histogram o.Obs.Ctx.registry ~help ~buckets name)
-      obs
-  in
-  let observe h v =
-    match h with Some h -> Obs.Metrics.observe h v | None -> ()
-  in
-  let latency_h =
-    histogram ~help:"Request latency, arrival to response (us)"
-      ~buckets:Obs.Metrics.latency_buckets_us "qosalloc_cluster_latency_us"
-  in
-  let steal_latency_h =
-    histogram ~help:"Latency of stolen requests, arrival to response (us)"
-      ~buckets:Obs.Metrics.latency_buckets_us
-      "qosalloc_cluster_steal_latency_us"
-  in
-  let lag_h =
-    histogram ~help:"Catch-up re-replication lag on rejoin (us)"
-      ~buckets:Obs.Metrics.lag_buckets_us "qosalloc_cluster_replication_lag_us"
-  in
-  let observing = Obs.Events.enabled ev in
-  let slos = match spec.slo with None -> [] | Some s -> make_slo_trackers s in
   let detector =
-    Health.create ~period_us:spec.heartbeat_period_us
-      ~suspect_phi:spec.suspect_phi ~down_phi:spec.down_phi ~nodes:spec.nodes
-      ()
+    Health.create ~period_us:heartbeat_period_us ~nodes:spec.nodes ()
   in
-  let breakers =
-    Array.init spec.nodes (fun _ -> Breaker.create ~config:spec.breaker ())
-  in
+  let breakers = Array.init spec.nodes (fun _ -> Breaker.create ()) in
   let served = Array.make spec.nodes 0 in
   let shed = Array.make spec.nodes 0 in
   let stolen = Array.make spec.nodes 0 in
@@ -448,28 +579,6 @@ let run ?obs (spec : spec) =
   let failovers = Array.make spec.nodes 0 in
   let resync_until = Array.make spec.nodes 0.0 in
   let resyncs = Array.make spec.nodes 0 in
-  (* Last observed detector verdict / breaker state per node, so the
-     event log carries transitions rather than a level sample per
-     tick.  Both start in their creation state. *)
-  let last_health = Array.make spec.nodes Health.Up in
-  let last_breaker = Array.make spec.nodes Breaker.Closed in
-  (* Breaker state changes on marks but also by cooldown expiry, so
-     transitions are detected by observation: call at every point the
-     ladder consults or updates a breaker. *)
-  let sync_breaker node ~at =
-    if observing then begin
-      let st = Breaker.state breakers.(node) ~at in
-      if st <> last_breaker.(node) then begin
-        Obs.Events.record ev ~ts:at ~node
-          (Obs.Events.Breaker_transition
-             {
-               prev = Breaker.state_to_string last_breaker.(node);
-               next = Breaker.state_to_string st;
-             });
-        last_breaker.(node) <- st
-      end
-    end
-  in
   let heartbeats = ref 0 in
   let retries = ref 0 in
   let steal_denials = ref 0 in
@@ -503,32 +612,21 @@ let run ?obs (spec : spec) =
   (* Heartbeat scans: every live node beats; dead nodes miss and their
      phi accrues. *)
   let rec scan k _e =
-    let t = float_of_int k *. spec.heartbeat_period_us in
+    let t = float_of_int k *. heartbeat_period_us in
     Array.iteri
-      (fun node _ ->
-        if not (is_down node t) then begin
+      (fun node d ->
+        if not (Faults.Outages.is_down d t) then begin
           Health.beat detector ~node ~at:t;
           incr heartbeats
         end;
-        if observing then begin
-          let st = Health.status detector ~node ~at:t in
-          if st <> last_health.(node) then begin
-            Obs.Events.record ev ~ts:t ~node
-              (Obs.Events.Node_transition
-                 {
-                   prev = Health.status_to_string last_health.(node);
-                   next = Health.status_to_string st;
-                 });
-            last_health.(node) <- st
-          end
-        end)
-      served;
-    let next = float_of_int (k + 1) *. spec.heartbeat_period_us in
+        Observer.health o detector ~node ~at:t)
+      down;
+    let next = float_of_int (k + 1) *. heartbeat_period_us in
     if next <= spec.duration_us then
       Desim.Engine.schedule_at sim ~time:next (scan (k + 1))
   in
-  if spec.heartbeat_period_us <= spec.duration_us then
-    Desim.Engine.schedule_at sim ~time:spec.heartbeat_period_us (scan 1);
+  if heartbeat_period_us <= spec.duration_us then
+    Desim.Engine.schedule_at sim ~time:heartbeat_period_us (scan 1);
   (* Rejoin after a transient outage: the node re-replicates what it
      missed before taking traffic again. *)
   Array.iteri
@@ -538,25 +636,40 @@ let run ?obs (spec : spec) =
           if Float.is_finite hi then
             Desim.Engine.schedule_at sim ~time:hi (fun _ ->
                 let entries = (Substrate.node sub node).Substrate.entries in
-                let lag = float_of_int entries /. spec.resync_rate in
+                let lag = float_of_int entries /. resync_rate in
                 resync_until.(node) <- hi +. lag;
                 resyncs.(node) <- resyncs.(node) + 1;
-                if observing then
-                  Obs.Events.record ev ~ts:hi ~node
-                    (Obs.Events.Node_rejoin { resync_lag_us = lag });
-                observe lag_h lag))
+                Observer.rejoin o ~node ~lag ~at:hi))
         d.Faults.Outages.ends)
     down;
-  (* Per-request degradation ladder. *)
+  (* What the ladder sees of a node at [now], for a round that queries
+     the detector at [tq]; the observer notes the breaker state it
+     read. *)
+  let view ~now ~tq node =
+    let b = breakers.(node) in
+    Observer.breaker o b ~node ~at:now;
+    {
+      Ladder.status = Health.status detector ~node ~at:tq;
+      resyncing = now < resync_until.(node);
+      admits = Breaker.allows b ~at:now;
+    }
+  in
+  let members = Substrate.members sub in
+  let load node = Substrate.load sub ~node in
+  let draw () = Faults.Injector.uniform retry_inj in
+  let deny idx ~node ~at =
+    incr steal_denials;
+    Observer.steal o idx ~node None ~at
+  in
+  let next_step = Ladder.next spec.backoff ~max_retries:spec.max_retries ~draw in
+  (* Per-request degradation ladder: the rungs decide, this applies. *)
   let start_request idx ~app ~t0 ~(request : Request.t) ~decision =
     let type_id = request.Request.type_id in
     if retain then begin
       Vec.push outcomes None;
       Vec.push meta (app, type_id, t0)
     end;
-    if observing then
-      Obs.Events.record ev ~ts:t0 ~request:idx
-        (Obs.Events.Request_admitted { app; type_id });
+    Observer.admitted o idx ~app ~type_id ~at:t0;
     let respond r =
       let now = Desim.Engine.now sim in
       if retain then Vec.set outcomes idx (retained r);
@@ -565,230 +678,86 @@ let run ?obs (spec : spec) =
       lat_sum := !lat_sum +. lat;
       if lat > !lat_max then lat_max := lat;
       (match r with
-      | Full { node; decision } ->
-          incr full_c;
-          if observing then
-            Obs.Events.record ev ~ts:now ~request:idx ~node
-              (Obs.Events.Request_completed
-                 {
-                   at_node = node;
-                   impl_id = decision.Engine.impl_id;
-                   latency_us = lat;
-                 })
-      | Degraded { stale_impl; reason } ->
+      | Full _ -> incr full_c
+      | Degraded { reason; _ } ->
           incr degraded_c;
-          reason_counts.(reason_index reason) <-
-            reason_counts.(reason_index reason) + 1;
-          if observing then
-            Obs.Events.record ev ~ts:now ~request:idx
-              (Obs.Events.Request_degraded
-                 { reason = reason_to_string reason; stale_impl })
-      | Failed msg ->
-          incr failed_c;
-          if observing then
-            Obs.Events.record ev ~ts:now ~request:idx
-              (Obs.Events.Request_failed { error = msg }));
-      observe latency_h lat;
-      (* Overlapping requests forbid B/E nesting; X events carry their
-         own extent and Perfetto nests them by time containment. *)
-      if Obs.Tracer.enabled tracer then
-        Obs.Tracer.complete tracer ~ts:t0 ~dur:lat
-          ~args:
-            [
-              ("request", string_of_int idx);
-              ("app", app);
-              ("outcome", response_tag r);
-            ]
-          "request";
-      List.iter
-        (fun st ->
-          match
-            Obs.Slo.record st.st_slo ~at:now ~good:(st.st_good r lat)
-          with
-          | None -> ()
-          | Some al ->
-              if observing then
-                Obs.Events.record ev ~ts:now
-                  (Obs.Events.Slo_alert
-                     {
-                       objective = st.st_name;
-                       state =
-                         Obs.Slo.transition_to_string
-                           al.Obs.Slo.al_transition;
-                       burn_fast = al.Obs.Slo.al_burn_fast;
-                       burn_slow = al.Obs.Slo.al_burn_slow;
-                     }))
-        slos
+          let i = reason_index reason in
+          reason_counts.(i) <- reason_counts.(i) + 1
+      | Failed _ -> incr failed_c);
+      Observer.responded o idx ~app ~t0 ~at:now r
     in
     match decision with
     | Error e -> respond (Failed (Engine.error_to_string e))
     | Ok decision ->
         let replicas = Substrate.replicas_for sub ~type_id in
+        let holds node = Substrate.holds sub ~node ~type_id in
         let rec round attempt _e =
           let now = Desim.Engine.now sim in
           let tq = query_time now in
-          let saw_breaker = ref false in
-          let saw_down = ref false in
-          let saw_saturated = ref false in
-          (* Skip detector-down / re-syncing / breaker-open replicas;
-             suspects stay eligible but go to the back of the line. *)
-          let ups, suspects =
-            List.fold_left
-              (fun (ups, sus) node ->
-                sync_breaker node ~at:now;
-                match Health.status detector ~node ~at:tq with
-                | Health.Down ->
-                    saw_down := true;
-                    (ups, sus)
-                | _ when now < resync_until.(node) ->
-                    saw_down := true;
-                    (ups, sus)
-                | _ when not (Breaker.allows breakers.(node) ~at:now) ->
-                    saw_breaker := true;
-                    (ups, sus)
-                | Health.Suspect -> (ups, node :: sus)
-                | Health.Up -> (node :: ups, sus))
-              ([], []) replicas
-          in
-          let candidates = List.rev ups @ List.rev suspects in
-          let rec try_candidates = function
-            | [] ->
-                if attempt < spec.max_retries then begin
-                  incr retries;
-                  let u =
-                    if spec.backoff.Faults.Backoff.jitter > 0.0 then
-                      Faults.Injector.uniform retry_inj
-                    else 0.5
-                  in
-                  let delay = Faults.Backoff.delay spec.backoff ~attempt ~u in
-                  if observing then
-                    Obs.Events.record ev ~ts:(Desim.Engine.now sim)
-                      ~request:idx
-                      (Obs.Events.Request_retry { attempt; delay_us = delay });
-                  Desim.Engine.schedule sim ~delay (round (attempt + 1))
-                end
-                else
-                  let reason =
-                    if !saw_saturated then Saturated
-                    else if !saw_breaker then Breaker_open
-                    else if !saw_down then All_replicas_down
-                    else Retries_exhausted
-                  in
-                  respond
-                    (Degraded
-                       { stale_impl = Some decision.Engine.impl_id; reason })
-            | node :: rest -> dispatch node rest
-          (* Serve on [node] (possibly a steal victim); on an outage
-             mid-flight, fail over to the remaining candidates. *)
-          and execute ~node ~stolen rest =
-            let now = Desim.Engine.now sim in
-            (match Breaker.state breakers.(node) ~at:now with
-            | Breaker.Half_open -> Breaker.mark_probe breakers.(node)
-            | _ -> ());
-            Substrate.acquire sub ~node;
-            let s =
-              service_us spec decision
-              +.
-              match stolen with
-              | Some p when p.Steal.resync ->
-                  spec.steal.Steal.transfer_penalty_us
-              | _ -> 0.0
-            in
-            let attempt_span outcome ~until =
-              if Obs.Tracer.enabled tracer then
-                Obs.Tracer.complete tracer ~ts:now ~dur:(until -. now)
-                  ~args:
-                    [
-                      ("request", string_of_int idx);
-                      ("node", string_of_int node);
-                      ("outcome", outcome);
-                    ]
-                  "attempt"
-            in
-            match next_failure node now s with
-            | None ->
-                Desim.Engine.schedule sim ~delay:s (fun _ ->
-                    let tdone = Desim.Engine.now sim in
-                    Substrate.release sub ~node;
-                    Breaker.record_success breakers.(node) ~at:tdone;
-                    sync_breaker node ~at:tdone;
-                    served.(node) <- served.(node) + 1;
-                    if Option.is_some stolen then
-                      observe steal_latency_h (tdone -. t0);
-                    attempt_span "ok" ~until:tdone;
-                    respond (Full { node; decision }))
-            | Some tf ->
-                (* The outage kills this attempt in flight: fail
-                   over to the next replica at the failure time. *)
-                Desim.Engine.schedule_at sim ~time:tf (fun _ ->
-                    Substrate.release sub ~node;
-                    Breaker.record_failure breakers.(node) ~at:tf;
-                    sync_breaker node ~at:tf;
-                    failovers.(node) <- failovers.(node) + 1;
-                    if observing then
-                      Obs.Events.record ev ~ts:tf ~request:idx ~node
-                        (Obs.Events.Request_failover { from_node = node });
-                    attempt_span "failover" ~until:tf;
-                    try_candidates rest)
-          and dispatch node rest =
-            let now = Desim.Engine.now sim in
-            let inflight_n, slots = Substrate.load sub ~node in
-            let steal_pick =
-              if
-                spec.steal.Steal.enabled
-                && Steal.overloaded spec.steal ~inflight:inflight_n ~slots
-              then begin
-                let eligible v =
-                  sync_breaker v ~at:now;
-                  Health.status detector ~node:v ~at:tq = Health.Up
-                  && now >= resync_until.(v)
-                  && Breaker.allows breakers.(v) ~at:now
-                in
-                let pick =
-                  Steal.select spec.steal ~salt:idx ~donor:node ~replicas
-                    ~members:(Substrate.members sub) ~eligible
-                    ~load:(fun v -> Substrate.load sub ~node:v)
-                    ~holds:(fun v -> Substrate.holds sub ~node:v ~type_id)
-                in
-                (match pick with
-                | Some p ->
-                    incr steals;
-                    donated.(node) <- donated.(node) + 1;
-                    stolen.(p.Steal.victim) <- stolen.(p.Steal.victim) + 1;
-                    if observing then
-                      Obs.Events.record ev ~ts:now ~request:idx ~node
-                        (Obs.Events.Request_steal
-                           {
-                             from_node = node;
-                             to_node = Some p.Steal.victim;
-                             scope = Steal.scope_to_string p.Steal.scope;
-                           })
-                | None ->
-                    incr steal_denials;
-                    if observing then
-                      Obs.Events.record ev ~ts:now ~request:idx ~node
-                        (Obs.Events.Request_steal
-                           { from_node = node; to_node = None; scope = "denied" }));
-                pick
-              end
-              else None
-            in
-            match steal_pick with
-            | Some p -> execute ~node:p.Steal.victim ~stolen:(Some p) rest
-            | None ->
-                if inflight_n >= slots then begin
-                  (* Saturated: shed towards the next replica instead
-                     of queueing behind the full node. *)
-                  saw_saturated := true;
+          advance ~tq (Ladder.round ~attempt ~view:(view ~now ~tq) replicas)
+        and advance ~tq w =
+          let now = Desim.Engine.now sim in
+          match next_step w with
+          | Ladder.Retry delay ->
+              incr retries;
+              Observer.retry o idx ~attempt:w.Ladder.attempt ~delay ~at:now;
+              Desim.Engine.schedule sim ~delay (round (w.Ladder.attempt + 1))
+          | Ladder.Degrade reason ->
+              respond
+                (Degraded { stale_impl = Some decision.Engine.impl_id; reason })
+          | Ladder.Try (node, w) -> (
+              match
+                Ladder.place spec.steal ~salt:idx ~node ~replicas ~members
+                  ~view:(view ~now ~tq) ~load ~holds
+              with
+              | Ladder.Steal p ->
+                  incr steals;
+                  donated.(node) <- donated.(node) + 1;
+                  stolen.(p.Steal.victim) <- stolen.(p.Steal.victim) + 1;
+                  Observer.steal o idx ~node (Some p) ~at:now;
+                  execute ~tq w ~node:p.Steal.victim ~stolen:(Some p)
+              | Ladder.Serve { denied } ->
+                  if denied then deny idx ~node ~at:now;
+                  execute ~tq w ~node ~stolen:None
+              | Ladder.Shed { denied } ->
+                  if denied then deny idx ~node ~at:now;
                   shed.(node) <- shed.(node) + 1;
-                  if observing then
-                    Obs.Events.record ev ~ts:now ~request:idx ~node
-                      (Obs.Events.Request_shed { at_node = node });
-                  try_candidates rest
-                end
-                else execute ~node ~stolen:None rest
+                  Observer.shed o idx ~node ~at:now;
+                  advance ~tq (Ladder.shed w))
+        and execute ~tq w ~node ~stolen =
+          let now = Desim.Engine.now sim in
+          let b = breakers.(node) in
+          if Ladder.claims_probe (Breaker.state b ~at:now) then
+            Breaker.mark_probe b;
+          Substrate.acquire sub ~node;
+          let s =
+            service_us decision
+            +.
+            match stolen with
+            | Some p when p.Steal.resync -> spec.steal.Steal.transfer_penalty_us
+            | _ -> 0.0
           in
-          try_candidates candidates
+          match Ladder.kill_time down.(node) ~at:now ~service_us:s with
+          | None ->
+              Desim.Engine.schedule sim ~delay:s (fun _ ->
+                  let tdone = Desim.Engine.now sim in
+                  Substrate.release sub ~node;
+                  Breaker.record_success b ~at:tdone;
+                  Observer.breaker o b ~node ~at:tdone;
+                  served.(node) <- served.(node) + 1;
+                  Observer.served o idx ~node ~stolen:(Option.is_some stolen)
+                    ~t0 ~since:now ~at:tdone;
+                  respond (Full { node; decision }))
+          | Some tf ->
+              (* The outage kills this attempt in flight: fail over to
+                 the next candidate at the failure time. *)
+              Desim.Engine.schedule_at sim ~time:tf (fun _ ->
+                  Substrate.release sub ~node;
+                  Breaker.record_failure b ~at:tf;
+                  Observer.breaker o b ~node ~at:tf;
+                  failovers.(node) <- failovers.(node) + 1;
+                  Observer.failover o idx ~node ~since:now ~at:tf;
+                  advance ~tq w)
         in
         round 0 sim
   in
@@ -873,9 +842,6 @@ let run ?obs (spec : spec) =
         })
   in
   let end_ts = Float.max spec.duration_us (Desim.Engine.now sim) in
-  let slo_reports =
-    List.map (fun st -> Obs.Slo.report st.st_slo ~at:end_ts) slos
-  in
   let outcomes_arr =
     if retain then
       Array.map
@@ -916,10 +882,10 @@ let run ?obs (spec : spec) =
       latency = Workload.Stats.finalize lat_acc;
       outcomes = outcomes_arr;
       request_meta = Vec.to_array meta;
-      slo = slo_reports;
+      slo = Observer.slo_reports o ~at:end_ts;
     }
   in
-  Option.iter (fun o -> publish o.Obs.Ctx.registry report ~failovers) obs;
+  Observer.publish o report ~failovers;
   Ok report
 
 (* --- rendering -------------------------------------------------------------- *)

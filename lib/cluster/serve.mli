@@ -30,26 +30,34 @@
     {b Control} replays the run on a single discrete-event clock:
     heartbeats feed the {!Health} detector, outages and rejoins (with
     catch-up re-replication lag) come from the seeded schedule, and
-    each request walks the degradation ladder — skip detector-down /
-    breaker-open / re-syncing replicas, deprioritise suspects, steal
-    from an overloaded node to a less-loaded victim ({!Steal}), shed
-    from saturated nodes, fail over in-flight work killed by an
-    outage, back off with capped jittered retries, and finally answer
-    {e degraded} with the stale decision rather than fail.  Every
-    control decision happens in deterministic event order, so the
-    end-of-run report is byte-identical for a fixed seed at any
-    [jobs] and for either arrival source. *)
+    each request walks the degradation ladder of {!Ladder} — skip
+    detector-down / breaker-open / re-syncing replicas, deprioritise
+    suspects, steal from an overloaded node to a less-loaded victim
+    ({!Steal}), shed from saturated nodes, fail over in-flight work
+    killed by an outage, back off with capped jittered retries, and
+    finally answer {e degraded} with the stale decision rather than
+    fail.  The rungs decide; [run] applies their answers — scheduling,
+    slot accounting, breaker marks and counters — and hands every
+    record to one observer.  Every control decision happens in
+    deterministic event order, so the end-of-run report is
+    byte-identical for a fixed seed at any [jobs] and for either
+    arrival source.
+
+    The detector, breaker, connect-timeout, resync and service-floor
+    values are fixed constants: heartbeats every
+    {!heartbeat_period_us}, {!Health.create}'s phi thresholds (suspect
+    at 1, down at 3), {!Breaker.default_config},
+    {!Ladder.connect_timeout_us}, {!resync_rate} and
+    {!min_service_us}. *)
 
 type slo_spec = {
   slo_availability : float;  (** Target fraction, shared by both objectives. *)
   slo_latency_us : float;  (** A response slower than this is a bad event. *)
-  slo_fast_window_us : float;
-  slo_slow_window_us : float;
-  slo_burn_threshold : float;
 }
+(** Both objectives use the windows and burn threshold of
+    {!Obs.Slo.default_spec}. *)
 
 val default_slo : availability:float -> latency_us:float -> slo_spec
-(** Windows and burn threshold from {!Obs.Slo.default_spec}. *)
 
 type source =
   | Pregenerated
@@ -75,18 +83,7 @@ type spec = {
   casebase : Qos_core.Casebase.t;
   outage : Faults.Outages.spec;
   backoff : Faults.Backoff.policy;
-  max_retries : int;
-  heartbeat_period_us : float;
-  suspect_phi : float;
-  down_phi : float;
-  breaker : Breaker.config;
-  connect_timeout_us : float;
-      (** Cost of an attempt routed to a dead-but-undetected node. *)
-  min_service_us : float;
-      (** Service-time floor for engines without a cycle model. *)
-  resync_rate : float;
-      (** Catch-up re-replication rate on rejoin, entries per us. *)
-  min_availability : float;  (** Verdict threshold (full / total). *)
+  max_retries : int;  (** Backoff rounds before answering degraded. *)
   slo : slo_spec option;
       (** When set, an availability and a latency objective are tracked
           over the run with multi-window burn-rate alerting; a missed
@@ -114,15 +111,31 @@ type spec = {
 }
 
 val default_spec : unit -> spec
-(** 200 ms, seed 42, 6 nodes in 3 fault domains, replication 3, the
-    four standard applications against the reference case base on the
-    [native] engine, no outages, [Faults.Backoff.default] with 5
-    retries (a ~6 ms envelope, sized to outlast a typical transient
-    bounce plus detector recovery and rejoin re-replication), a 99%
-    availability floor, stealing disabled, pregenerated source,
-    retention on, load scale 1. *)
+(** 200 ms, seed 42, 6 nodes in 3 fault domains, replication 3, 64
+    virtual nodes, one decision domain, the four standard applications
+    against the reference case base on the [native] engine, no
+    outages, [Faults.Backoff.default] with 5 retries (a ~6 ms
+    envelope, sized to outlast a typical transient bounce plus
+    detector recovery and rejoin re-replication), no SLO, stealing
+    disabled, pregenerated source, retention on, load scale 1. *)
 
-type reason = Breaker_open | All_replicas_down | Saturated | Retries_exhausted
+val heartbeat_period_us : float
+(** 500 us: every live node beats at this period, and the detector
+    expects it. *)
+
+val min_service_us : float
+(** 40 us: the service-time floor of an attempt, and the whole service
+    time on an engine without a cycle model. *)
+
+val resync_rate : float
+(** 0.01 entries per us: the catch-up re-replication rate of a node
+    rejoining after a transient outage. *)
+
+type reason = Ladder.reason =
+  | Breaker_open
+  | All_replicas_down
+  | Saturated
+  | Retries_exhausted
 
 val reason_to_string : reason -> string
 
@@ -210,11 +223,12 @@ val workload : spec -> (string * float * Qos_core.Request.t) array
     bench harness. *)
 
 val run : ?obs:Obs.Ctx.t -> spec -> (report, string) result
-(** With [obs], the request-latency, steal-latency and replication-lag
-    histograms record each sample at the sim-time it happens.  The
-    counters — requests by outcome, retries, heartbeats, steal
-    denials, and per node served / shed / stolen / donated / failover
-    / breaker opens — and the per-node saturation gauge
+(** Every in-run record goes through one observer built from [obs] and
+    [spec.slo].  With [obs], the request-latency, steal-latency and
+    replication-lag histograms record each sample at the sim-time it
+    happens.  The counters — requests by outcome, retries, heartbeats,
+    steal denials, and per node served / shed / stolen / donated /
+    failover / breaker opens — and the per-node saturation gauge
     ([peak_inflight / slots]) are the report's own figures, written
     into the registry once at the end of the run.  The control phase
     also records the request life cycle — including every steal and
@@ -223,9 +237,9 @@ val run : ?obs:Obs.Ctx.t -> spec -> (report, string) result
     request plus one per attempt hop into its tracer; the context's
     clock follows the control engine.  All of it happens in the
     sequential control phase, so every export is byte-identical at any
-    [jobs] and for either source.  Instrumentation never touches the
-    PRNG or injector streams, so the report is identical with or
-    without it. *)
+    [jobs] and for either source.  The observer draws no PRNG value
+    and reads no host clock, so the report is identical with or
+    without it; without [obs] and [spec.slo] it builds no payload. *)
 
 val results_to_string : report -> string
 (** Canonical plain-text rendering: run header, totals, latency

@@ -44,19 +44,27 @@ let tokenize_line line =
 
 (* --- Parser ----------------------------------------------------------- *)
 
+(* Each builder keeps its header line: a block the core constructors
+   refuse is reported there, not where it happens to close. *)
 type impl_builder = {
+  impl_line : int;
   impl_id : int;
   target : Target.t;
   rev_attrs : (int * int) list;
 }
 
 type type_builder = {
+  type_line : int;
   type_id : int;
   type_name : string;
   rev_impls : Impl.t list;
 }
 
-type request_builder = { req_type : int; rev_wants : (int * int * float) list }
+type request_builder = {
+  req_line : int;
+  req_type : int;
+  rev_wants : (int * int * float) list;
+}
 
 type context =
   | Top
@@ -97,38 +105,38 @@ let float_token line what s =
 let ( let* ) = Result.bind
 
 (* Closing an open implementation folds it into its type builder. *)
-let close_impl line tb ib =
+let close_impl tb ib =
   match
     Impl.make ~id:ib.impl_id ~target:ib.target (List.rev ib.rev_attrs)
   with
   | Ok impl -> Ok { tb with rev_impls = impl :: tb.rev_impls }
-  | Error m -> err line m
+  | Error m -> err ib.impl_line m
 
-let close_type line tb =
+let close_type tb =
   match
     Ftype.make ~id:tb.type_id ~name:tb.type_name (List.rev tb.rev_impls)
   with
   | Ok ft -> Ok ft
-  | Error m -> err line m
+  | Error m -> err tb.type_line m
 
-let close_request line rb =
+let close_request rb =
   match Request.make ~type_id:rb.req_type (List.rev rb.rev_wants) with
   | Ok r -> Ok r
-  | Error m -> err line m
+  | Error m -> err rb.req_line m
 
 (* Close whatever block is open, returning to Top context. *)
-let close_context line state =
+let close_context state =
   match state.context with
   | Top | In_schema -> Ok { state with context = Top }
   | In_type tb ->
-      let* ft = close_type line tb in
+      let* ft = close_type tb in
       Ok { state with rev_ftypes = ft :: state.rev_ftypes; context = Top }
   | In_impl (tb, ib) ->
-      let* tb = close_impl line tb ib in
-      let* ft = close_type line tb in
+      let* tb = close_impl tb ib in
+      let* ft = close_type tb in
       Ok { state with rev_ftypes = ft :: state.rev_ftypes; context = Top }
   | In_request rb ->
-      let* r = close_request line rb in
+      let* r = close_request rb in
       Ok { state with rev_requests = r :: state.rev_requests; context = Top }
 
 let step state line tokens =
@@ -137,13 +145,13 @@ let step state line tokens =
   | "casebase" :: rest -> (
       match rest with
       | [ name ] -> (
-          let* state = close_context line state in
+          let* state = close_context state in
           match state.cb_name with
           | Some _ -> err line "duplicate casebase declaration"
           | None -> Ok { state with cb_name = Some name })
       | _ -> err line "usage: casebase \"<name>\"")
   | [ "schema" ] ->
-      let* state = close_context line state in
+      let* state = close_context state in
       Ok { state with context = In_schema }
   | "attr" :: rest -> (
       match (state.context, rest) with
@@ -163,19 +171,26 @@ let step state line tokens =
   | "type" :: rest -> (
       match rest with
       | [ id; name ] ->
-          let* state = close_context line state in
+          let* state = close_context state in
           let* type_id = int_token line "type id" id in
           Ok
             {
               state with
-              context = In_type { type_id; type_name = name; rev_impls = [] };
+              context =
+                In_type
+                  {
+                    type_line = line;
+                    type_id;
+                    type_name = name;
+                    rev_impls = [];
+                  };
             }
       | _ -> err line "usage: type <id> \"<name>\"")
   | "impl" :: rest -> (
       let* tb =
         match state.context with
         | In_type tb -> Ok tb
-        | In_impl (tb, ib) -> close_impl line tb ib
+        | In_impl (tb, ib) -> close_impl tb ib
         | Top | In_schema | In_request _ ->
             err line "impl outside a type block"
       in
@@ -190,7 +205,9 @@ let step state line tokens =
           Ok
             {
               state with
-              context = In_impl (tb, { impl_id; target; rev_attrs = [] });
+              context =
+                In_impl
+                  (tb, { impl_line = line; impl_id; target; rev_attrs = [] });
             }
       | _ -> err line "usage: impl <id> <target>")
   | "set" :: rest -> (
@@ -209,9 +226,13 @@ let step state line tokens =
   | "request" :: rest -> (
       match rest with
       | [ tid ] ->
-          let* state = close_context line state in
+          let* state = close_context state in
           let* req_type = int_token line "request type id" tid in
-          Ok { state with context = In_request { req_type; rev_wants = [] } }
+          Ok
+            {
+              state with
+              context = In_request { req_line = line; req_type; rev_wants = [] };
+            }
       | _ -> err line "usage: request <type-id>")
   | "want" :: rest -> (
       match (state.context, rest) with
@@ -245,7 +266,7 @@ let parse_document text =
       (Ok (initial, 0))
       lines
   in
-  let* state = close_context (max last_line 1) state in
+  let* state = close_context state in
   let* casebase =
     match state.cb_name with
     | None ->

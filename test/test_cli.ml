@@ -169,6 +169,42 @@ let test_lint_unencodable_exit2 () =
   check_bool "json carries the error" true
     (contains out "\"severity\":\"error\"")
 
+(* An input lint cannot read or parse is one error diagnostic in the
+   ordinary stream (exit 2, never the warnings-only 1); a flag
+   combination it cannot run is a command-line error (exit 124). *)
+let lint_row_cases =
+  let negative_weight () =
+    let req = Filename.concat tmp_dir "negative_weight.req" in
+    Out_channel.with_open_text req (fun oc ->
+        Out_channel.output_string oc "request 1\n  want 1 16 -1\n");
+    req
+  in
+  let cb = fixture "audio.cb" and req = fixture "paper.req" in
+  List.map
+    (fun (name, args, code, expect) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let got, out = run_cli ("lint " ^ args ()) in
+          check_int "exit code" code got;
+          check_bool "names the cause" true (contains out expect)))
+    [
+      ( "unparsable -r exit 2",
+        (fun () -> "-r " ^ negative_weight ()),
+        2,
+        "error[input] request: " );
+      ( "unparsable -r json exit 2",
+        (fun () -> "--format=json -r " ^ negative_weight ()),
+        2,
+        "\"pass\":\"input\",\"severity\":\"error\"" );
+      ( "--cb-hex alone exit 124",
+        (fun () -> "--cb-hex " ^ cb),
+        124,
+        "--cb-hex and --req-hex must be given together" );
+      ( "no --supp-base exit 124",
+        (fun () -> Printf.sprintf "--cb-hex %s --req-hex %s" cb req),
+        124,
+        "--supp-base is required" );
+    ]
+
 let test_lint_json_stable () =
   let args =
     Printf.sprintf "lint --format=json -c %s -r %s" (fixture "audio.cb")
@@ -561,7 +597,8 @@ let () =
           Alcotest.test_case "unencodable exit 2" `Quick
             test_lint_unencodable_exit2;
           Alcotest.test_case "stable json" `Quick test_lint_json_stable;
-        ] );
+        ]
+        @ lint_row_cases );
       ( "golden flow",
         [
           Alcotest.test_case "export/verify round-trip" `Quick

@@ -9,6 +9,7 @@ module Health = Cluster.Health
 module Breaker = Cluster.Breaker
 module Substrate = Cluster.Substrate
 module Steal = Cluster.Steal
+module Ladder = Cluster.Ladder
 module Serve = Cluster.Serve
 module Backoff = Faults.Backoff
 module Outages = Faults.Outages
@@ -241,6 +242,210 @@ let test_substrate_placement () =
             (node.Substrate.engine <> None))
         replicas)
     cb.Casebase.ftypes
+
+(* --- ladder rungs ------------------------------------------------------------ *)
+
+(* Each rung on its own, from hand-built views and loads: no run. *)
+
+let up = { Ladder.status = Health.Up; resyncing = false; admits = true }
+let suspect = { up with Ladder.status = Health.Suspect }
+let no_skips = { Ladder.down = false; breaker = false; saturated = false }
+let check_ints = Alcotest.(check (list int))
+
+let test_ladder_skip () =
+  let views =
+    [|
+      suspect;
+      up;
+      { up with Ladder.status = Health.Down };
+      up;
+      { up with Ladder.resyncing = true };
+      { up with Ladder.admits = false };
+      suspect;
+    |]
+  in
+  let w = Ladder.round ~attempt:2 ~view:(Array.get views) [ 0; 1; 2; 3; 4; 5; 6 ] in
+  check_ints "up replicas first, then suspects, in replica order"
+    [ 1; 3; 0; 6 ] w.Ladder.pending;
+  check_int "attempt kept" 2 w.Ladder.attempt;
+  let skips v = (Ladder.round ~attempt:0 ~view:(fun _ -> v) [ 0 ]).Ladder.skips in
+  let flags (s : Ladder.skips) =
+    [ s.Ladder.down; s.Ladder.breaker; s.Ladder.saturated ]
+  in
+  let check_flags label expected v =
+    Alcotest.(check (list bool)) label expected (flags (skips v))
+  in
+  check_flags "up skips nothing" [ false; false; false ] up;
+  check_flags "suspect skips nothing" [ false; false; false ] suspect;
+  check_flags "down sets down" [ true; false; false ]
+    { up with Ladder.status = Health.Down };
+  check_flags "resyncing sets down" [ true; false; false ]
+    { up with Ladder.resyncing = true };
+  check_flags "breaker-open sets breaker" [ false; true; false ]
+    { suspect with Ladder.admits = false };
+  check_flags "down counts before its breaker" [ true; false; false ]
+    { Ladder.status = Health.Down; resyncing = false; admits = false };
+  List.iter
+    (fun v ->
+      check_ints "a skipped replica is not a candidate" []
+        (Ladder.round ~attempt:0 ~view:(fun _ -> v) [ 0 ]).Ladder.pending)
+    [
+      { up with Ladder.status = Health.Down };
+      { up with Ladder.resyncing = true };
+      { up with Ladder.admits = false };
+    ]
+
+let test_ladder_place () =
+  (* Ten slots per node, so the 0.9 threshold overloads a node at 9 in
+     flight.  Node 0 is the donor; nodes 1 and 2 are its replicas,
+     node 3 holds another type. *)
+  let policy = { Steal.default with Steal.enabled = true } in
+  let inflight = [| 9; 2; 5; 0 |] in
+  let views = Array.make 4 up in
+  let place ?(policy = policy) node =
+    Ladder.place policy ~salt:0 ~node ~replicas:[ 0; 1; 2 ]
+      ~members:[ 0; 1; 2; 3 ] ~view:(Array.get views)
+      ~load:(fun n -> (inflight.(n), 10))
+      ~holds:(fun n -> n < 3)
+  in
+  let expect label want got =
+    let show = function
+      | Ladder.Serve { denied } -> Printf.sprintf "serve denied=%b" denied
+      | Ladder.Shed { denied } -> Printf.sprintf "shed denied=%b" denied
+      | Ladder.Steal p ->
+          Printf.sprintf "steal to %d %s resync=%b" p.Steal.victim
+            (Steal.scope_to_string p.Steal.scope)
+            p.Steal.resync
+    in
+    Alcotest.(check string) label want (show got)
+  in
+  expect "an overloaded donor steals to its least-loaded replica"
+    "steal to 1 replica resync=false" (place 0);
+  views.(1) <- suspect;
+  expect "a suspect is no victim" "steal to 2 replica resync=false" (place 0);
+  views.(2) <- { up with Ladder.resyncing = true };
+  expect "a resyncing node is no victim; the steal goes global"
+    "steal to 3 global resync=true" (place 0);
+  views.(3) <- { up with Ladder.admits = false };
+  expect "a breaker that refuses bars the victim" "serve denied=true" (place 0);
+  inflight.(0) <- 10;
+  expect "without a victim a full node sheds" "shed denied=true" (place 0);
+  let off = { policy with Steal.enabled = false } in
+  expect "stealing off: a full node sheds" "shed denied=false"
+    (place ~policy:off 0);
+  inflight.(0) <- 9;
+  expect "stealing off: a free slot serves" "serve denied=false"
+    (place ~policy:off 0);
+  expect "a node below the threshold serves" "serve denied=false" (place 1);
+  check_bool "victim: up, past resync, admitted" true (Ladder.victim up)
+
+let test_ladder_half_open () =
+  check_bool "half-open claims the probe" true
+    (Ladder.claims_probe Breaker.Half_open);
+  check_bool "closed claims nothing" false (Ladder.claims_probe Breaker.Closed);
+  check_bool "open claims nothing" false (Ladder.claims_probe Breaker.Open);
+  let b =
+    Breaker.create
+      ~config:{ Breaker.failure_threshold = 1; cooldown_us = 100.0 }
+      ()
+  in
+  Breaker.record_failure b ~at:0.0;
+  check_bool "cooldown over: the probe slot is free" true
+    (Breaker.allows b ~at:150.0);
+  if Ladder.claims_probe (Breaker.state b ~at:150.0) then Breaker.mark_probe b;
+  check_bool "serving marked the probe" false (Breaker.allows b ~at:150.0)
+
+let test_ladder_failover () =
+  let down =
+    Outages.down_table
+      [
+        { Outages.ev_node = 0; ev_at_us = 1_000.0; ev_kind = `Transient 500.0 };
+        { Outages.ev_node = 0; ev_at_us = 3_000.0; ev_kind = `Permanent };
+      ]
+      ~duration_us:Float.infinity ~node:0
+  in
+  let kill at = Ladder.kill_time down ~at ~service_us:40.0 in
+  let check_kill label want at =
+    Alcotest.(check (option (float 0.0))) label want (kill at)
+  in
+  check_kill "completes before the outage" None 900.0;
+  check_kill "killed when the outage starts mid-service" (Some 1_000.0) 980.0;
+  check_kill "a down node costs the connect timeout"
+    (Some (1_200.0 +. Ladder.connect_timeout_us))
+    1_200.0;
+  check_kill "completes after the bounce" None 1_500.0;
+  check_kill "a killed node stays down" (Some 3_600.0) 3_500.0;
+  (* The walk: a killed attempt continues with the candidates left. *)
+  let next =
+    Ladder.next Backoff.default ~max_retries:5 ~draw:(fun () ->
+        Alcotest.fail "no draw while candidates remain")
+  in
+  let w = Ladder.round ~attempt:0 ~view:(fun _ -> up) [ 4; 2; 5 ] in
+  match next w with
+  | Ladder.Try (4, w) -> (
+      check_ints "the rest stay pending" [ 2; 5 ] w.Ladder.pending;
+      match next w with
+      | Ladder.Try (2, w) -> (
+          match next w with
+          | Ladder.Try (5, w) ->
+              check_ints "every candidate tried" [] w.Ladder.pending
+          | _ -> Alcotest.fail "the third candidate is next")
+      | _ -> Alcotest.fail "failover goes to the second candidate")
+  | _ -> Alcotest.fail "the first candidate is tried first"
+
+let test_ladder_backoff () =
+  let policy =
+    { Backoff.base_us = 200.0; factor = 2.0; cap_us = 1_000.0; jitter = 0.0 }
+  in
+  let draws = ref 0 in
+  let draw () =
+    incr draws;
+    0.25
+  in
+  let exhausted ?(policy = policy) attempt =
+    Ladder.next policy ~max_retries:3 ~draw
+      { Ladder.attempt; pending = []; skips = no_skips }
+  in
+  let delay = function
+    | Ladder.Retry d -> d
+    | Ladder.Try _ | Ladder.Degrade _ -> Alcotest.fail "expected a retry"
+  in
+  check_bool "attempt 0 backs off the base" true (delay (exhausted 0) = 200.0);
+  check_bool "attempt 2 backs off base*factor^2" true
+    (delay (exhausted 2) = 800.0);
+  check_int "no jitter, no draw" 0 !draws;
+  (match exhausted 3 with
+  | Ladder.Degrade Ladder.Retries_exhausted -> ()
+  | _ -> Alcotest.fail "at max_retries the request degrades");
+  let jittered = { policy with Backoff.jitter = 0.5 } in
+  check_bool "a jittered retry uses the draw" true
+    (delay (exhausted ~policy:jittered 1)
+    = Backoff.delay jittered ~attempt:1 ~u:0.25);
+  check_int "one draw per jittered retry" 1 !draws;
+  ignore (exhausted ~policy:jittered 3);
+  check_int "degrading draws nothing" 1 !draws
+
+let test_ladder_degrade_priority () =
+  List.iter
+    (fun (down, breaker, saturated, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "down=%b breaker=%b saturated=%b" down breaker
+           saturated)
+        (Ladder.reason_to_string want)
+        (Ladder.reason_to_string
+           (Ladder.degrade_reason { Ladder.down; breaker; saturated })))
+    [
+      (true, true, true, Ladder.Saturated);
+      (false, false, true, Ladder.Saturated);
+      (true, true, false, Ladder.Breaker_open);
+      (false, true, false, Ladder.Breaker_open);
+      (true, false, false, Ladder.All_replicas_down);
+      (false, false, false, Ladder.Retries_exhausted);
+    ];
+  check_bool "a shed marks the walk saturated" true
+    (Ladder.shed { Ladder.attempt = 0; pending = [ 1 ]; skips = no_skips })
+      .Ladder.skips
+      .Ladder.saturated
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -532,13 +737,50 @@ let test_serve_streaming_cap () =
   check_bool "retained run keeps outcomes" true
     (Array.length pre.Serve.outcomes = 200)
 
+let counters (r : Serve.report) =
+  [
+    r.Serve.requests; r.Serve.full; r.Serve.degraded; r.Serve.failed;
+    r.Serve.failovers; r.Serve.retries; r.Serve.sheds; r.Serve.steals;
+    r.Serve.steal_denials; r.Serve.outage_events; r.Serve.heartbeats;
+  ]
+
 let test_serve_eventlog_absent_when_disabled () =
-  (* A metrics-only context must stay on the no-op event sink: same
-     report, nothing recorded. *)
-  let obs = Obs.Ctx.create () in
-  let r = get (Serve.run ~obs (spec ~outage:outage_spec ())) in
-  check_bool "run unchanged" true (r.Serve.requests > 0);
-  check_int "no events" 0 (Ev.recorded obs.Obs.Ctx.events)
+  (* Instrumentation never changes the report.  The chaos campaign
+     with stealing on and an SLO set runs with no context, with a
+     metrics-only one — which stays on the no-op event sink: nothing
+     recorded — and with a full recording one. *)
+  let s =
+    {
+      (steal_spec ~enabled:true ()) with
+      Serve.outage = outage_spec;
+      slo = Some (Serve.default_slo ~availability:0.99 ~latency_us:500.0);
+    }
+  in
+  let bare = get (Serve.run s) in
+  let metrics = Obs.Ctx.create () in
+  let recording =
+    Obs.Ctx.create ~tracer:(Obs.Tracer.collecting ()) ~events:(Ev.recording ())
+      ()
+  in
+  check_bool "steals happened" true (bare.Serve.steals > 0);
+  check_bool "outages happened" true (bare.Serve.outage_events > 0);
+  let summary r = Format.asprintf "%a" Serve.pp r in
+  List.iter
+    (fun (label, obs) ->
+      let r = get (Serve.run ~obs s) in
+      Alcotest.(check string)
+        (label ^ ": digest") (Serve.results_digest bare)
+        (Serve.results_digest r);
+      Alcotest.(check (list int)) (label ^ ": counters") (counters bare)
+        (counters r);
+      Alcotest.(check string)
+        (label ^ ": latency, SLO and per-node figures")
+        (summary bare) (summary r))
+    [ ("metrics only", metrics); ("full recording", recording) ];
+  check_int "no events" 0 (Ev.recorded metrics.Obs.Ctx.events);
+  check_bool "the recording context saw the run" true
+    (Ev.recorded recording.Obs.Ctx.events > 0
+    && Obs.Tracer.events recording.Obs.Ctx.tracer <> [])
 
 (* --- engine axis ----------------------------------------------------------- *)
 
@@ -555,13 +797,6 @@ let outcome_key = function
         (Option.fold ~none:"-" ~some:string_of_int stale_impl)
         (Serve.reason_to_string reason)
   | Serve.Failed msg -> "failed " ^ msg
-
-let counters (r : Serve.report) =
-  [
-    r.Serve.requests; r.Serve.full; r.Serve.degraded; r.Serve.failed;
-    r.Serve.failovers; r.Serve.retries; r.Serve.sheds; r.Serve.steals;
-    r.Serve.steal_denials; r.Serve.outage_events; r.Serve.heartbeats;
-  ]
 
 let test_serve_engine_invariance () =
   (* Every bit-accurate engine decides as native does, so a chaos run
@@ -929,6 +1164,16 @@ let () =
         ] );
       ( "substrate",
         [ Alcotest.test_case "placement" `Quick test_substrate_placement ] );
+      ( "ladder",
+        [
+          Alcotest.test_case "skip" `Quick test_ladder_skip;
+          Alcotest.test_case "placement" `Quick test_ladder_place;
+          Alcotest.test_case "half-open probe" `Quick test_ladder_half_open;
+          Alcotest.test_case "failover" `Quick test_ladder_failover;
+          Alcotest.test_case "backoff" `Quick test_ladder_backoff;
+          Alcotest.test_case "degrade reason priority" `Quick
+            test_ladder_degrade_priority;
+        ] );
       ( "serve",
         [
           Alcotest.test_case "clean run" `Quick test_serve_clean;

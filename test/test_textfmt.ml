@@ -118,7 +118,33 @@ let test_errors () =
 
 let test_error_line_numbers () =
   let e = get_perr "line" (Textfmt.parse_document "request 1\nbogus\n") in
-  check_int "line number" 2 e.Textfmt.line
+  check_int "line number" 2 e.Textfmt.line;
+  (* A block the core constructors refuse is reported at its header,
+     not at the line that closes it. *)
+  let overflow =
+    In_channel.with_open_text "fixtures/weight_overflow.req"
+      In_channel.input_all
+  in
+  List.iter
+    (fun (label, text, line) ->
+      check_int label line
+        (get_perr label (Textfmt.parse_document text)).Textfmt.line)
+    [
+      ("refused request", "request 1\n  want 1 16 -1\n", 1);
+      ("weights summing to inf", overflow, 1);
+      ( "impl repeating an attribute",
+        "casebase \"x\"\nschema\ntype 1 \"t\"\n  impl 1 gpp\n    set 1 2\n\
+        \    set 1 3\n",
+        4 );
+      ( "duplicate impl id",
+        "casebase \"x\"\nschema\ntype 1 \"t\"\n  impl 1 gpp\n    set 1 2\n\
+        \  impl 1 fpga\n    set 1 3\n",
+        3 );
+      ( "refused impl followed by a type",
+        "casebase \"x\"\nschema\ntype 1 \"t\"\n  impl 1 gpp\n    set 1 2\n\
+        \    set 1 3\ntype 2 \"u\"\n",
+        4 );
+    ]
 
 let test_parse_casebase_requires_one () =
   ignore (get_perr "no casebase" (Textfmt.parse_casebase "request 1\n"));
