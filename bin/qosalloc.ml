@@ -17,21 +17,17 @@ let read_file path =
   try Ok (In_channel.with_open_text path In_channel.input_all)
   with Sys_error m -> Error m
 
-let load_casebase = function
-  | None -> Ok Scenario_audio.casebase
+(* A -c/-r input: the built-in paper example when absent. *)
+let load parse default = function
+  | None -> Ok default
   | Some path ->
       Result.bind (read_file path) (fun text ->
           Result.map_error
             (fun e -> Format.asprintf "%s: %a" path Textfmt.pp_parse_error e)
-            (Textfmt.parse_casebase text))
+            (parse text))
 
-let load_request = function
-  | None -> Ok Scenario_audio.request
-  | Some path ->
-      Result.bind (read_file path) (fun text ->
-          Result.map_error
-            (fun e -> Format.asprintf "%s: %a" path Textfmt.pp_parse_error e)
-            (Textfmt.parse_request text))
+let load_casebase = load Textfmt.parse_casebase Scenario_audio.casebase
+let load_request = load Textfmt.parse_request Scenario_audio.request
 
 let or_die = function
   | Ok v -> v
@@ -831,7 +827,8 @@ let serve_cmd =
              is byte-identical at any value.")
   in
   let engine =
-    engine_arg ~default:"native" "Per-node retrieval engine (default $(b,native))."
+    engine_arg ~default:"native"
+      "Per-node retrieval engine (default $(b,native))."
   in
   let kill_frac =
     Arg.(

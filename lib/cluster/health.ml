@@ -1,21 +1,14 @@
-type t = {
-  period_us : float;
-  suspect_phi : float;
-  down_phi : float;
-  last : float array;
-}
-
+type t = { period_us : float; last : float array }
 type status = Up | Suspect | Down
 
 let log10_e = 0.4342944819032518
+let suspect_phi = 1.0
+let down_phi = 3.0
 
-let create ?(period_us = 500.0) ?(suspect_phi = 1.0) ?(down_phi = 3.0) ~nodes
-    () =
+let create ?(period_us = 500.0) ~nodes () =
   if nodes < 1 then invalid_arg "Health.create: nodes must be >= 1";
   if period_us <= 0.0 then invalid_arg "Health.create: period must be > 0";
-  if suspect_phi <= 0.0 || down_phi < suspect_phi then
-    invalid_arg "Health.create: need 0 < suspect_phi <= down_phi";
-  { period_us; suspect_phi; down_phi; last = Array.make nodes 0.0 }
+  { period_us; last = Array.make nodes 0.0 }
 
 let beat t ~node ~at = if at > t.last.(node) then t.last.(node) <- at
 
@@ -25,7 +18,7 @@ let phi t ~node ~at =
 
 let status t ~node ~at =
   let p = phi t ~node ~at in
-  if p >= t.down_phi then Down else if p >= t.suspect_phi then Suspect else Up
+  if p >= down_phi then Down else if p >= suspect_phi then Suspect else Up
 
 let last_beat t ~node = t.last.(node)
 

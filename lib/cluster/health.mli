@@ -17,16 +17,15 @@ type t
 
 type status = Up | Suspect | Down
 
-val create :
-  ?period_us:float ->
-  ?suspect_phi:float ->
-  ?down_phi:float ->
-  nodes:int ->
-  unit ->
-  t
-(** Defaults: 500 us period, suspect at phi 1 (beat > ~2.3 periods
-    late), down at phi 3 (> ~6.9 periods late).  Nodes are IDs
-    [0 .. nodes-1], all initially just-beaten at time 0. *)
+val suspect_phi : float
+(** 1: a beat more than ~2.3 periods late makes a node {!Suspect}. *)
+
+val down_phi : float
+(** 3: a beat more than ~6.9 periods late makes a node {!Down}. *)
+
+val create : ?period_us:float -> nodes:int -> unit -> t
+(** Default period 500 us.  Nodes are IDs [0 .. nodes-1], all
+    initially just-beaten at time 0. *)
 
 val beat : t -> node:int -> at:float -> unit
 (** Record a heartbeat.  Beats never move time backwards. *)

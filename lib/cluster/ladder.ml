@@ -50,21 +50,18 @@ type placement =
    a full node sheds towards the next candidate instead of queueing. *)
 let place policy ~salt ~node ~replicas ~members ~view ~load ~holds =
   let inflight, slots = load node in
-  let overloaded =
+  let denied =
     policy.Steal.enabled && Steal.overloaded policy ~inflight ~slots
   in
-  let pick =
-    if overloaded then
-      Steal.select policy ~salt ~donor:node ~replicas ~members
+  match
+    if denied then
+      Steal.select policy ~salt ~donor:node ~replicas ~members ~load ~holds
         ~eligible:(fun v -> victim (view v))
-        ~load ~holds
     else None
-  in
-  match pick with
+  with
   | Some p -> Steal p
-  | None ->
-      if inflight >= slots then Shed { denied = overloaded }
-      else Serve { denied = overloaded }
+  | None when inflight >= slots -> Shed { denied }
+  | None -> Serve { denied }
 
 let claims_probe = function
   | Breaker.Half_open -> true

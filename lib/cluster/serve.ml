@@ -144,11 +144,6 @@ type report = {
 
 type verdict = Clean | Degraded_recovered | Unrecovered_loss
 
-let verdict_to_string = function
-  | Clean -> "clean"
-  | Degraded_recovered -> "degraded-recovered"
-  | Unrecovered_loss -> "unrecovered-loss"
-
 let classify ~min_availability r =
   if
     r.failed > 0
@@ -304,22 +299,16 @@ module Observer = struct
   }
 
   let slo_trackers (s : slo_spec) =
-    let mk name =
-      Obs.Slo.create
-        { Obs.Slo.default_spec with Obs.Slo.name; target = s.slo_availability }
-    in
-    [
-      {
-        st_slo = mk "availability";
-        st_name = "availability";
-        st_good = (fun r _ -> match r with Full _ -> true | _ -> false);
-      };
-      {
-        st_slo = mk "latency";
-        st_name = "latency";
-        st_good = (fun _ lat -> lat <= s.slo_latency_us);
-      };
-    ]
+    List.map
+      (fun (name, good) ->
+        let spec =
+          { Obs.Slo.default_spec with Obs.Slo.name; target = s.slo_availability }
+        in
+        { st_slo = Obs.Slo.create spec; st_name = name; st_good = good })
+      [
+        ("availability", fun r _ -> match r with Full _ -> true | _ -> false);
+        ("latency", fun _ lat -> lat <= s.slo_latency_us);
+      ]
 
   let create ?obs ~nodes ~clock slo =
     let ev, tracer =
@@ -364,32 +353,27 @@ module Observer = struct
   let observe h v = match h with Some h -> Obs.Metrics.observe h v | None -> ()
 
   (* Log a node's state only when it differs from the last one seen. *)
-  let track t last ~node ~at st kind =
+  let track t last to_string kind ~node ~at st =
     if st <> last.(node) then begin
-      Obs.Events.record t.ev ~ts:at ~node (kind last.(node) st);
+      Obs.Events.record t.ev ~ts:at ~node
+        (kind (to_string last.(node)) (to_string st));
       last.(node) <- st
     end
 
   let health t detector ~node ~at =
     if t.observing then
-      track t t.last_health ~node ~at (Health.status detector ~node ~at)
-        (fun prev next ->
-          Obs.Events.Node_transition
-            {
-              prev = Health.status_to_string prev;
-              next = Health.status_to_string next;
-            })
+      track t t.last_health Health.status_to_string
+        (fun prev next -> Obs.Events.Node_transition { prev; next })
+        ~node ~at
+        (Health.status detector ~node ~at)
 
   (* A breaker changes state on marks but also by cooldown expiry, so
      the ladder reports every point where it consults or marks one. *)
   let breaker t b ~node ~at =
     if t.observing then
-      track t t.last_breaker ~node ~at (Breaker.state b ~at) (fun prev next ->
-          Obs.Events.Breaker_transition
-            {
-              prev = Breaker.state_to_string prev;
-              next = Breaker.state_to_string next;
-            })
+      track t t.last_breaker Breaker.state_to_string
+        (fun prev next -> Obs.Events.Breaker_transition { prev; next })
+        ~node ~at (Breaker.state b ~at)
 
   let rejoin t ~node ~lag ~at =
     if t.observing then
@@ -486,7 +470,8 @@ module Observer = struct
               (Obs.Events.Slo_alert
                  {
                    objective = st.st_name;
-                   state = Obs.Slo.transition_to_string al.Obs.Slo.al_transition;
+                   state =
+                     Obs.Slo.transition_to_string al.Obs.Slo.al_transition;
                    burn_fast = al.Obs.Slo.al_burn_fast;
                    burn_slow = al.Obs.Slo.al_burn_slow;
                  })
@@ -661,7 +646,9 @@ let run ?obs (spec : spec) =
     incr steal_denials;
     Observer.steal o idx ~node None ~at
   in
-  let next_step = Ladder.next spec.backoff ~max_retries:spec.max_retries ~draw in
+  let next_step =
+    Ladder.next spec.backoff ~max_retries:spec.max_retries ~draw
+  in
   (* Per-request degradation ladder: the rungs decide, this applies. *)
   let start_request idx ~app ~t0 ~(request : Request.t) ~decision =
     let type_id = request.Request.type_id in

@@ -213,7 +213,6 @@ val classify : min_availability:float -> report -> verdict
     steals) occurred but every request was answered; {!Clean}
     otherwise. *)
 
-val verdict_to_string : verdict -> string
 val exit_code : min_availability:float -> report -> int
 
 val workload : spec -> (string * float * Qos_core.Request.t) array

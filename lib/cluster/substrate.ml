@@ -163,15 +163,3 @@ let release t ~node =
 let load t ~node =
   let n = t.nodes.(node) in
   (n.inflight, n.slots)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>cluster: %d nodes, replication %d, %d domains@,"
-    (Array.length t.nodes) t.replication t.fault_domains;
-  Array.iter
-    (fun n ->
-      Format.fprintf ppf "  node %d (domain %d): %d types, %d entries, %d slots@,"
-        n.node_id n.fault_domain
-        (List.length n.hosted_types)
-        n.entries n.slots)
-    t.nodes;
-  Format.fprintf ppf "@]"

@@ -88,5 +88,3 @@ val release : t -> node:int -> unit
 
 val load : t -> node:int -> int * int
 (** [(inflight, slots)] for [node]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -173,18 +173,10 @@ let step state line tokens =
       | [ id; name ] ->
           let* state = close_context state in
           let* type_id = int_token line "type id" id in
-          Ok
-            {
-              state with
-              context =
-                In_type
-                  {
-                    type_line = line;
-                    type_id;
-                    type_name = name;
-                    rev_impls = [];
-                  };
-            }
+          let tb =
+            { type_line = line; type_id; type_name = name; rev_impls = [] }
+          in
+          Ok { state with context = In_type tb }
       | _ -> err line "usage: type <id> \"<name>\"")
   | "impl" :: rest -> (
       let* tb =
@@ -202,13 +194,8 @@ let step state line tokens =
               (fun m -> { line; message = m })
               (Target.of_string target)
           in
-          Ok
-            {
-              state with
-              context =
-                In_impl
-                  (tb, { impl_line = line; impl_id; target; rev_attrs = [] });
-            }
+          let ib = { impl_line = line; impl_id; target; rev_attrs = [] } in
+          Ok { state with context = In_impl (tb, ib) }
       | _ -> err line "usage: impl <id> <target>")
   | "set" :: rest -> (
       match (state.context, rest) with
@@ -228,11 +215,8 @@ let step state line tokens =
       | [ tid ] ->
           let* state = close_context state in
           let* req_type = int_token line "request type id" tid in
-          Ok
-            {
-              state with
-              context = In_request { req_line = line; req_type; rev_wants = [] };
-            }
+          let rb = { req_line = line; req_type; rev_wants = [] } in
+          Ok { state with context = In_request rb }
       | _ -> err line "usage: request <type-id>")
   | "want" :: rest -> (
       match (state.context, rest) with

@@ -243,7 +243,7 @@ let test_substrate_placement () =
         replicas)
     cb.Casebase.ftypes
 
-(* --- ladder rungs ------------------------------------------------------------ *)
+(* --- ladder rungs ---------------------------------------------------------- *)
 
 (* Each rung on its own, from hand-built views and loads: no run. *)
 
@@ -264,11 +264,15 @@ let test_ladder_skip () =
       suspect;
     |]
   in
-  let w = Ladder.round ~attempt:2 ~view:(Array.get views) [ 0; 1; 2; 3; 4; 5; 6 ] in
+  let w =
+    Ladder.round ~attempt:2 ~view:(Array.get views) [ 0; 1; 2; 3; 4; 5; 6 ]
+  in
   check_ints "up replicas first, then suspects, in replica order"
     [ 1; 3; 0; 6 ] w.Ladder.pending;
   check_int "attempt kept" 2 w.Ladder.attempt;
-  let skips v = (Ladder.round ~attempt:0 ~view:(fun _ -> v) [ 0 ]).Ladder.skips in
+  let skips v =
+    (Ladder.round ~attempt:0 ~view:(fun _ -> v) [ 0 ]).Ladder.skips
+  in
   let flags (s : Ladder.skips) =
     [ s.Ladder.down; s.Ladder.breaker; s.Ladder.saturated ]
   in
