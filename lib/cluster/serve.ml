@@ -630,7 +630,7 @@ let run ?obs (spec : spec) =
   (* What the ladder sees of a node at [now], for a round that queries
      the detector at [tq]; the observer notes the breaker state it
      read. *)
-  let view ~now ~tq node =
+  let view_at ~now ~tq node =
     let b = breakers.(node) in
     Observer.breaker o b ~node ~at:now;
     {
@@ -645,9 +645,6 @@ let run ?obs (spec : spec) =
   let deny idx ~node ~at =
     incr steal_denials;
     Observer.steal o idx ~node None ~at
-  in
-  let next_step =
-    Ladder.next spec.backoff ~max_retries:spec.max_retries ~draw
   in
   (* Per-request degradation ladder: the rungs decide, this applies. *)
   let start_request idx ~app ~t0 ~(request : Request.t) ~decision =
@@ -681,10 +678,13 @@ let run ?obs (spec : spec) =
         let rec round attempt _e =
           let now = Desim.Engine.now sim in
           let tq = query_time now in
-          advance ~tq (Ladder.round ~attempt ~view:(view ~now ~tq) replicas)
+          let view node = view_at ~now ~tq node in
+          advance ~tq (Ladder.round ~attempt ~view replicas)
         and advance ~tq w =
           let now = Desim.Engine.now sim in
-          match next_step w with
+          match
+            Ladder.next spec.backoff ~max_retries:spec.max_retries ~draw w
+          with
           | Ladder.Retry delay ->
               incr retries;
               Observer.retry o idx ~attempt:w.Ladder.attempt ~delay ~at:now;
@@ -693,9 +693,10 @@ let run ?obs (spec : spec) =
               respond
                 (Degraded { stale_impl = Some decision.Engine.impl_id; reason })
           | Ladder.Try (node, w) -> (
+              let view node = view_at ~now ~tq node in
               match
                 Ladder.place spec.steal ~salt:idx ~node ~replicas ~members
-                  ~view:(view ~now ~tq) ~load ~holds
+                  ~view ~load ~holds
               with
               | Ladder.Steal p ->
                   incr steals;
