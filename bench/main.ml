@@ -1314,7 +1314,7 @@ let run_obs2_bench () =
     }
   in
   let slo =
-    Cluster.Serve.default_slo ~availability:0.99 ~latency_us:500.0
+    { Cluster.Serve.slo_availability = 0.99; slo_latency_us = 500.0 }
   in
   report_overhead ~bench:"obs2"
     (Harness.run_all

@@ -770,8 +770,8 @@ let serve_cmd =
         max_retries = retries;
         slo =
           Option.map
-            (fun (availability, latency_us) ->
-              Cluster.Serve.default_slo ~availability ~latency_us)
+            (fun (slo_availability, slo_latency_us) ->
+              { Cluster.Serve.slo_availability; slo_latency_us })
             slo;
         steal =
           {

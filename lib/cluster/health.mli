@@ -5,9 +5,9 @@
     inter-arrival assumption: [phi = (dt / period) * log10 e], where
     [dt] is the time since the last observed beat — i.e. the negated
     log10 of the probability that a healthy node's beat is {e this}
-    late.  Two thresholds turn phi into a routing verdict: above
-    [suspect_phi] the node is {!Suspect} (deprioritised, still
-    eligible); above [down_phi] it is {!Down} (skipped).
+    late.  Two fixed thresholds turn phi into a routing verdict: above
+    {!suspect_phi} the node is {!Suspect} (deprioritised, still
+    eligible); above {!down_phi} it is {!Down} (skipped).
 
     The detector is driven entirely by the caller's clock, so verdicts
     are a pure function of the beat history — no wall time, no

@@ -2,9 +2,6 @@ open Qos_core
 
 type slo_spec = { slo_availability : float; slo_latency_us : float }
 
-let default_slo ~availability ~latency_us =
-  { slo_availability = availability; slo_latency_us = latency_us }
-
 type source = Pregenerated | Stream
 
 let source_to_string = function
@@ -71,23 +68,15 @@ let default_spec () =
     load_scale = 1.0;
   }
 
-type reason = Ladder.reason =
-  | Breaker_open
-  | All_replicas_down
-  | Saturated
-  | Retries_exhausted
-
-let reason_to_string = Ladder.reason_to_string
-
 let reason_index = function
-  | Breaker_open -> 0
-  | All_replicas_down -> 1
-  | Saturated -> 2
-  | Retries_exhausted -> 3
+  | Ladder.Breaker_open -> 0
+  | Ladder.All_replicas_down -> 1
+  | Ladder.Saturated -> 2
+  | Ladder.Retries_exhausted -> 3
 
 type response =
   | Full of { node : int; decision : Engine.decision }
-  | Degraded of { stale_impl : int option; reason : reason }
+  | Degraded of { stale_impl : int option; reason : Ladder.reason }
   | Failed of string
 
 let response_tag = function
@@ -445,7 +434,7 @@ module Observer = struct
         | Degraded { stale_impl; reason } ->
             ( None,
               Obs.Events.Request_degraded
-                { reason = reason_to_string reason; stale_impl } )
+                { reason = Ladder.reason_to_string reason; stale_impl } )
         | Failed msg -> (None, Obs.Events.Request_failed { error = msg })
       in
       Obs.Events.record t.ev ~ts:at ~request:idx ?node kind
@@ -861,8 +850,13 @@ let run ?obs (spec : spec) =
       heartbeats = !heartbeats;
       degraded_reasons =
         List.map
-          (fun r -> (reason_to_string r, reason_counts.(reason_index r)))
-          [ Breaker_open; All_replicas_down; Saturated; Retries_exhausted ];
+          (fun r -> (Ladder.reason_to_string r, reason_counts.(reason_index r)))
+          [
+            Ladder.Breaker_open;
+            All_replicas_down;
+            Saturated;
+            Retries_exhausted;
+          ];
       per_node;
       mean_latency_us =
         (if n_req = 0 then 0.0 else !lat_sum /. float_of_int n_req);
@@ -925,7 +919,7 @@ let results_to_string (r : report) =
       | Degraded { stale_impl; reason } ->
           add "degraded stale=%s reason=%s"
             (match stale_impl with Some i -> string_of_int i | None -> "-")
-            (reason_to_string reason)
+            (Ladder.reason_to_string reason)
       | Failed msg -> add "failed: %s" msg);
       add "\n")
     r.outcomes;

@@ -44,9 +44,9 @@
     arrival source.
 
     The detector, breaker, connect-timeout, resync and service-floor
-    values are fixed constants: heartbeats every
-    {!heartbeat_period_us}, {!Health.create}'s phi thresholds (suspect
-    at 1, down at 3), {!Breaker.default_config},
+    values are fixed constants, not spec fields: heartbeats every
+    {!heartbeat_period_us}, the phi thresholds {!Health.suspect_phi}
+    and {!Health.down_phi}, {!Breaker.default_config},
     {!Ladder.connect_timeout_us}, {!resync_rate} and
     {!min_service_us}. *)
 
@@ -56,8 +56,6 @@ type slo_spec = {
 }
 (** Both objectives use the windows and burn threshold of
     {!Obs.Slo.default_spec}. *)
-
-val default_slo : availability:float -> latency_us:float -> slo_spec
 
 type source =
   | Pregenerated
@@ -71,18 +69,20 @@ val source_to_string : source -> string
 
 type spec = {
   duration_us : float;
-  seed : int;
+      (** Arrival horizon; the run itself continues until every request
+          has answered. *)
+  seed : int;  (** Root of every PRNG stream: arrivals, outages, jitter. *)
   nodes : int;
-  replication : int;
-  fault_domains : int;
-  vnodes : int;
-  jobs : int;
+  replication : int;  (** Replicas per function type, clamped to [nodes]. *)
+  fault_domains : int;  (** Node [i] sits in domain [i mod fault_domains]. *)
+  vnodes : int;  (** Virtual nodes per node on the placement ring. *)
+  jobs : int;  (** Decision domains for the {!Pregenerated} source. *)
   engine_name : string;  (** Registry name, for the report. *)
-  engine : Qos_core.Engine.factory;
-  apps : Desim.Apps.profile list;
+  engine : Qos_core.Engine.factory;  (** Each node's retrieval engine. *)
+  apps : Desim.Apps.profile list;  (** The application mix. *)
   casebase : Qos_core.Casebase.t;
-  outage : Faults.Outages.spec;
-  backoff : Faults.Backoff.policy;
+  outage : Faults.Outages.spec;  (** The seeded kill-and-bounce campaign. *)
+  backoff : Faults.Backoff.policy;  (** Delay between retry rounds. *)
   max_retries : int;  (** Backoff rounds before answering degraded. *)
   slo : slo_spec option;
       (** When set, an availability and a latency objective are tracked
@@ -131,18 +131,10 @@ val resync_rate : float
 (** 0.01 entries per us: the catch-up re-replication rate of a node
     rejoining after a transient outage. *)
 
-type reason = Ladder.reason =
-  | Breaker_open
-  | All_replicas_down
-  | Saturated
-  | Retries_exhausted
-
-val reason_to_string : reason -> string
-
 type response =
   | Full of { node : int; decision : Qos_core.Engine.decision }
       (** Answered at full QoS by a live replica. *)
-  | Degraded of { stale_impl : int option; reason : reason }
+  | Degraded of { stale_impl : int option; reason : Ladder.reason }
       (** Answered from the stale decision, never dropped, because no
           replica could serve in time. *)
   | Failed of string  (** Engine error; never an availability event. *)

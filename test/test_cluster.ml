@@ -590,7 +590,8 @@ let test_serve_eventlog () =
       {
         (spec ~duration_us:100_000.0 ~seed:7 ~replication:1 ~jobs ~outage ())
         with
-        Serve.slo = Some (Serve.default_slo ~availability:0.99 ~latency_us:500.0);
+        Serve.slo =
+          Some { Serve.slo_availability = 0.99; slo_latency_us = 500.0 };
       }
     in
     let r = get (Serve.run ~obs s) in
@@ -757,7 +758,7 @@ let test_serve_eventlog_absent_when_disabled () =
     {
       (steal_spec ~enabled:true ()) with
       Serve.outage = outage_spec;
-      slo = Some (Serve.default_slo ~availability:0.99 ~latency_us:500.0);
+      slo = Some { Serve.slo_availability = 0.99; slo_latency_us = 500.0 };
     }
   in
   let bare = get (Serve.run s) in
@@ -799,7 +800,7 @@ let outcome_key = function
   | Serve.Degraded { stale_impl; reason } ->
       Printf.sprintf "degraded stale=%s reason=%s"
         (Option.fold ~none:"-" ~some:string_of_int stale_impl)
-        (Serve.reason_to_string reason)
+        (Ladder.reason_to_string reason)
   | Serve.Failed msg -> "failed " ^ msg
 
 let test_serve_engine_invariance () =
