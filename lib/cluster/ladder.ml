@@ -50,18 +50,18 @@ type placement =
    a full node sheds towards the next candidate instead of queueing. *)
 let place policy ~salt ~node ~replicas ~members ~view ~load ~holds =
   let inflight, slots = load node in
-  let denied =
+  let stealing =
     policy.Steal.enabled && Steal.overloaded policy ~inflight ~slots
   in
   match
-    if denied then
+    if stealing then
       Steal.select policy ~salt ~donor:node ~replicas ~members ~load ~holds
         ~eligible:(fun v -> victim (view v))
     else None
   with
   | Some p -> Steal p
-  | None when inflight >= slots -> Shed { denied }
-  | None -> Serve { denied }
+  | None when inflight >= slots -> Shed { denied = stealing }
+  | None -> Serve { denied = stealing }
 
 let claims_probe = function
   | Breaker.Half_open -> true
