@@ -119,7 +119,78 @@ let test_value_collision_rejected () =
   check_bool "supplemental rejects end-marker bound" true
     (Result.is_error (Memlayout.encode_supplemental schema))
 
+(* Every check the encoder makes, one refusal each, with its exact
+   message.  The tree's checks run before the supplemental list's, so a
+   case base that trips both reports the tree's. *)
+let test_refusals () =
+  let schema ds =
+    get
+      (Attr.Schema.of_list
+         (List.map
+            (fun (id, lower, upper) ->
+              get (Attr.descriptor ~id ~name:"a" ~lower ~upper))
+            ds))
+  in
+  let casebase ?(type_id = 1) ?(impl_id = 1) ds attrs =
+    let impl = get (Impl.make ~id:impl_id ~target:Target.Fpga attrs) in
+    let ft = get (Ftype.make ~id:type_id ~name:"f" [ impl ]) in
+    get (Casebase.make ~name:"bad" ~schema:(schema ds) [ ft ])
+  in
+  let refused label cb message =
+    match Memlayout.encode_cb cb with
+    | Ok _ -> Alcotest.failf "%s: encoded" label
+    | Error m -> Alcotest.(check string) label message m
+  in
+  let collides what =
+    what ^ " 65535 collides with the end marker or is negative"
+  in
+  refused "type id"
+    (casebase ~type_id:0xFFFF [ (1, 0, 10) ] [ (1, 5) ])
+    (collides "function-type id");
+  refused "impl id"
+    (casebase ~impl_id:0xFFFF [ (1, 0, 10) ] [ (1, 5) ])
+    (collides "implementation id");
+  refused "attribute id"
+    (casebase [ (0xFFFF, 0, 10) ] [ (0xFFFF, 5) ])
+    (collides "attribute id");
+  refused "attribute value"
+    (casebase [ (1, 0, 0xFFFF) ] [ (1, 0xFFFF) ])
+    (collides "attribute value");
+  refused "supplemental attribute id"
+    (casebase [ (1, 0, 10); (0xFFFF, 0, 10) ] [ (1, 5) ])
+    (collides "supplemental attribute id");
+  refused "supplemental lower bound"
+    (casebase [ (1, 0xFFFF, 0xFFFF) ] [])
+    (collides "supplemental lower bound");
+  refused "supplemental upper bound"
+    (casebase [ (1, 0, 0xFFFF) ] [ (1, 5) ])
+    (collides "supplemental upper bound");
+  refused "tree over the address space"
+    (Workload.Generator.sized_casebase ~seed:1 ~types:15 ~impls:200 ~attrs:12)
+    "tree image needs 81046 words, exceeding the 16-bit address space";
+  (* A 65,493-word tree fits; its 45 supplemental words do not. *)
+  refused "combined image over the address space"
+    (Workload.Generator.sized_casebase ~seed:1 ~types:14 ~impls:187 ~attrs:11)
+    "combined CB-MEM image exceeds the 16-bit address space"
+
 (* --- System image ---------------------------------------------------------- *)
+
+(* large-cb's case base, pinned word for word: the MD5 of its words in
+   decimal, joined by single spaces. *)
+let test_large_cb_image () =
+  let cb =
+    Workload.Generator.sized_casebase ~seed:2004 ~types:15 ~impls:40 ~attrs:10
+  in
+  let image = get (Memlayout.encode_cb cb) in
+  check_int "words" 13_887 (Array.length image.Memlayout.cb_words);
+  check_int "supplemental base" 13_846 image.Memlayout.cb_supplemental_base;
+  let text =
+    String.concat " "
+      (List.map string_of_int (Array.to_list image.Memlayout.cb_words))
+  in
+  Alcotest.(check string)
+    "digest" "a09d0a31a2e82c6eb9760d492c5f7134"
+    (Digest.to_hex (Digest.string text))
 
 let test_build_system () =
   let image = get (Memlayout.build_system cb request) in
@@ -419,9 +490,11 @@ let () =
           Alcotest.test_case "word structure" `Quick test_tree_word_structure;
           Alcotest.test_case "value collision" `Quick
             test_value_collision_rejected;
+          Alcotest.test_case "refusals" `Quick test_refusals;
         ] );
       ( "system",
         [
+          Alcotest.test_case "large-cb image" `Quick test_large_cb_image;
           Alcotest.test_case "build" `Quick test_build_system;
           Alcotest.test_case "reconstruct" `Quick test_reconstruct_system;
           Alcotest.test_case "cb image reuse" `Quick test_cb_image_reuse;
