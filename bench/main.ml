@@ -183,11 +183,12 @@ let run_t3 () =
     (Memlayout.bytes_of_words full);
   (* Cross-check the formula against the real encoder. *)
   let cb = Workload.Generator.sized_casebase ~seed:5 ~types:15 ~impls:10 ~attrs:10 in
-  let layout = get (Memlayout.encode_tree cb) in
+  let image = get (Memlayout.encode_cb cb) in
+  (* The tree is the CB-MEM image up to the supplemental base. *)
+  let tree_words = image.Memlayout.cb_supplemental_base in
   Printf.printf "encoder cross-check: generated 15x10x10 tree = %d words (%s)\n"
-    (Array.length layout.Memlayout.words)
-    (if Array.length layout.Memlayout.words = full then "matches formula"
-     else "MISMATCH")
+    tree_words
+    (if tree_words = full then "matches formula" else "MISMATCH")
 
 (* ------------------------------------------------------------------ *)
 (* S1: hardware vs software speedup                                    *)

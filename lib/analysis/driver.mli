@@ -46,6 +46,6 @@ val lint_raw :
   req_mem:int array ->
   supplemental_base:int ->
   Diagnostic.t list
-(** Image + range passes over bare memory words — no tree directories
+(** Image + range passes over bare memory words — no case base
     required, so this accepts arbitrarily corrupted input.  The
     program and VHDL passes need a full scenario and are skipped. *)

@@ -39,6 +39,5 @@ val check_raw :
     base. *)
 
 val check_system : Memlayout.system_image -> Diagnostic.t list
-(** [check_raw] over the image's words; the encoded directories are
-    deliberately ignored — only what the hardware can see is
-    checked. *)
+(** [check_raw] over the image's words and supplemental base — only
+    what the hardware can see is checked. *)

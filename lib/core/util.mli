@@ -12,6 +12,5 @@ val ok_exn : ctx:string -> ('a, string) result -> 'a
 
 val fletcher16 : int array -> int
 (** Fletcher-16 over 16-bit words (each masked to 16 bits), widened to
-    [sum2 * 2{^16} + sum1].  The one shared implementation behind
-    [Memlayout.checksum] and the fault scrubber's readback compare —
+    [sum2 * 2{^16} + sum1].  The fault scrubber's readback compare —
     an O(n) whole-image fingerprint that needs no structural decode. *)

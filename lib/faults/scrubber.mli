@@ -8,7 +8,7 @@
 
     Detection is two-tier, mirroring real BRAM scrubbers:
 
-    + a cheap whole-image {!Memlayout.checksum} comparison
+    + a cheap whole-image {!Qos_core.Util.fletcher16} comparison
       ({!checksum_matches}) — what a periodic hardware scrub
       engine would compute;
     + the full semantic {!diagnose} pass — the design-time image

@@ -30,15 +30,7 @@ module Ram = struct
     else t.words.(addr)
 
   let access_count t = t.accesses
-  let reset_access_count t = t.accesses <- 0
-  let to_array t = Array.copy t.words
 end
-
-type tree_layout = {
-  words : int array;
-  type_directory : (int * int) list;
-  impl_directory : ((int * int) * int) list;
-}
 
 type decoded_request = {
   req_type_id : int;
@@ -51,34 +43,35 @@ type decoded_tree = (int * (int * (int * int) list) list) list
 
 let ( let* ) = Result.bind
 
+(* The encoders stop at the first word the end marker would shadow. *)
+exception Refused of string
+
 let check_value what v =
   if v < 0 || v > max_value_word then
-    Error
-      (Printf.sprintf "%s %d collides with the end marker or is negative" what
-         v)
-  else Ok v
+    raise
+      (Refused
+         (Printf.sprintf "%s %d collides with the end marker or is negative"
+            what v))
+
+let refusing encode = try Ok (encode ()) with Refused m -> Error m
 
 (* --- Request list ------------------------------------------------------ *)
 
 let encode_request (r : Request.t) =
   let normalized = Request.normalized_weights r in
-  let* () =
-    List.fold_left
-      (fun acc (aid, v, _) ->
-        let* () = acc in
-        let* _ = check_value "request attribute id" aid in
-        let* _ = check_value "request attribute value" v in
-        Ok ())
-      (Ok ()) normalized
-  in
-  let words =
-    r.Request.type_id
-    :: List.concat_map
-         (fun (aid, v, w) -> [ aid; v; Fxp.Q15.to_raw (Fxp.Q15.of_float w) ])
-         normalized
-    @ [ end_marker ]
-  in
-  Ok (Array.of_list words)
+  refusing (fun () ->
+      List.iter
+        (fun (aid, v, _) ->
+          check_value "request attribute id" aid;
+          check_value "request attribute value" v)
+        normalized;
+      Array.of_list
+        (r.Request.type_id
+         :: List.concat_map
+              (fun (aid, v, w) ->
+                [ aid; v; Fxp.Q15.to_raw (Fxp.Q15.of_float w) ])
+              normalized
+        @ [ end_marker ]))
 
 let decode_request words =
   let n = Array.length words in
@@ -96,20 +89,6 @@ let decode_request words =
 
 (* --- Supplemental list -------------------------------------------------- *)
 
-let encode_supplemental schema =
-  let* blocks =
-    List.fold_left
-      (fun acc (d : Attr.descriptor) ->
-        let* rev = acc in
-        let* _ = check_value "supplemental attribute id" d.id in
-        let* _ = check_value "supplemental lower bound" d.lower in
-        let* _ = check_value "supplemental upper bound" d.upper in
-        let recip = Fxp.Q15.to_raw (Fxp.Q15.recip_succ (Attr.dmax d)) in
-        Ok ([ d.id; d.lower; d.upper; recip ] :: rev))
-      (Ok []) (Attr.Schema.descriptors schema)
-  in
-  Ok (Array.of_list (List.concat (List.rev blocks) @ [ end_marker ]))
-
 let decode_supplemental words =
   let n = Array.length words in
   let rec loop i acc =
@@ -123,112 +102,6 @@ let decode_supplemental words =
   loop 0 []
 
 (* --- Implementation tree ------------------------------------------------ *)
-
-(* Address plan: level-0 list at 0, then each type's level-1 list in type
-   order, then every level-2 attribute list in (type, impl) order.  All
-   sizes are known up front, so pointers are computed in one pass. *)
-let encode_tree (cb : Casebase.t) =
-  let types = cb.ftypes in
-  let level0_size = (2 * List.length types) + 1 in
-  let level1_size (ft : Ftype.t) = (2 * List.length ft.impls) + 1 in
-  let level2_size (impl : Impl.t) = (2 * Impl.attr_count impl) + 1 in
-  let level1_total =
-    List.fold_left (fun acc ft -> acc + level1_size ft) 0 types
-  in
-  (* Assign level-1 base addresses per type. *)
-  let _, type_dir_rev =
-    List.fold_left
-      (fun (addr, acc) (ft : Ftype.t) ->
-        (addr + level1_size ft, (ft.id, addr) :: acc))
-      (level0_size, []) types
-  in
-  let type_directory = List.rev type_dir_rev in
-  (* Assign level-2 base addresses per (type, impl). *)
-  let total, impl_dir_rev =
-    List.fold_left
-      (fun (addr, acc) (ft : Ftype.t) ->
-        List.fold_left
-          (fun (addr, acc) (impl : Impl.t) ->
-            (addr + level2_size impl, ((ft.id, impl.id), addr) :: acc))
-          (addr, acc) ft.impls)
-      (level0_size + level1_total, [])
-      types
-  in
-  let impl_directory = List.rev impl_dir_rev in
-  if total > address_space then
-    Error
-      (Printf.sprintf "tree image needs %d words, exceeding the 16-bit address space" total)
-  else
-    (* Hash the directories for O(1) pointer lookups while emitting. *)
-    let type_dir_tbl = Hashtbl.create 16 in
-    List.iter (fun (id, addr) -> Hashtbl.replace type_dir_tbl id addr) type_directory;
-    let impl_dir_tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (key, addr) -> Hashtbl.replace impl_dir_tbl key addr)
-      impl_directory;
-    let words = Array.make total end_marker in
-    let pos = ref 0 in
-    let emit w =
-      words.(!pos) <- w;
-      incr pos
-    in
-    let* () =
-      (* Level 0. *)
-      let* () =
-        List.fold_left
-          (fun acc (ft : Ftype.t) ->
-            let* () = acc in
-            let* _ = check_value "function-type id" ft.id in
-            emit ft.id;
-            emit (Hashtbl.find type_dir_tbl ft.id);
-            Ok ())
-          (Ok ()) types
-      in
-      emit end_marker;
-      (* Level 1, per type. *)
-      let* () =
-        List.fold_left
-          (fun acc (ft : Ftype.t) ->
-            let* () = acc in
-            let* () =
-              List.fold_left
-                (fun acc (impl : Impl.t) ->
-                  let* () = acc in
-                  let* _ = check_value "implementation id" impl.id in
-                  emit impl.id;
-                  emit (Hashtbl.find impl_dir_tbl (ft.id, impl.id));
-                  Ok ())
-                (Ok ()) ft.impls
-            in
-            emit end_marker;
-            Ok ())
-          (Ok ()) types
-      in
-      (* Level 2, per (type, impl). *)
-      List.fold_left
-        (fun acc (ft : Ftype.t) ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (impl : Impl.t) ->
-              let* () = acc in
-              let* () =
-                List.fold_left
-                  (fun acc (aid, v) ->
-                    let* () = acc in
-                    let* _ = check_value "attribute id" aid in
-                    let* _ = check_value "attribute value" v in
-                    emit aid;
-                    emit v;
-                    Ok ())
-                  (Ok ()) impl.attrs
-              in
-              emit end_marker;
-              Ok ())
-            (Ok ()) ft.impls)
-        (Ok ()) types
-    in
-    assert (!pos = total);
-    Ok { words; type_directory; impl_directory }
 
 let decode_tree words =
   let n = Array.length words in
@@ -258,31 +131,103 @@ let decode_tree words =
     (Ok []) level0
   |> Result.map List.rev
 
-(* --- System image ------------------------------------------------------- *)
+(* --- CB-MEM image ------------------------------------------------------- *)
 
 type system_image = {
   cb_mem : int array;
   req_mem : int array;
   tree_base : int;
   supplemental_base : int;
-  layout : tree_layout;
 }
 
-type cb_image = {
-  cb_words : int array;
-  cb_supplemental_base : int;
-  cb_layout : tree_layout;
-}
+type cb_image = { cb_words : int array; cb_supplemental_base : int }
 
-let encode_cb cb =
-  let* layout = encode_tree cb in
-  let* supplemental = encode_supplemental cb.Casebase.schema in
-  let tree_words = Array.length layout.words in
-  let cb_words = Array.append layout.words supplemental in
-  if Array.length cb_words > address_space then
-    Error "combined CB-MEM image exceeds the 16-bit address space"
+(* Word counts of the tree's three levels, end markers included. *)
+let level_sizes (cb : Casebase.t) =
+  let level1 = ref 0 and level2 = ref 0 in
+  List.iter
+    (fun (ft : Ftype.t) ->
+      level1 := !level1 + (2 * List.length ft.impls) + 1;
+      List.iter
+        (fun impl -> level2 := !level2 + (2 * Impl.attr_count impl) + 1)
+        ft.impls)
+    cb.ftypes;
+  ((2 * List.length cb.ftypes) + 1, !level1, !level2)
+
+(* Address plan: the level-0 list at 0, each type's level-1 list in type
+   order, every level-2 attribute list in (type, impl) order, then the
+   supplemental list.  The sizes fix every base up front, so each level
+   is filled in one walk whose pointer words are a running address into
+   the level below.  Levels are filled in order, so the value checks
+   run level by level and the first refusal is the one reported. *)
+let encode_cb (cb : Casebase.t) =
+  let level0, level1, level2 = level_sizes cb in
+  let tree = level0 + level1 + level2 in
+  if tree > address_space then
+    Error
+      (Printf.sprintf
+         "tree image needs %d words, exceeding the 16-bit address space" tree)
   else
-    Ok { cb_words; cb_supplemental_base = tree_words; cb_layout = layout }
+    let descriptors = Attr.Schema.descriptors cb.schema in
+    let* words =
+      refusing (fun () ->
+          let words =
+            Array.make (tree + (4 * List.length descriptors) + 1) end_marker
+          in
+          let pos = ref 0 and next = ref level0 in
+          let pair a b =
+            words.(!pos) <- a;
+            words.(!pos + 1) <- b;
+            pos := !pos + 2
+          in
+          (* Level 0: one (type ID, level-1 pointer) pair per type. *)
+          List.iter
+            (fun (ft : Ftype.t) ->
+              check_value "function-type id" ft.id;
+              pair ft.id !next;
+              next := !next + (2 * List.length ft.impls) + 1)
+            cb.ftypes;
+          (* Level 1, per type: (impl ID, level-2 pointer) pairs. *)
+          pos := level0;
+          List.iter
+            (fun (ft : Ftype.t) ->
+              List.iter
+                (fun (impl : Impl.t) ->
+                  check_value "implementation id" impl.id;
+                  pair impl.id !next;
+                  next := !next + (2 * Impl.attr_count impl) + 1)
+                ft.impls;
+              incr pos)
+            cb.ftypes;
+          (* Level 2, per (type, impl): (attr ID, value) pairs. *)
+          List.iter
+            (fun (ft : Ftype.t) ->
+              List.iter
+                (fun (impl : Impl.t) ->
+                  List.iter
+                    (fun (aid, v) ->
+                      check_value "attribute id" aid;
+                      check_value "attribute value" v;
+                      pair aid v)
+                    impl.attrs;
+                  incr pos)
+                ft.impls)
+            cb.ftypes;
+          assert (!pos = tree);
+          (* Supplemental list: (attr ID, lower, upper, recip) blocks. *)
+          List.iter
+            (fun (d : Attr.descriptor) ->
+              check_value "supplemental attribute id" d.id;
+              check_value "supplemental lower bound" d.lower;
+              check_value "supplemental upper bound" d.upper;
+              pair d.id d.lower;
+              pair d.upper (Fxp.Q15.to_raw (Fxp.Q15.recip_succ (Attr.dmax d))))
+            descriptors;
+          words)
+    in
+    if Array.length words > address_space then
+      Error "combined CB-MEM image exceeds the 16-bit address space"
+    else Ok { cb_words = words; cb_supplemental_base = tree }
 
 let attach_request image request =
   let* req_mem = encode_request request in
@@ -292,7 +237,6 @@ let attach_request image request =
       req_mem;
       tree_base = 0;
       supplemental_base = image.cb_supplemental_base;
-      layout = image.cb_layout;
     }
 
 let build_system cb request =
@@ -303,51 +247,20 @@ let reconstruct_system ~cb_mem ~req_mem ~supplemental_base =
   if supplemental_base <= 0 || supplemental_base > Array.length cb_mem then
     Error "supplemental base outside the CB-MEM image"
   else
-    let tree_words = Array.sub cb_mem 0 supplemental_base in
-    let supplemental =
-      Array.sub cb_mem supplemental_base
-        (Array.length cb_mem - supplemental_base)
-    in
     (* Validate all three structures by decoding them. *)
-    let* _ = decode_tree tree_words in
-    let* _ = decode_supplemental supplemental in
+    let* _ = decode_tree (Array.sub cb_mem 0 supplemental_base) in
+    let* _ =
+      decode_supplemental
+        (Array.sub cb_mem supplemental_base
+           (Array.length cb_mem - supplemental_base))
+    in
     let* _ = decode_request req_mem in
-    (* Re-derive the directories by walking the pointer lists. *)
-    let read_pairs start =
-      let n = Array.length tree_words in
-      let rec loop i acc =
-        if i >= n then Error "tree list lacks an end marker"
-        else if tree_words.(i) = end_marker then Ok (List.rev acc)
-        else if i + 1 >= n then Error "truncated tree pair"
-        else loop (i + 2) ((tree_words.(i), tree_words.(i + 1)) :: acc)
-      in
-      loop start []
-    in
-    let* level0 = read_pairs 0 in
-    let* impl_dir_rev =
-      List.fold_left
-        (fun acc (type_id, l1_ptr) ->
-          let* rev = acc in
-          let* level1 = read_pairs l1_ptr in
-          Ok
-            (List.fold_left
-               (fun rev (impl_id, l2_ptr) ->
-                 (((type_id, impl_id), l2_ptr) :: rev))
-               rev level1))
-        (Ok []) level0
-    in
     Ok
       {
         cb_mem = Array.copy cb_mem;
         req_mem = Array.copy req_mem;
         tree_base = 0;
         supplemental_base;
-        layout =
-          {
-            words = tree_words;
-            type_directory = level0;
-            impl_directory = List.rev impl_dir_rev;
-          };
       }
 
 (* --- Accounting (Table 3) ----------------------------------------------- *)
@@ -362,25 +275,18 @@ type accounting = {
 }
 
 let account cb request =
-  let* layout = encode_tree cb in
-  let* supplemental = encode_supplemental cb.Casebase.schema in
+  let* image = encode_cb cb in
   let* req = encode_request request in
-  let types = cb.Casebase.ftypes in
-  let level0 = (2 * List.length types) + 1 in
-  let level1 =
-    List.fold_left
-      (fun acc (ft : Ftype.t) -> acc + (2 * List.length ft.Ftype.impls) + 1)
-      0 types
-  in
-  let total = Array.length layout.words in
+  let level0, level1, level2 = level_sizes cb in
   Ok
     {
       request_words = Array.length req;
-      supplemental_words = Array.length supplemental;
+      supplemental_words =
+        Array.length image.cb_words - image.cb_supplemental_base;
       tree_level0_words = level0;
       tree_level1_words = level1;
-      tree_level2_words = total - level0 - level1;
-      tree_total_words = total;
+      tree_level2_words = level2;
+      tree_total_words = image.cb_supplemental_base;
     }
 
 let bytes_of_words w = 2 * w
@@ -404,9 +310,3 @@ let pp_accounting ppf a =
     a.tree_level1_words a.tree_level2_words
     (bytes_of_words
        (a.request_words + a.supplemental_words + a.tree_total_words))
-
-(* Fletcher-16 over the 16-bit words, widened so the scrubber can
-   compare full images in O(n) without rescanning structure.  The
-   implementation lives in [Qos_core.Util] so the faults scrubber and
-   this module share one copy. *)
-let checksum = Qos_core.Util.fletcher16

@@ -22,6 +22,15 @@
       [(attr_id, value)] pairs, each list END-terminated, concatenated
       into one block.  Pointers are word addresses within the image.
 
+    The design-time image (CB-MEM) is the tree followed by the
+    supplemental list, laid out in one address plan: the level-0 list
+    at word 0, then each type's level-1 list in type order, then every
+    level-2 list in (type, implementation) order, then the
+    supplemental list.  {!encode_cb} counts the four sizes first, so
+    every base is known before a word is written, and fills one array
+    level by level; each pointer word is the running address of the
+    next list in the level below.
+
     The execution {e target} of a variant is deliberately {b not} part
     of the image — as in the paper, the retrieval unit returns an
     implementation ID and the allocation manager maps it to
@@ -57,25 +66,11 @@ module Ram : sig
   (** Read without counting (debug/trace use). *)
 
   val access_count : t -> int
-  val reset_access_count : t -> unit
-  val to_array : t -> int array
 end
 
-type tree_layout = {
-  words : int array;
-  type_directory : (int * int) list;  (** type ID -> level-1 list address. *)
-  impl_directory : ((int * int) * int) list;
-      (** (type ID, impl ID) -> level-2 list address. *)
-}
-
 val encode_request : Qos_core.Request.t -> (int array, string) result
-(** Weights are normalised then rounded to Q15. *)
-
-val encode_supplemental : Qos_core.Attr.Schema.t -> (int array, string) result
-
-val encode_tree : Qos_core.Casebase.t -> (tree_layout, string) result
-(** Fails when a stored value exceeds {!max_value_word} or the image
-    would exceed the 16-bit address space. *)
+(** Weights are normalised then rounded to Q15.  Fails when an
+    attribute ID or value exceeds {!max_value_word}. *)
 
 type decoded_request = {
   req_type_id : int;
@@ -101,17 +96,24 @@ type system_image = {
   req_mem : int array;
   tree_base : int;  (** Always 0. *)
   supplemental_base : int;  (** Word address of the supplemental list. *)
-  layout : tree_layout;
 }
 
 type cb_image = {
   cb_words : int array;  (** Tree ++ supplemental list. *)
   cb_supplemental_base : int;
-  cb_layout : tree_layout;
+      (** Word address of the supplemental list, which is also the
+          tree's size: the tree is
+          [Array.sub cb_words 0 cb_supplemental_base]. *)
 }
 
 val encode_cb : Qos_core.Casebase.t -> (cb_image, string) result
-(** The design-time CB-MEM content, reusable across requests. *)
+(** The design-time CB-MEM content, reusable across requests, in the
+    address plan above.  Fails, in this order, when the tree alone
+    would exceed the 16-bit address space; on the first ID or value
+    that exceeds {!max_value_word}, checked level by level (type IDs,
+    then implementation IDs, then attribute IDs and values, then the
+    supplemental IDs and bounds); or when tree and supplemental list
+    together would exceed the address space. *)
 
 val attach_request :
   cb_image -> Qos_core.Request.t -> (system_image, string) result
@@ -128,9 +130,8 @@ val reconstruct_system :
   supplemental_base:int ->
   (system_image, string) result
 (** Rebuild a {!system_image} from raw memory words (e.g. re-imported
-    from exported hex files): the tree directories are re-derived by
-    walking the pointer lists, and all three structures are validated
-    by decoding them. *)
+    from exported hex files), copying them after validating all three
+    structures by decoding them. *)
 
 (** Word/byte accounting used to reproduce Table 3. *)
 type accounting = {
@@ -144,6 +145,8 @@ type accounting = {
 
 val account : Qos_core.Casebase.t -> Qos_core.Request.t
   -> (accounting, string) result
+(** Sizes of the images {!build_system} would produce; fails where it
+    would. *)
 
 val bytes_of_words : int -> int
 
@@ -163,9 +166,3 @@ val worst_case_request_words :
   attrs_per_request:int -> include_end_marker:bool -> int
 
 val pp_accounting : Format.formatter -> accounting -> unit
-
-val checksum : int array -> int
-(** Fletcher-16 readback checksum over 16-bit memory words (each
-    masked to 16 bits), returned as [sum2 * 2{^16} + sum1].  A cheap
-    whole-image integrity probe for scrubbing: unlike a plain sum it
-    is position-sensitive, so swapped words are detected too. *)

@@ -358,6 +358,30 @@ let props =
             >= Similarity.amalgamate Similarity.Weighted_sum pairs -. 1e-9);
   ]
 
+(* --- Image checksum ---------------------------------------------------- *)
+
+let test_checksum () =
+  Alcotest.(check int) "empty image" 0 (Util.fletcher16 [||]);
+  let words = [| 0x1234; 0x0001; 0xFFFF |] in
+  Alcotest.(check int)
+    "deterministic" (Util.fletcher16 words) (Util.fletcher16 words);
+  (* Position-sensitive: swapping two words must change the sum. *)
+  let swapped = [| 0x0001; 0x1234; 0xFFFF |] in
+  Alcotest.(check bool)
+    "detects swapped words" true
+    (Util.fletcher16 words <> Util.fletcher16 swapped);
+  (* A single-bit flip anywhere is detected. *)
+  let flipped = Array.copy words in
+  flipped.(2) <- flipped.(2) lxor 0x0100;
+  Alcotest.(check bool)
+    "detects a bit flip" true
+    (Util.fletcher16 words <> Util.fletcher16 flipped);
+  (* Words are masked to 16 bits before summing. *)
+  Alcotest.(check int)
+    "masks to 16 bits"
+    (Util.fletcher16 [| 0x1234 |])
+    (Util.fletcher16 [| 0x71234 |])
+
 let () =
   Alcotest.run "core"
     [
@@ -403,5 +427,6 @@ let () =
         ] );
       ( "printers",
         [ Alcotest.test_case "smoke" `Quick test_printers_do_not_crash ] );
+      ("checksum", [ Alcotest.test_case "fletcher" `Quick test_checksum ]);
       ("properties", props);
     ]

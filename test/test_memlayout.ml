@@ -9,6 +9,15 @@ let check_bool = Alcotest.(check bool)
 let cb = Scenario_audio.casebase
 let request = Scenario_audio.request
 
+(* The tree is the CB-MEM image up to the supplemental base, the
+   supplemental list the rest. *)
+let tree (image : Memlayout.cb_image) =
+  Array.sub image.cb_words 0 image.cb_supplemental_base
+
+let supplemental (image : Memlayout.cb_image) =
+  Array.sub image.cb_words image.cb_supplemental_base
+    (Array.length image.cb_words - image.cb_supplemental_base)
+
 (* --- Ram ----------------------------------------------------------------- *)
 
 let test_ram () =
@@ -18,8 +27,6 @@ let test_ram () =
   check_int "access counted" 1 (Memlayout.Ram.access_count ram);
   check_int "peek" 3 (Memlayout.Ram.peek ram 2);
   check_int "peek not counted" 1 (Memlayout.Ram.access_count ram);
-  Memlayout.Ram.reset_access_count ram;
-  check_int "reset" 0 (Memlayout.Ram.access_count ram);
   Alcotest.check_raises "oob read"
     (Invalid_argument "Ram.read: address 7 out of bounds") (fun () ->
       ignore (Memlayout.Ram.read ram 7));
@@ -60,7 +67,7 @@ let test_request_decode_errors () =
 (* --- Supplemental image --------------------------------------------------- *)
 
 let test_supplemental_roundtrip () =
-  let words = get (Memlayout.encode_supplemental cb.Casebase.schema) in
+  let words = supplemental (get (Memlayout.encode_cb cb)) in
   (* 4 attributes x 4 words + end = 17 *)
   check_int "supplemental words" 17 (Array.length words);
   let decoded = get (Memlayout.decode_supplemental words) in
@@ -76,8 +83,8 @@ let test_supplemental_roundtrip () =
 (* --- Tree image ----------------------------------------------------------- *)
 
 let test_tree_roundtrip () =
-  let layout = get (Memlayout.encode_tree cb) in
-  let decoded = get (Memlayout.decode_tree layout.Memlayout.words) in
+  let words = tree (get (Memlayout.encode_cb cb)) in
+  let decoded = get (Memlayout.decode_tree words) in
   (match decoded with
   | [ (1, impls1); (2, impls2) ] ->
       check_int "type 1 impls" 3 (List.length impls1);
@@ -87,16 +94,10 @@ let test_tree_roundtrip () =
           Alcotest.(check (list (pair int int)))
             "impl 1 attrs" [ (1, 16); (2, 0); (3, 2); (4, 44) ] attrs
       | _ -> Alcotest.fail "unexpected first impl")
-  | _ -> Alcotest.fail "unexpected tree");
-  (* Directories agree with the decoded pointers. *)
-  check_int "type directory size" 2
-    (List.length layout.Memlayout.type_directory);
-  check_int "impl directory size" 5
-    (List.length layout.Memlayout.impl_directory)
+  | _ -> Alcotest.fail "unexpected tree")
 
 let test_tree_word_structure () =
-  let layout = get (Memlayout.encode_tree cb) in
-  let words = layout.Memlayout.words in
+  let words = tree (get (Memlayout.encode_cb cb)) in
   (* Level 0: (1, ptr) (2, ptr) END *)
   check_int "type id 1" 1 words.(0);
   check_int "type id 2" 2 words.(2);
@@ -111,13 +112,15 @@ let test_value_collision_rejected () =
       (Attr.Schema.of_list
          [ get (Attr.descriptor ~id:1 ~name:"x" ~lower:0 ~upper:65535) ])
   in
-  let impl = get (Impl.make ~id:1 ~target:Target.Fpga [ (1, 65535) ]) in
-  let ft = get (Ftype.make ~id:1 ~name:"f" [ impl ]) in
-  let bad = get (Casebase.make ~name:"bad" ~schema [ ft ]) in
-  check_bool "encode_tree rejects end-marker value" true
-    (Result.is_error (Memlayout.encode_tree bad));
+  let casebase value =
+    let impl = get (Impl.make ~id:1 ~target:Target.Fpga [ (1, value) ]) in
+    let ft = get (Ftype.make ~id:1 ~name:"f" [ impl ]) in
+    get (Casebase.make ~name:"bad" ~schema [ ft ])
+  in
+  check_bool "tree rejects end-marker value" true
+    (Result.is_error (Memlayout.encode_cb (casebase 65535)));
   check_bool "supplemental rejects end-marker bound" true
-    (Result.is_error (Memlayout.encode_supplemental schema))
+    (Result.is_error (Memlayout.encode_cb (casebase 1)))
 
 (* Every check the encoder makes, one refusal each, with its exact
    message.  The tree's checks run before the supplemental list's, so a
@@ -195,9 +198,8 @@ let test_large_cb_image () =
 let test_build_system () =
   let image = get (Memlayout.build_system cb request) in
   check_int "tree base" 0 image.Memlayout.tree_base;
-  let tree_words = Array.length image.Memlayout.layout.Memlayout.words in
-  check_int "supplemental base" tree_words image.Memlayout.supplemental_base;
-  check_int "cb_mem = tree + supplemental" (tree_words + 17)
+  check_int "supplemental base" 58 image.Memlayout.supplemental_base;
+  check_int "cb_mem = tree + supplemental" (58 + 17)
     (Array.length image.Memlayout.cb_mem);
   check_int "req_mem" 11 (Array.length image.Memlayout.req_mem)
 
@@ -223,11 +225,6 @@ let test_reconstruct_system () =
          ~req_mem:image.Memlayout.req_mem
          ~supplemental_base:image.Memlayout.supplemental_base)
   in
-  check_bool "directories match" true
-    (rebuilt.Memlayout.layout.Memlayout.type_directory
-     = image.Memlayout.layout.Memlayout.type_directory
-    && rebuilt.Memlayout.layout.Memlayout.impl_directory
-       = image.Memlayout.layout.Memlayout.impl_directory);
   check_bool "words match" true
     (rebuilt.Memlayout.cb_mem = image.Memlayout.cb_mem
     && rebuilt.Memlayout.req_mem = image.Memlayout.req_mem);
@@ -279,13 +276,12 @@ let test_worst_case_matches_encoder () =
   (* The closed-form formula must agree with the real encoder on a
      fully populated generated tree. *)
   let cb = Workload.Generator.sized_casebase ~seed:7 ~types:5 ~impls:4 ~attrs:6 in
-  let layout = get (Memlayout.encode_tree cb) in
+  let image = get (Memlayout.encode_cb cb) in
   let formula =
     Memlayout.worst_case_tree_words ~types:5 ~impls_per_type:4 ~attrs_per_impl:6
       ~include_end_markers:true ~include_pointers:true
   in
-  check_int "formula = encoder" formula
-    (Array.length layout.Memlayout.words)
+  check_int "formula = encoder" formula image.Memlayout.cb_supplemental_base
 
 (* --- Properties -------------------------------------------------------------- *)
 
@@ -310,10 +306,10 @@ let props =
       (QCheck2.Gen.int_range 0 50_000)
       (fun seed ->
         let cb = generated seed in
-        match Memlayout.encode_tree cb with
+        match Memlayout.encode_cb cb with
         | Error _ -> false
-        | Ok layout -> (
-            match Memlayout.decode_tree layout.Memlayout.words with
+        | Ok image -> (
+            match Memlayout.decode_tree (tree image) with
             | Error _ -> false
             | Ok decoded ->
                 let expected =
@@ -329,10 +325,10 @@ let props =
     prop "supplemental round-trips" (QCheck2.Gen.int_range 0 50_000)
       (fun seed ->
         let cb = generated seed in
-        match Memlayout.encode_supplemental cb.Casebase.schema with
+        match Memlayout.encode_cb cb with
         | Error _ -> false
-        | Ok words -> (
-            match Memlayout.decode_supplemental words with
+        | Ok image -> (
+            match Memlayout.decode_supplemental (supplemental image) with
             | Error _ -> false
             | Ok blocks ->
                 List.for_all2
@@ -443,35 +439,13 @@ let props =
       (QCheck2.Gen.int_range 0 50_000)
       (fun seed ->
         let cb = generated seed in
-        match Memlayout.encode_tree cb with
+        match Memlayout.encode_cb cb with
         | Error _ -> false
-        | Ok layout ->
-            let words = layout.Memlayout.words in
+        | Ok image ->
+            let words = tree image in
             Array.length words > 0
             && words.(Array.length words - 1) = Memlayout.end_marker);
   ]
-
-let test_checksum () =
-  Alcotest.(check int) "empty image" 0 (Memlayout.checksum [||]);
-  let words = [| 0x1234; 0x0001; 0xFFFF |] in
-  Alcotest.(check int)
-    "deterministic" (Memlayout.checksum words) (Memlayout.checksum words);
-  (* Position-sensitive: swapping two words must change the sum. *)
-  let swapped = [| 0x0001; 0x1234; 0xFFFF |] in
-  Alcotest.(check bool)
-    "detects swapped words" true
-    (Memlayout.checksum words <> Memlayout.checksum swapped);
-  (* A single-bit flip anywhere is detected. *)
-  let flipped = Array.copy words in
-  flipped.(2) <- flipped.(2) lxor 0x0100;
-  Alcotest.(check bool)
-    "detects a bit flip" true
-    (Memlayout.checksum words <> Memlayout.checksum flipped);
-  (* Words are masked to 16 bits before summing. *)
-  Alcotest.(check int)
-    "masks to 16 bits"
-    (Memlayout.checksum [| 0x1234 |])
-    (Memlayout.checksum [| 0x71234 |])
 
 let () =
   Alcotest.run "memlayout"
@@ -499,7 +473,6 @@ let () =
           Alcotest.test_case "reconstruct" `Quick test_reconstruct_system;
           Alcotest.test_case "cb image reuse" `Quick test_cb_image_reuse;
         ] );
-      ("checksum", [ Alcotest.test_case "fletcher" `Quick test_checksum ]);
       ( "accounting",
         [
           Alcotest.test_case "paper example" `Quick test_account_paper_example;

@@ -207,14 +207,17 @@ let props =
         let cb =
           Workload.Generator.sized_casebase ~seed ~types:2 ~impls:2 ~attrs:3
         in
-        match Memlayout.encode_tree cb with
+        match Memlayout.encode_cb cb with
         | Error _ -> false
-        | Ok layout -> (
-            match V.rom ~name:"r" ~words:layout.Memlayout.words with
+        | Ok image -> (
+            let words =
+              Array.sub image.Memlayout.cb_words 0
+                image.Memlayout.cb_supplemental_base
+            in
+            match V.rom ~name:"r" ~words with
             | Error _ -> false
             | Ok f ->
-                count_substring f.V.contents " => x\""
-                = Array.length layout.Memlayout.words));
+                count_substring f.V.contents " => x\"" = Array.length words));
     prop "project generation succeeds on generated scenarios"
       (QCheck2.Gen.int_range 0 20_000)
       (fun seed ->

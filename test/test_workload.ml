@@ -412,7 +412,7 @@ let props =
               attrs_per_impl = (0, 5);
             }
         in
-        Result.is_ok (Memlayout.encode_tree cb));
+        Result.is_ok (Memlayout.encode_cb cb));
     prop "same seed, same casebase" (QCheck2.Gen.int_range 0 100_000)
       (fun seed ->
         let build () =
