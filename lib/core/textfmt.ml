@@ -73,8 +73,14 @@ type context =
   | In_impl of type_builder * impl_builder
   | In_request of request_builder
 
+(* The document keeps the lines its end-of-file refusals belong to: the
+   casebase header, the first schema line, and the first schema or type
+   line.  0 means not seen yet. *)
 type state = {
   cb_name : string option;
+  cb_line : int;
+  schema_line : int;
+  data_line : int;
   rev_descriptors : Attr.descriptor list;
   rev_ftypes : Ftype.t list;
   rev_requests : Request.t list;
@@ -84,6 +90,9 @@ type state = {
 let initial =
   {
     cb_name = None;
+    cb_line = 0;
+    schema_line = 0;
+    data_line = 0;
     rev_descriptors = [];
     rev_ftypes = [];
     rev_requests = [];
@@ -91,6 +100,7 @@ let initial =
   }
 
 let err line message = Error { line; message }
+let first seen line = if seen = 0 then line else seen
 
 let int_token line what s =
   match int_of_string_opt s with
@@ -148,11 +158,17 @@ let step state line tokens =
           let* state = close_context state in
           match state.cb_name with
           | Some _ -> err line "duplicate casebase declaration"
-          | None -> Ok { state with cb_name = Some name })
+          | None -> Ok { state with cb_name = Some name; cb_line = line })
       | _ -> err line "usage: casebase \"<name>\"")
   | [ "schema" ] ->
       let* state = close_context state in
-      Ok { state with context = In_schema }
+      Ok
+        {
+          state with
+          context = In_schema;
+          schema_line = first state.schema_line line;
+          data_line = first state.data_line line;
+        }
   | "attr" :: rest -> (
       match (state.context, rest) with
       | In_schema, [ id; name; lower; upper ] ->
@@ -176,7 +192,12 @@ let step state line tokens =
           let tb =
             { type_line = line; type_id; type_name = name; rev_impls = [] }
           in
-          Ok { state with context = In_type tb }
+          Ok
+            {
+              state with
+              context = In_type tb;
+              data_line = first state.data_line line;
+            }
       | _ -> err line "usage: type <id> \"<name>\"")
   | "impl" :: rest -> (
       let* tb =
@@ -237,7 +258,7 @@ let step state line tokens =
 
 let parse_document text =
   let lines = String.split_on_char '\n' text in
-  let* state, last_line =
+  let* state, _ =
     List.fold_left
       (fun acc raw ->
         let* state, lineno = acc in
@@ -255,16 +276,16 @@ let parse_document text =
     match state.cb_name with
     | None ->
         if state.rev_descriptors = [] && state.rev_ftypes = [] then Ok None
-        else err (max last_line 1) "schema/type data without a casebase header"
+        else err state.data_line "schema/type data without a casebase header"
     | Some name ->
         let* schema =
           Result.map_error
-            (fun m -> { line = max last_line 1; message = m })
+            (fun m -> { line = state.schema_line; message = m })
             (Attr.Schema.of_list (List.rev state.rev_descriptors))
         in
         let* cb =
           Result.map_error
-            (fun m -> { line = max last_line 1; message = m })
+            (fun m -> { line = state.cb_line; message = m })
             (Casebase.make ~name ~schema (List.rev state.rev_ftypes))
         in
         Ok (Some cb)

@@ -27,6 +27,11 @@
 type document = { casebase : Casebase.t option; requests : Request.t list }
 
 type parse_error = { line : int; message : string }
+(** [line] is 1-based: the offending line or, when a core constructor
+    refuses what a block or the whole document built, the line that
+    opened it — the block's header, the first [schema] line for a
+    refused schema, the [casebase] line for a refused case base, and
+    the first [schema] or [type] line when the header is missing. *)
 
 val parse_document : string -> (document, parse_error) result
 

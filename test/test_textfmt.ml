@@ -144,6 +144,18 @@ let test_error_line_numbers () =
         "casebase \"x\"\nschema\ntype 1 \"t\"\n  impl 1 gpp\n    set 1 2\n\
         \    set 1 3\ntype 2 \"u\"\n",
         4 );
+      (* Refusals only the whole document can show: at the casebase
+         header, the schema line, or the first line needing a header. *)
+      ( "impl attribute missing from the schema",
+        "casebase \"x\"\nschema\n  attr 1 \"a\" 0 10\ntype 1 \"t\"\n\
+        \  impl 1 gpp\n    set 9 2\n",
+        1 );
+      ( "schema repeating an attribute",
+        "casebase \"x\"\nschema\n  attr 1 \"a\" 0 10\n  attr 1 \"b\" 0 10\n",
+        2 );
+      ( "type without a casebase header",
+        "# no header\ntype 1 \"t\"\n  impl 1 gpp\n",
+        2 );
     ]
 
 let test_parse_casebase_requires_one () =
