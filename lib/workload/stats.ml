@@ -11,11 +11,6 @@ type summary = {
   nonfinite : int;
 }
 
-let mean = function
-  | [] -> None
-  | values ->
-      Some (List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values))
-
 (* Nearest rank, 1-based: the smallest integer r with r >= p/100 * n.
    The two float roundings in [p *. n /. 100.0] can land the product a
    few ulps *above* an exact integer boundary (e.g. 99.9/100 * 1000 =
@@ -26,17 +21,6 @@ let mean = function
 let nearest_rank ~p ~n =
   let x = p *. float_of_int n /. 100.0 in
   max 1 (int_of_float (Float.ceil (x -. (1e-9 *. Float.max 1.0 x))))
-
-let percentile values ~p =
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p outside [0, 100]"
-  else
-    match values with
-    | [] -> None
-    | _ ->
-        let sorted = List.sort Float.compare values in
-        let n = List.length sorted in
-        let rank = nearest_rank ~p ~n in
-        Some (List.nth sorted (min (n - 1) (rank - 1)))
 
 (* --- Streaming accumulator ---------------------------------------------- *)
 
@@ -77,7 +61,7 @@ let finalize acc =
     let variance =
       Array.fold_left (fun s v -> s +. ((v -. mu) ** 2.0)) 0.0 sorted /. fn
     in
-    (* Nearest rank on the sorted buffer, same rule as {!percentile}. *)
+    (* Nearest rank on the sorted buffer. *)
     let pct p =
       let rank = nearest_rank ~p ~n in
       sorted.(min (n - 1) (rank - 1))

@@ -46,9 +46,11 @@ val summarize : float list -> summary option
     holds no finite value; non-finite entries are skipped and surface
     as [nonfinite] in the summary. *)
 
-val percentile : float list -> p:float -> float option
-(** Nearest-rank percentile; [p] within [0, 100].  [None] on the empty
-    list. @raise Invalid_argument when [p] is out of range. *)
+val nearest_rank : p:float -> n:int -> int
+(** The 1-based rank {!finalize} reads percentile [p] (within
+    [0, 100]) from among [n] sorted values: the smallest [r >= 1] with
+    [r >= p/100 * n], guarded so that float rounding cannot push an
+    exact boundary (p99.9 of 1000 values is rank 999) to the next
+    rank. *)
 
-val mean : float list -> float option
 val pp_summary : Format.formatter -> summary -> unit

@@ -195,6 +195,24 @@ let test_request_slack_can_exceed_bounds () =
 
 module St = Workload.Stats
 
+(* List oracles for [St.finalize]: the mean by one fold over the list,
+   and the nearest-rank percentile by sorting the list and indexing it
+   at [St.nearest_rank]. *)
+let mean = function
+  | [] -> None
+  | values ->
+      Some (List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values))
+
+let percentile values ~p =
+  if p < 0.0 || p > 100.0 then invalid_arg "percentile: p outside [0, 100]"
+  else
+    match values with
+    | [] -> None
+    | _ ->
+        let sorted = List.sort Float.compare values in
+        let n = List.length sorted in
+        Some (List.nth sorted (min (n - 1) (St.nearest_rank ~p ~n - 1)))
+
 let test_stats_known_values () =
   let s = Option.get (St.summarize [ 1.0; 2.0; 3.0; 4.0 ]) in
   check_int "n" 4 s.St.n;
@@ -205,7 +223,7 @@ let test_stats_known_values () =
   check_bool "p50 nearest rank" true (s.St.p50 = 2.0);
   check_bool "p99 is max here" true (s.St.p99 = 4.0);
   check_bool "empty" true (St.summarize [] = None);
-  check_bool "mean empty" true (St.mean [] = None)
+  check_bool "mean empty" true (mean [] = None)
 
 let test_stats_nonfinite () =
   (* A stray NaN/inf is skipped and counted, not allowed to poison the
@@ -241,13 +259,13 @@ let test_stats_nonfinite () =
 
 let test_percentile () =
   let values = [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
-  check_bool "p0 is min" true (St.percentile values ~p:0.0 = Some 1.0);
-  check_bool "p100 is max" true (St.percentile values ~p:100.0 = Some 5.0);
-  check_bool "p50 median" true (St.percentile values ~p:50.0 = Some 3.0);
-  check_bool "empty" true (St.percentile [] ~p:50.0 = None);
+  check_bool "p0 is min" true (percentile values ~p:0.0 = Some 1.0);
+  check_bool "p100 is max" true (percentile values ~p:100.0 = Some 5.0);
+  check_bool "p50 median" true (percentile values ~p:50.0 = Some 3.0);
+  check_bool "empty" true (percentile [] ~p:50.0 = None);
   Alcotest.check_raises "out of range"
-    (Invalid_argument "Stats.percentile: p outside [0, 100]") (fun () ->
-      ignore (St.percentile values ~p:101.0))
+    (Invalid_argument "percentile: p outside [0, 100]") (fun () ->
+      ignore (percentile values ~p:101.0))
 
 let test_percentile_edges () =
   (* Singleton: every percentile is the one value. *)
@@ -256,7 +274,7 @@ let test_percentile_edges () =
       check_bool
         (Printf.sprintf "singleton p%.0f" p)
         true
-        (St.percentile [ 7.5 ] ~p = Some 7.5))
+        (percentile [ 7.5 ] ~p = Some 7.5))
     [ 0.0; 50.0; 100.0 ];
   (* Percentiles must not depend on input order. *)
   let sorted = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
@@ -266,13 +284,13 @@ let test_percentile_edges () =
       check_bool
         (Printf.sprintf "order-independent p%.0f" p)
         true
-        (St.percentile sorted ~p = St.percentile shuffled ~p))
+        (percentile sorted ~p = percentile shuffled ~p))
     [ 0.0; 10.0; 25.0; 50.0; 90.0; 99.0; 100.0 ];
   (* p=0 of an unsorted list is still the minimum, not the first. *)
   check_bool "p0 unsorted" true
-    (St.percentile [ 9.0; 2.0; 7.0 ] ~p:0.0 = Some 2.0);
+    (percentile [ 9.0; 2.0; 7.0 ] ~p:0.0 = Some 2.0);
   check_bool "p100 unsorted" true
-    (St.percentile [ 9.0; 2.0; 7.0 ] ~p:100.0 = Some 9.0)
+    (percentile [ 9.0; 2.0; 7.0 ] ~p:100.0 = Some 9.0)
 
 let test_percentile_nearest_rank_boundary () =
   (* Nearest-rank is ceil(p*n/100), but p*n/100 computed in binary
@@ -282,17 +300,17 @@ let test_percentile_nearest_rank_boundary () =
      element. *)
   let thousand = List.init 1000 (fun i -> float_of_int (i + 1)) in
   check_bool "p99.9 of 1..1000 is 999" true
-    (St.percentile thousand ~p:99.9 = Some 999.0);
+    (percentile thousand ~p:99.9 = Some 999.0);
   let two_thousand = List.init 2000 (fun i -> float_of_int (i + 1)) in
   check_bool "p99.9 of 1..2000 is 1998" true
-    (St.percentile two_thousand ~p:99.9 = Some 1998.0);
+    (percentile two_thousand ~p:99.9 = Some 1998.0);
   (* Exact ranks that were never at risk must not drift down. *)
   check_bool "p90 of 1..1000 is 900" true
-    (St.percentile thousand ~p:90.0 = Some 900.0);
+    (percentile thousand ~p:90.0 = Some 900.0);
   check_bool "p99 of 1..1000 is 990" true
-    (St.percentile thousand ~p:99.0 = Some 990.0);
+    (percentile thousand ~p:99.0 = Some 990.0);
   check_bool "p100 of 1..1000 is 1000" true
-    (St.percentile thousand ~p:100.0 = Some 1000.0)
+    (percentile thousand ~p:100.0 = Some 1000.0)
 
 let test_acc_streaming () =
   let values = [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
@@ -454,9 +472,30 @@ let stats_props =
           (list_size (int_range 1 50) (float_range 0.0 100.0))
           (float_range 0.0 100.0))
       (fun (values, p) ->
-        match St.percentile values ~p with
+        match percentile values ~p with
         | None -> false
         | Some v -> List.mem v values);
+    (* Small integers give ties; the range gives negatives. *)
+    prop "summary agrees with the list oracles"
+      QCheck2.Gen.(
+        list_size (int_range 1 200)
+          (oneof
+             [
+               map float_of_int (int_range (-20) 20);
+               float_range (-1000.0) 1000.0;
+             ]))
+      (fun values ->
+        match (St.summarize values, mean values) with
+        | Some s, Some m ->
+            let at p = Option.get (percentile values ~p) in
+            s.St.p50 = at 50.0
+            && s.St.p90 = at 90.0
+            && s.St.p95 = at 95.0
+            && s.St.p99 = at 99.0
+            && s.St.minimum = at 0.0
+            && s.St.maximum = at 100.0
+            && Float.abs (s.St.mean -. m) < 1e-9
+        | _ -> false);
   ]
 
 let stream_props =
