@@ -153,12 +153,49 @@ let charge m phase n =
   | Mac -> m.ph_mac <- m.ph_mac + n
   | Mem_stall -> m.ph_mem_stall <- m.ph_mem_stall + n
 
-let snapshot_phases m =
+let create config ~trace ~waveform (image : Memlayout.system_image) =
   {
-    tree_walk = m.ph_tree_walk;
-    attr_scan = m.ph_attr_scan;
-    mac = m.ph_mac;
-    mem_stall = m.ph_mem_stall;
+    cb = Ram.of_array image.cb_mem;
+    req = Ram.of_array image.req_mem;
+    supplemental_base = image.supplemental_base;
+    config;
+    trace_on = trace;
+    cycles = 0;
+    mult_ops = 0;
+    alu_ops = 0;
+    impls_visited = 0;
+    attrs_matched = 0;
+    attrs_missing = 0;
+    supp_pos = image.supplemental_base;
+    cb_attr_pos = 0;
+    rev_trace = [];
+    trace_len = 0;
+    waveform_on = waveform;
+    rev_samples = [];
+    cur_phase = Tree_walk;
+    ph_tree_walk = 0;
+    ph_attr_scan = 0;
+    ph_mac = 0;
+    ph_mem_stall = 0;
+  }
+
+let snapshot m =
+  {
+    cycles = m.cycles;
+    cb_accesses = Ram.access_count m.cb;
+    req_accesses = Ram.access_count m.req;
+    mult_ops = m.mult_ops;
+    alu_ops = m.alu_ops;
+    impls_visited = m.impls_visited;
+    attrs_matched = m.attrs_matched;
+    attrs_missing = m.attrs_missing;
+    phases =
+      {
+        tree_walk = m.ph_tree_walk;
+        attr_scan = m.ph_attr_scan;
+        mac = m.ph_mac;
+        mem_stall = m.ph_mem_stall;
+      };
   }
 
 let emit_trace m fmt =
@@ -346,79 +383,50 @@ let eval_impl m attr_base =
 
 (* --- Top level ----------------------------------------------------------- *)
 
-let run ?(config = paper_config) ?(trace = false) ?(waveform = false)
-    (image : Memlayout.system_image) =
-  let m =
-    {
-      cb = Ram.of_array image.cb_mem;
-      req = Ram.of_array image.req_mem;
-      supplemental_base = image.supplemental_base;
-      config;
-      trace_on = trace;
-      cycles = 0;
-      mult_ops = 0;
-      alu_ops = 0;
-      impls_visited = 0;
-      attrs_matched = 0;
-      attrs_missing = 0;
-      supp_pos = image.supplemental_base;
-      cb_attr_pos = 0;
-      rev_trace = [];
-      trace_len = 0;
-      waveform_on = waveform;
-      rev_samples = [];
-      cur_phase = Tree_walk;
-      ph_tree_walk = 0;
-      ph_attr_scan = 0;
-      ph_mac = 0;
-      ph_mem_stall = 0;
-    }
+(* Walk the requested type's level-1 list, scoring each implementation
+   and folding [visit] over (accumulator, impl ID, score).  Raises
+   [Halt] when the type is absent or its list is empty. *)
+let scan m (image : Memlayout.system_image) init visit =
+  let rtype = read m m.req 0 in
+  let l1_base = scan_type_list m image.tree_base rtype in
+  let rec impl_loop pos acc =
+    m.cur_phase <- Tree_walk;
+    let impl_id, attr_ptr = read_pair m m.cb pos in
+    if impl_id <> end_marker then begin
+      m.impls_visited <- m.impls_visited + 1;
+      let score = eval_impl m attr_ptr in
+      impl_loop (pos + 2) (visit acc impl_id score)
+    end
+    else if m.impls_visited = 0 then raise (Halt (No_implementations rtype))
+    else acc
   in
+  impl_loop l1_base init
+
+let run ?(config = paper_config) ?(trace = false) ?(waveform = false) image =
+  let m = create config ~trace ~waveform image in
   match
-    let rtype = read m m.req 0 in
-    let l1_base = scan_type_list m image.tree_base rtype in
-    let rec impl_loop pos best =
-      m.cur_phase <- Tree_walk;
-      let impl_id, attr_ptr = read_pair m m.cb pos in
-      if impl_id = end_marker then best
-      else begin
-        m.impls_visited <- m.impls_visited + 1;
-        let score = eval_impl m attr_ptr in
-        alu m 1;
-        (* S > Smax comparison *)
-        let best =
+    let best =
+      scan m image None (fun best impl_id score ->
+          alu m 1;
+          (* S > Smax comparison *)
           match best with
           | Some (_, best_score) when Q.compare score best_score <= 0 -> best
           | Some _ | None ->
               sample m "best_id" impl_id;
               sample m "best_score" (Q.to_raw score);
-              emit_trace m "new best: impl %d score %d" impl_id (Q.to_raw score);
-              Some (impl_id, score)
-        in
-        impl_loop (pos + 2) best
-      end
+              emit_trace m "new best: impl %d score %d" impl_id
+                (Q.to_raw score);
+              Some (impl_id, score))
     in
-    match impl_loop l1_base None with
-    | None -> raise (Halt (No_implementations rtype))
-    | Some (best_impl_id, best_score) ->
-        {
-          best_impl_id;
-          best_score;
-          stats =
-            {
-              cycles = m.cycles;
-              cb_accesses = Ram.access_count m.cb;
-              req_accesses = Ram.access_count m.req;
-              mult_ops = m.mult_ops;
-              alu_ops = m.alu_ops;
-              impls_visited = m.impls_visited;
-              attrs_matched = m.attrs_matched;
-              attrs_missing = m.attrs_missing;
-              phases = snapshot_phases m;
-            };
-          trace = List.rev m.rev_trace;
-          waveform = List.rev m.rev_samples;
-        }
+    (* [scan] refuses an empty list, so some implementation scored. *)
+    let best_impl_id, best_score = Option.get best in
+    {
+      best_impl_id;
+      best_score;
+      stats = snapshot m;
+      trace = List.rev m.rev_trace;
+      waveform = List.rev m.rev_samples;
+    }
   with
   | outcome -> Ok outcome
   | exception Halt e -> Error e
@@ -468,69 +476,13 @@ let insert_ranked m k kept impl_id score =
   if List.length inserted > k then List.filteri (fun i _ -> i < k) inserted
   else inserted
 
-let run_nbest ?(config = paper_config) ?(trace = false) ~k
-    (image : Memlayout.system_image) =
+let run_nbest ?(config = paper_config) ?(trace = false) ~k image =
   if k < 1 then invalid_arg "Machine.run_nbest: k must be at least 1"
   else
-    let m =
-      {
-        cb = Ram.of_array image.cb_mem;
-        req = Ram.of_array image.req_mem;
-        supplemental_base = image.supplemental_base;
-        config;
-        trace_on = trace;
-        cycles = 0;
-        mult_ops = 0;
-        alu_ops = 0;
-        impls_visited = 0;
-        attrs_matched = 0;
-        attrs_missing = 0;
-        supp_pos = image.supplemental_base;
-        cb_attr_pos = 0;
-        rev_trace = [];
-        trace_len = 0;
-        waveform_on = false;
-        rev_samples = [];
-        cur_phase = Tree_walk;
-        ph_tree_walk = 0;
-        ph_attr_scan = 0;
-        ph_mac = 0;
-        ph_mem_stall = 0;
-      }
-    in
+    let m = create config ~trace ~waveform:false image in
     match
-      let rtype = read m m.req 0 in
-      let l1_base = scan_type_list m image.tree_base rtype in
-      let rec impl_loop pos kept =
-        m.cur_phase <- Tree_walk;
-        let impl_id, attr_ptr = read_pair m m.cb pos in
-        if impl_id = end_marker then kept
-        else begin
-          m.impls_visited <- m.impls_visited + 1;
-          let score = eval_impl m attr_ptr in
-          let kept = insert_ranked m k kept impl_id score in
-          impl_loop (pos + 2) kept
-        end
-      in
-      match impl_loop l1_base [] with
-      | [] -> raise (Halt (No_implementations rtype))
-      | ranked ->
-          {
-            ranked;
-            nbest_stats =
-              {
-                cycles = m.cycles;
-                cb_accesses = Ram.access_count m.cb;
-                req_accesses = Ram.access_count m.req;
-                mult_ops = m.mult_ops;
-                alu_ops = m.alu_ops;
-                impls_visited = m.impls_visited;
-                attrs_matched = m.attrs_matched;
-                attrs_missing = m.attrs_missing;
-                phases = snapshot_phases m;
-              };
-            nbest_trace = List.rev m.rev_trace;
-          }
+      let ranked = scan m image [] (insert_ranked m k) in
+      { ranked; nbest_stats = snapshot m; nbest_trace = List.rev m.rev_trace }
     with
     | outcome -> Ok outcome
     | exception Halt e -> Error e
