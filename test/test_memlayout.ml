@@ -106,26 +106,16 @@ let test_tree_word_structure () =
   check_int "type 1 pointer" 5 words.(1);
   check_int "impl id at pointer" 1 words.(5)
 
-let test_value_collision_rejected () =
-  let schema =
-    get
-      (Attr.Schema.of_list
-         [ get (Attr.descriptor ~id:1 ~name:"x" ~lower:0 ~upper:65535) ])
-  in
-  let casebase value =
-    let impl = get (Impl.make ~id:1 ~target:Target.Fpga [ (1, value) ]) in
-    let ft = get (Ftype.make ~id:1 ~name:"f" [ impl ]) in
-    get (Casebase.make ~name:"bad" ~schema [ ft ])
-  in
-  check_bool "tree rejects end-marker value" true
-    (Result.is_error (Memlayout.encode_cb (casebase 65535)));
-  check_bool "supplemental rejects end-marker bound" true
-    (Result.is_error (Memlayout.encode_cb (casebase 1)))
+(* One refusal per check, with its exact message. *)
+let refused label cb message =
+  match Memlayout.encode_cb cb with
+  | Ok _ -> Alcotest.failf "%s: encoded" label
+  | Error m -> Alcotest.(check string) label message m
 
-(* Every check the encoder makes, one refusal each, with its exact
-   message.  The tree's checks run before the supplemental list's, so a
-   case base that trips both reports the tree's. *)
-let test_refusals () =
+(* Every word the end marker would shadow is refused.  The tree's checks
+   run before the supplemental list's, so a case base that trips both
+   reports the tree's. *)
+let test_value_collision_rejected () =
   let schema ds =
     get
       (Attr.Schema.of_list
@@ -138,11 +128,6 @@ let test_refusals () =
     let impl = get (Impl.make ~id:impl_id ~target:Target.Fpga attrs) in
     let ft = get (Ftype.make ~id:type_id ~name:"f" [ impl ]) in
     get (Casebase.make ~name:"bad" ~schema:(schema ds) [ ft ])
-  in
-  let refused label cb message =
-    match Memlayout.encode_cb cb with
-    | Ok _ -> Alcotest.failf "%s: encoded" label
-    | Error m -> Alcotest.(check string) label message m
   in
   let collides what =
     what ^ " 65535 collides with the end marker or is negative"
@@ -167,7 +152,9 @@ let test_refusals () =
     (collides "supplemental lower bound");
   refused "supplemental upper bound"
     (casebase [ (1, 0, 0xFFFF) ] [ (1, 5) ])
-    (collides "supplemental upper bound");
+    (collides "supplemental upper bound")
+
+let test_address_space () =
   refused "tree over the address space"
     (Workload.Generator.sized_casebase ~seed:1 ~types:15 ~impls:200 ~attrs:12)
     "tree image needs 81046 words, exceeding the 16-bit address space";
@@ -464,7 +451,7 @@ let () =
           Alcotest.test_case "word structure" `Quick test_tree_word_structure;
           Alcotest.test_case "value collision" `Quick
             test_value_collision_rejected;
-          Alcotest.test_case "refusals" `Quick test_refusals;
+          Alcotest.test_case "address space" `Quick test_address_space;
         ] );
       ( "system",
         [
