@@ -69,8 +69,8 @@ module Ram : sig
 end
 
 val encode_request : Qos_core.Request.t -> (int array, string) result
-(** Weights are normalised then rounded to Q15.  Fails when an
-    attribute ID or value exceeds {!max_value_word}. *)
+(** Weights are normalised then rounded to Q15.  Fails on an
+    attribute ID or value outside 0..{!max_value_word}. *)
 
 type decoded_request = {
   req_type_id : int;
@@ -110,7 +110,7 @@ val encode_cb : Qos_core.Casebase.t -> (cb_image, string) result
 (** The design-time CB-MEM content, reusable across requests, in the
     address plan above.  Fails, in this order, when the tree alone
     would exceed the 16-bit address space; on the first ID or value
-    that exceeds {!max_value_word}, checked level by level (type IDs,
+    outside 0..{!max_value_word}, checked level by level (type IDs,
     then implementation IDs, then attribute IDs and values, then the
     supplemental IDs and bounds); or when tree and supplemental list
     together would exceed the address space. *)
