@@ -152,7 +152,21 @@ let test_value_collision_rejected () =
     (collides "supplemental lower bound");
   refused "supplemental upper bound"
     (casebase [ (1, 0, 0xFFFF) ] [ (1, 5) ])
-    (collides "supplemental upper bound")
+    (collides "supplemental upper bound");
+  (* Checks run level by level, not type by type: every type ID before
+     any implementation ID, every implementation ID before any
+     attribute. *)
+  let impl id attrs = get (Impl.make ~id ~target:Target.Fpga attrs) in
+  let ftype id impls = get (Ftype.make ~id ~name:"f" impls) in
+  let two_level ftypes =
+    get (Casebase.make ~name:"bad" ~schema:(schema [ (1, 0, 0xFFFF) ]) ftypes)
+  in
+  refused "type IDs first"
+    (two_level [ ftype 1 [ impl 0xFFFF [] ]; ftype 0xFFFF [ impl 1 [] ] ])
+    (collides "function-type id");
+  refused "implementation IDs before attributes"
+    (two_level [ ftype 1 [ impl 1 [ (1, 0xFFFF) ]; impl 0xFFFF [] ] ])
+    (collides "implementation id")
 
 let test_address_space () =
   refused "tree over the address space"
