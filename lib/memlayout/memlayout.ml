@@ -142,15 +142,17 @@ type system_image = {
 
 type cb_image = { cb_words : int array; cb_supplemental_base : int }
 
-(* Word counts of the tree's three levels, end markers included. *)
+(* Words of a type's level-1 list and of a variant's level-2 list, and
+   the three levels' totals, end markers included. *)
+let level1_size (ft : Ftype.t) = (2 * List.length ft.impls) + 1
+let level2_size impl = (2 * Impl.attr_count impl) + 1
+
 let level_sizes (cb : Casebase.t) =
   let level1 = ref 0 and level2 = ref 0 in
   List.iter
-    (fun (ft : Ftype.t) ->
-      level1 := !level1 + (2 * List.length ft.impls) + 1;
-      List.iter
-        (fun impl -> level2 := !level2 + (2 * Impl.attr_count impl) + 1)
-        ft.impls)
+    (fun ft ->
+      level1 := !level1 + level1_size ft;
+      List.iter (fun impl -> level2 := !level2 + level2_size impl) ft.impls)
     cb.ftypes;
   ((2 * List.length cb.ftypes) + 1, !level1, !level2)
 
@@ -185,7 +187,7 @@ let encode_cb (cb : Casebase.t) =
             (fun (ft : Ftype.t) ->
               check_value "function-type id" ft.id;
               pair ft.id !next;
-              next := !next + (2 * List.length ft.impls) + 1)
+              next := !next + level1_size ft)
             cb.ftypes;
           (* Level 1, per type: (impl ID, level-2 pointer) pairs. *)
           pos := level0;
@@ -195,7 +197,7 @@ let encode_cb (cb : Casebase.t) =
                 (fun (impl : Impl.t) ->
                   check_value "implementation id" impl.id;
                   pair impl.id !next;
-                  next := !next + (2 * Impl.attr_count impl) + 1)
+                  next := !next + level2_size impl)
                 ft.impls;
               incr pos)
             cb.ftypes;
