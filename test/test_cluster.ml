@@ -243,6 +243,38 @@ let test_substrate_placement () =
         replicas)
     cb.Casebase.ftypes
 
+(* A node's case base is the full one cut down to the types it hosts,
+   under the name "<name>@n<k>": the case base [Casebase.make] builds
+   from those types. *)
+let test_substrate_sub_casebases () =
+  List.iter
+    (fun (cb : Casebase.t) ->
+      let sub =
+        get
+          (Substrate.create ~nodes:6 ~replication:3 ~fault_domains:3
+             ~engine:native cb)
+      in
+      Array.iter
+        (fun (node : Substrate.node) ->
+          let id = node.Substrate.node_id in
+          let expect =
+            get
+              (Casebase.make
+                 ~name:(Printf.sprintf "%s@n%d" cb.Casebase.name id)
+                 ~schema:cb.Casebase.schema
+                 (List.filter_map (Casebase.find_type cb)
+                    node.Substrate.hosted_types))
+          in
+          check_bool
+            (Printf.sprintf "%s node %d" cb.Casebase.name id)
+            true
+            (Casebase.equal expect node.Substrate.casebase))
+        sub.Substrate.nodes)
+    [
+      Desim.Apps.reference_casebase;
+      Workload.Generator.sized_casebase ~seed:11 ~types:15 ~impls:4 ~attrs:5;
+    ]
+
 (* --- ladder rungs ---------------------------------------------------------- *)
 
 (* Each rung on its own, from hand-built views and loads: no run. *)
@@ -1168,7 +1200,11 @@ let () =
             test_outages_bad_down_time;
         ] );
       ( "substrate",
-        [ Alcotest.test_case "placement" `Quick test_substrate_placement ] );
+        [
+          Alcotest.test_case "placement" `Quick test_substrate_placement;
+          Alcotest.test_case "sub case bases" `Quick
+            test_substrate_sub_casebases;
+        ] );
       ( "ladder",
         [
           Alcotest.test_case "skip" `Quick test_ladder_skip;

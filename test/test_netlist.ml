@@ -51,6 +51,52 @@ let test_rom_validation () =
   check_bool "range checked" true
     (Result.is_error (El.rom_module ~name:"r" ~words:[| 70000 |]))
 
+(* Table 2's primitives, read off the IR: each ROM cell of the Fig. 4/5
+   memories is one block RAM, and each distinct product in the unit is
+   one MULT18X18 (the FSM states that multiply the same operands share
+   one Fig. 7 box). *)
+let test_table2_primitives () =
+  let d = get (El.design_of_scenario cb request) in
+  let table2 = Resource.estimate Rtlsim.Datapath.retrieval_unit in
+  let roms =
+    List.concat_map
+      (fun m -> List.filter (function Ir.Rom _ -> true | _ -> false) m.Ir.cells)
+      d.Ir.modules
+  in
+  check_int "one block RAM per ROM cell" table2.Resource.brams
+    (List.length roms);
+  let rec subexprs e =
+    e
+    ::
+    (match e with
+    | Ir.Ref _ | Ir.Int _ | Ir.Bitlit _ | Ir.Zeros | Ir.Statelit _ -> []
+    | Ir.Paren a -> subexprs a
+    | Ir.Bin (_, a, b) | Ir.Resize (a, b) | Ir.To_unsigned (a, b) ->
+        subexprs a @ subexprs b
+    | Ir.Slice (a, b, c) | Ir.Cond (a, b, c) ->
+        subexprs a @ subexprs b @ subexprs c)
+  in
+  let cell_exprs = function
+    | Ir.Comb { cexpr; _ } -> [ cexpr ]
+    | Ir.Select { marms; mdefault; _ } -> mdefault :: List.map fst marms
+    | Ir.Fsm { freset_stmts; farms; _ } ->
+        List.map snd
+          (List.concat_map Ir.stmt_writes
+             (freset_stmts @ List.concat_map snd farms))
+    | Ir.Rom _ | Ir.Inst _ -> []
+  in
+  match Ir.find_module d "qos_retrieval_unit" with
+  | None -> Alcotest.fail "no retrieval unit"
+  | Some m ->
+      let products =
+        List.sort_uniq compare
+          (List.filter
+             (function Ir.Bin (Ir.Mul, _, _) -> true | _ -> false)
+             (List.concat_map subexprs (List.concat_map cell_exprs m.Ir.cells)))
+      in
+      check_int "one MULT18X18 per distinct product" table2.Resource.mult18x18
+        (List.length products)
+
 (* --- simulator equivalence ------------------------------------------------ *)
 
 let machine_cycles image =
@@ -275,6 +321,7 @@ let () =
           Alcotest.test_case "unit structure" `Quick test_unit_structure;
           Alcotest.test_case "system modules" `Quick test_system_modules;
           Alcotest.test_case "rom validation" `Quick test_rom_validation;
+          Alcotest.test_case "table 2 primitives" `Quick test_table2_primitives;
         ] );
       ( "sim",
         [
