@@ -117,7 +117,7 @@ let run_t1 () =
 
 let run_t2 () =
   section "T2" "Table 2: synthesis results on XC2V3000 (resource model)";
-  let estimate = Resource.estimate Rtlsim.Datapath.retrieval_unit in
+  let estimate = Resource.estimate Resource.retrieval_unit in
   let u = Resource.utilization Resource.xc2v3000 estimate in
   let paper = Resource.table2 in
   Printf.printf "%-22s | %-22s | %s\n" "resource" "model" "paper";
@@ -132,7 +132,7 @@ let run_t2 () =
     "max clock" estimate.Resource.clock_mhz paper.Resource.paper_clock_mhz;
   Printf.printf "critical path: %s\n" estimate.Resource.critical_path;
   subsection "compacted variant (Sec. 5 projection, for S4 context)";
-  let compacted = Resource.estimate Rtlsim.Datapath.compacted_retrieval_unit in
+  let compacted = Resource.estimate Resource.compacted_retrieval_unit in
   Printf.printf
     "compacted datapath: %d slices (+%d), %d BRAM, %d MULT18X18\n"
     compacted.Resource.slices
@@ -771,7 +771,7 @@ let run_s7 () =
       | Error e -> Printf.printf "%-4d | %s\n" k (Rtlsim.Machine.error_to_string e)
       | Ok o ->
           let cycles = o.Rtlsim.Machine.nbest_stats.Rtlsim.Machine.cycles in
-          let est = Resource.estimate (Rtlsim.Datapath.nbest_retrieval_unit ~k) in
+          let est = Resource.estimate (Resource.nbest_retrieval_unit ~k) in
           Printf.printf "%-4d | %10d | %9.1f%% | %d\n" k cycles
             (100.0 *. (float_of_int (cycles - base) /. float_of_int base))
             est.Resource.slices)
@@ -1393,7 +1393,7 @@ let run_scorecard () =
   section "SCORECARD" "paper vs measured, in one table";
   let cb = Scenario_audio.casebase and req = Scenario_audio.request in
   let best = getr (Engine_float.best cb req) in
-  let estimate = Resource.estimate Rtlsim.Datapath.retrieval_unit in
+  let estimate = Resource.estimate Resource.retrieval_unit in
   let big = Workload.Generator.sized_casebase ~seed:11 ~types:15 ~impls:10 ~attrs:10 in
   let breq = Workload.Generator.sized_request ~seed:12 big in
   let speedup =

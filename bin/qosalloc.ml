@@ -494,8 +494,8 @@ let trace_cmd =
 let resources_cmd =
   let run compacted =
     let datapath =
-      if compacted then Rtlsim.Datapath.compacted_retrieval_unit
-      else Rtlsim.Datapath.retrieval_unit
+      if compacted then Resource.compacted_retrieval_unit
+      else Resource.retrieval_unit
     in
     let e = Resource.estimate datapath in
     Format.printf "%a@." Resource.pp_estimate e;

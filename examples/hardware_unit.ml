@@ -47,5 +47,5 @@ let () =
       | Error _ -> ()));
 
   print_endline "\nresource estimate (Table 2 model):";
-  let e = Resource.estimate Rtlsim.Datapath.retrieval_unit in
+  let e = Resource.estimate Resource.retrieval_unit in
   Format.printf "  %a@." Resource.pp_estimate e

@@ -1,3 +1,97 @@
+type component =
+  | Register of { name : string; bits : int }
+  | Adder of { name : string; bits : int }
+  | Subtractor of { name : string; bits : int }
+  | Abs_unit of { name : string; bits : int }
+  | Comparator of { name : string; bits : int }
+  | Multiplier of { name : string; a_bits : int; b_bits : int }
+  | Mux of { name : string; inputs : int; bits : int }
+  | Counter of { name : string; bits : int }
+  | Fsm of { name : string; states : int }
+  | Bram of { name : string; kbits : int }
+
+(* One entry per box of Fig. 7, plus the control FSM of Fig. 6 (11
+   states: fetch-type, scan-type, select-impl, fetch-req-attr,
+   fetch-supplemental, scan-impl-attr, compute-local, accumulate,
+   compare-best, next-impl, done). *)
+let retrieval_unit =
+  [
+    Bram { name = "cb_mem"; kbits = 18 };
+    Bram { name = "req_mem"; kbits = 18 };
+    Counter { name = "req_addr"; bits = 16 };
+    Counter { name = "cb_addr"; bits = 16 };
+    Counter { name = "supp_addr"; bits = 16 };
+    Register { name = "req_type"; bits = 16 };
+    Register { name = "attr_id"; bits = 16 };
+    Register { name = "attr_value_req"; bits = 16 };
+    Register { name = "attr_value_cb"; bits = 16 };
+    Register { name = "weight"; bits = 16 };
+    Register { name = "recip_dmax"; bits = 16 };
+    Register { name = "impl_id"; bits = 16 };
+    Register { name = "attr_list_ptr"; bits = 16 };
+    Abs_unit { name = "abs_diff"; bits = 16 };
+    Multiplier { name = "mul_recip"; a_bits = 16; b_bits = 16 };
+    Multiplier { name = "mul_weight"; a_bits = 16; b_bits = 16 };
+    Subtractor { name = "complement_one"; bits = 16 };
+    Adder { name = "accumulate"; bits = 18 };
+    Register { name = "sum_s"; bits = 18 };
+    Register { name = "s_max"; bits = 16 };
+    Register { name = "impl_id_max"; bits = 16 };
+    Comparator { name = "best_compare"; bits = 16 };
+    Comparator { name = "id_match"; bits = 16 };
+    Comparator { name = "end_detect"; bits = 16 };
+    Mux { name = "cb_addr_mux"; inputs = 4; bits = 16 };
+    Mux { name = "req_addr_mux"; inputs = 2; bits = 16 };
+    Mux { name = "local_sim_mux"; inputs = 2; bits = 16 };
+    Fsm { name = "retrieval_ctrl"; states = 11 };
+  ]
+
+(* Compacted variant (Sec. 5): the BRAM ports are configured 32 bits
+   wide so ID and value arrive in one access; one extra holding register
+   and two extra FSM states for the pair alignment. *)
+let compacted_retrieval_unit =
+  List.map
+    (function
+      | Fsm { name; states } -> Fsm { name; states = states + 2 }
+      | c -> c)
+    retrieval_unit
+  @ [ Register { name = "pair_hold"; bits = 16 } ]
+
+let component_name = function
+  | Register { name; _ }
+  | Adder { name; _ }
+  | Subtractor { name; _ }
+  | Abs_unit { name; _ }
+  | Comparator { name; _ }
+  | Multiplier { name; _ }
+  | Mux { name; _ }
+  | Counter { name; _ }
+  | Fsm { name; _ }
+  | Bram { name; _ } ->
+      name
+
+(* N-best variant: the s_max / impl_id_max pair becomes a k-deep
+   insertion register file with one comparator per kept entry. *)
+let nbest_retrieval_unit ~k =
+  if k < 1 then invalid_arg "Resource.nbest_retrieval_unit: k must be >= 1"
+  else
+    let keep_regs =
+      List.concat
+        (List.init k (fun i ->
+             [
+               Register { name = Printf.sprintf "s_kept_%d" i; bits = 16 };
+               Register { name = Printf.sprintf "id_kept_%d" i; bits = 16 };
+               Comparator { name = Printf.sprintf "insert_cmp_%d" i; bits = 16 };
+             ]))
+    in
+    List.filter
+      (fun c ->
+        match component_name c with
+        | "s_max" | "impl_id_max" | "best_compare" -> false
+        | _ -> true)
+      retrieval_unit
+    @ keep_regs
+
 type cost = { luts : int; ffs : int; brams : int; mults : int }
 
 let zero_cost = { luts = 0; ffs = 0; brams = 0; mults = 0 }
@@ -12,7 +106,7 @@ let ceil_div a b = (a + b - 1) / b
    - k:1 mux: a tree of 2:1 muxes, (k-1) LUTs per bit, halved by the
      dedicated MUXF5/MUXF6 resources;
    - one-hot FSM: ~3 LUTs of next-state/output decode and 1 FF per state. *)
-let component_cost (c : Rtlsim.Datapath.component) =
+let component_cost c =
   match c with
   | Register { bits; _ } -> { zero_cost with ffs = bits }
   | Counter { bits; _ } -> { zero_cost with luts = bits; ffs = bits }
@@ -25,26 +119,17 @@ let component_cost (c : Rtlsim.Datapath.component) =
   | Fsm { states; _ } -> { zero_cost with luts = 3 * states; ffs = states }
   | Bram _ -> { zero_cost with brams = 1 }
 
-type calibration = {
-  overhead : float;
-  lut_delay_ns : float;
-  carry_per_bit_ns : float;
-  bram_access_ns : float;
-  mult_delay_ns : float;
-  routing_factor : float;
-}
-
 (* Delays are Virtex-II speed-grade -4 ballpark figures; [overhead] is
-   calibrated so the reference datapath reproduces Table 2's 441 slices. *)
-let default_calibration =
-  {
-    overhead = 1.86;
-    lut_delay_ns = 0.65;
-    carry_per_bit_ns = 0.10;
-    bram_access_ns = 2.6;
-    mult_delay_ns = 7.0;
-    routing_factor = 1.5;
-  }
+   calibrated so the reference datapath reproduces Table 2's 441 slices
+   (generated VHDL, see the interface's module doc). *)
+let overhead = 1.86
+let lut_delay_ns = 0.65
+let carry_per_bit_ns = 0.10
+let bram_access_ns = 2.6
+let mult_delay_ns = 7.0
+
+(* Net delay as a multiple of logic delay. *)
+let routing_factor = 1.5
 
 type estimate = {
   slices : int;
@@ -59,37 +144,37 @@ type estimate = {
 type path = { path_name : string; logic_ns : float }
 
 (* Candidate register-to-register paths of the Fig. 7 datapath. *)
-let candidate_paths cal components =
+let candidate_paths components =
   let has_multiplier =
     List.exists
-      (function Rtlsim.Datapath.Multiplier _ -> true | _ -> false)
+      (function Multiplier _ -> true | _ -> false)
       components
   in
   let bits = 16.0 in
-  let carry = bits *. cal.carry_per_bit_ns in
+  let carry = bits *. carry_per_bit_ns in
   let base =
     [
       (* BRAM output -> address mux -> counter increment *)
       {
         path_name = "mem-to-counter";
-        logic_ns = cal.bram_access_ns +. cal.lut_delay_ns +. carry;
+        logic_ns = bram_access_ns +. lut_delay_ns +. carry;
       };
       (* difference register -> ABS -> complement *)
       {
         path_name = "abs-complement";
-        logic_ns = (2.0 *. cal.lut_delay_ns) +. (2.0 *. carry);
+        logic_ns = (2.0 *. lut_delay_ns) +. (2.0 *. carry);
       };
       (* accumulator add + best comparison *)
-      { path_name = "accumulate-compare"; logic_ns = 2.0 *. carry +. cal.lut_delay_ns };
+      { path_name = "accumulate-compare"; logic_ns = 2.0 *. carry +. lut_delay_ns };
     ]
   in
   if has_multiplier then
     (* multiplier output -> complement subtract -> register *)
-    { path_name = "multiplier-complement"; logic_ns = cal.mult_delay_ns +. carry }
+    { path_name = "multiplier-complement"; logic_ns = mult_delay_ns +. carry }
     :: base
   else base
 
-let estimate ?(calibration = default_calibration) components =
+let estimate components =
   let add (acc : cost) c =
     let k = component_cost c in
     {
@@ -105,15 +190,15 @@ let estimate ?(calibration = default_calibration) components =
      demand are packed separately rather than shared. *)
   let ideal = ceil_div total.luts 2 + ceil_div total.ffs 2 in
   let slices =
-    int_of_float (Float.round (float_of_int ideal *. calibration.overhead))
+    int_of_float (Float.round (float_of_int ideal *. overhead))
   in
   let worst =
     List.fold_left
       (fun (acc : path) p -> if p.logic_ns > acc.logic_ns then p else acc)
       { path_name = "none"; logic_ns = 0.0 }
-      (candidate_paths calibration components)
+      (candidate_paths components)
   in
-  let period_ns = worst.logic_ns *. calibration.routing_factor in
+  let period_ns = worst.logic_ns *. routing_factor in
   let clock_mhz = if period_ns <= 0.0 then 0.0 else 1000.0 /. period_ns in
   {
     slices;
@@ -159,203 +244,6 @@ type paper_numbers = {
 
 let table2 =
   { paper_slices = 441; paper_brams = 2; paper_mults = 2; paper_clock_mhz = 77.0 }
-
-(* --- IR-derived component inventory ---------------------------------------- *)
-
-module I = Netlist.Ir
-module D = Rtlsim.Datapath
-
-let binop_tag = function
-  | I.Add -> "+"
-  | I.Sub -> "-"
-  | I.Mul -> "*"
-  | I.Srl -> "srl"
-  | I.Eq -> "="
-  | I.Neq -> "/="
-  | I.Lt -> "<"
-  | I.Le -> "<="
-  | I.Gt -> ">"
-  | I.Ge -> ">="
-  | I.And_ -> "and"
-  | I.Or_ -> "or"
-
-(* Canonical text of an expression, used to de-duplicate operator
-   sites: `spos + 4` written in two FSM arms is one shared incrementer
-   in the datapath, exactly as Fig. 7 draws one box per function. *)
-let rec expr_key = function
-  | I.Ref n -> n
-  | I.Int n -> string_of_int n
-  | I.Bitlit c -> Printf.sprintf "'%c'" c
-  | I.Zeros -> "zeros"
-  | I.Statelit s -> s
-  | I.Bin (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (expr_key a) (binop_tag op) (expr_key b)
-  | I.Paren e -> expr_key e
-  | I.Slice (e, hi, lo) ->
-      Printf.sprintf "%s[%s:%s]" (expr_key e) (expr_key hi) (expr_key lo)
-  | I.Resize (e, w) -> Printf.sprintf "resize(%s,%s)" (expr_key e) (expr_key w)
-  | I.To_unsigned (e, w) ->
-      Printf.sprintf "to_unsigned(%s,%s)" (expr_key e) (expr_key w)
-  | I.Cond (a, c, b) ->
-      Printf.sprintf "(%s?%s:%s)" (expr_key c) (expr_key a) (expr_key b)
-
-let of_netlist (d : I.design) =
-  let comps = ref [] in
-  let add c = comps := c :: !comps in
-  let const n = Option.map fst (List.assoc_opt n d.I.constants) in
-  List.iter
-    (fun m ->
-      let fsm_stmts =
-        List.concat_map
-          (function
-            | I.Fsm { freset_stmts; farms; _ } ->
-                freset_stmts @ List.concat_map snd farms
-            | _ -> [])
-          m.I.cells
-      in
-      (* A register whose only arithmetic is self-increment is a
-         counter: its adder rides the carry chain inside the counter
-         cost, so `cur + 2` sites are not separate Adders. *)
-      let counters =
-        List.sort_uniq String.compare
-          (List.filter_map
-             (fun (t, e) ->
-               match e with
-               | I.Bin (I.Add, I.Ref s, I.Int _) when String.equal s t -> Some t
-               | _ -> None)
-             (List.concat_map I.stmt_writes fsm_stmts))
-      in
-      let is_counter s = List.mem s counters in
-      let seen = Hashtbl.create 32 in
-      let rec walk_expr ~vars e =
-        let lookup n = I.module_width d m ~vars n in
-        let w e = I.expr_width ~lookup ~const e in
-        let wd e = Option.value ~default:16 (w e) in
-        (match e with
-        | I.Bin (op, a, b) ->
-            let k = m.I.mod_name ^ "/" ^ expr_key e in
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.add seen k ();
-              match op with
-              | I.Mul ->
-                  add (D.Multiplier { name = k; a_bits = wd a; b_bits = wd b })
-              | I.Add | I.Sub -> (
-                  let counter_incr =
-                    match (a, b) with
-                    | I.Ref s, I.Int _ -> is_counter s
-                    | _ -> false
-                  in
-                  (* No derivable width: an elaboration-time constant
-                     (generic arithmetic), not datapath logic. *)
-                  match w e with
-                  | Some bits when not counter_incr ->
-                      add
-                        (if op = I.Add then D.Adder { name = k; bits }
-                         else D.Subtractor { name = k; bits })
-                  | _ -> ())
-              | I.Eq | I.Neq | I.Lt | I.Le | I.Gt | I.Ge ->
-                  (* Single-bit flag tests are FSM glue, not a
-                     Fig. 7 comparator box. *)
-                  let bits =
-                    max
-                      (Option.value ~default:0 (w a))
-                      (Option.value ~default:0 (w b))
-                  in
-                  if bits > 1 then add (D.Comparator { name = k; bits })
-              | I.Srl | I.And_ | I.Or_ -> ()
-            end
-        | _ -> ());
-        match e with
-        | I.Ref _ | I.Int _ | I.Bitlit _ | I.Zeros | I.Statelit _ -> ()
-        | I.Paren a -> walk_expr ~vars a
-        | I.Bin (_, a, b) ->
-            walk_expr ~vars a;
-            walk_expr ~vars b
-        | I.Slice (a, hi, lo) ->
-            walk_expr ~vars a;
-            walk_expr ~vars hi;
-            walk_expr ~vars lo
-        | I.Resize (a, wexp) | I.To_unsigned (a, wexp) ->
-            walk_expr ~vars a;
-            walk_expr ~vars wexp
-        | I.Cond (a, c, b) ->
-            walk_expr ~vars a;
-            walk_expr ~vars c;
-            walk_expr ~vars b
-      in
-      let rec walk_stmt ~vars st =
-        match st with
-        (* if a >= b then t <= a - b else t <= b - a: one ABS box. *)
-        | I.If
-            ( [
-                ( I.Bin (I.Ge, I.Ref x, I.Ref y),
-                  [ I.Assign (t1, I.Bin (I.Sub, I.Ref x', I.Ref y')) ] );
-              ],
-              [ I.Assign (t2, I.Bin (I.Sub, I.Ref y'', I.Ref x'')) ] )
-          when String.equal x x' && String.equal x x'' && String.equal y y'
-               && String.equal y y'' && String.equal t1 t2 ->
-            let bits =
-              Option.value ~default:16 (I.module_width d m ~vars x)
-            in
-            add (D.Abs_unit { name = m.I.mod_name ^ "/" ^ t1; bits })
-        | I.Assign (_, e) | I.Vassign (_, e) -> walk_expr ~vars e
-        | I.If (branches, els) ->
-            List.iter
-              (fun (c, body) ->
-                walk_expr ~vars c;
-                List.iter (walk_stmt ~vars) body)
-              branches;
-            List.iter (walk_stmt ~vars) els
-      in
-      List.iter
-        (fun cell ->
-          match cell with
-          | I.Comb { cexpr; _ } -> walk_expr ~vars:[] cexpr
-          | I.Select { mname; mtarget; marms; mdefault; _ } ->
-              let bits =
-                Option.value ~default:16 (I.module_width d m ~vars:[] mtarget)
-              in
-              add
-                (D.Mux
-                   {
-                     name = m.I.mod_name ^ "/" ^ mname;
-                     inputs = List.length marms + 1;
-                     bits;
-                   });
-              List.iter (fun (e, _) -> walk_expr ~vars:[] e) marms;
-              walk_expr ~vars:[] mdefault
-          | I.Fsm { fname; fstate; fstates; freset_stmts; fvars; farms; _ } ->
-              add
-                (D.Fsm
-                   {
-                     name = m.I.mod_name ^ "/" ^ fname;
-                     states = List.length fstates;
-                   });
-              let registered =
-                List.filter
-                  (fun t -> not (String.equal t fstate))
-                  (I.fsm_signal_targets
-                     (freset_stmts @ List.concat_map snd farms))
-              in
-              List.iter
-                (fun t ->
-                  let bits =
-                    Option.value ~default:16
-                      (I.module_width d m ~vars:fvars t)
-                  in
-                  let name = m.I.mod_name ^ "/" ^ t in
-                  add
-                    (if is_counter t then D.Counter { name; bits }
-                     else D.Register { name; bits }))
-                registered;
-              List.iter (walk_stmt ~vars:fvars)
-                (freset_stmts @ List.concat_map snd farms)
-          | I.Rom { rname; _ } ->
-              add (D.Bram { name = m.I.mod_name ^ "/" ^ rname; kbits = 18 })
-          | I.Inst _ -> ())
-        m.I.cells)
-    d.I.modules;
-  List.rev !comps
 
 let pp_estimate ppf e =
   Format.fprintf ppf

@@ -1,38 +1,67 @@
 (** FPGA resource and clock estimation for the retrieval unit —
     reproduces the Table 2 synthesis inventory.
 
-    The model prices each [Rtlsim.Datapath] component in Virtex-II
+    The Fig. 7 datapath is described here as a component inventory:
+    every register, arithmetic unit, comparator and multiplexer of the
+    most-similar-retrieval datapath, the two BRAMs (CB-MEM and Req-MEM)
+    and the two 18x18 hardware multipliers ({!retrieval_unit}), plus
+    the Sec. 5 variants.  The model prices each component in Virtex-II
     terms (a slice holds two 4-LUTs and two flip-flops; multipliers map
     to MULT18X18 primitives; memories to 18-kbit block RAMs), sums the
-    inventory, and applies a calibrated overhead factor.
+    inventory, and applies a fixed overhead factor.
 
     The overhead factor deserves a note: the paper's VHDL was
     machine-generated from a Matlab Stateflow model by a beta-state
     converter (JVHDLgen) and then patched by hand (Sec. 4.2).  Such
     code synthesises far less densely than hand-written RTL; the
-    default calibration (1.86x over ideal packing) is chosen so the
+    overhead constant (1.86x over ideal packing) is chosen so the
     reference datapath lands at the paper's 441 slices and is applied
     uniformly to every variant, so {e relative} comparisons (e.g.
     compacted vs word-serial) remain meaningful. *)
 
+(** {1 The Fig. 7 inventory} *)
+
+type component =
+  | Register of { name : string; bits : int }
+  | Adder of { name : string; bits : int }
+  | Subtractor of { name : string; bits : int }
+  | Abs_unit of { name : string; bits : int }
+      (** Subtract + conditional negate — the ABS(X) block. *)
+  | Comparator of { name : string; bits : int }
+  | Multiplier of { name : string; a_bits : int; b_bits : int }
+      (** Mapped onto a MULT18X18 primitive. *)
+  | Mux of { name : string; inputs : int; bits : int }
+  | Counter of { name : string; bits : int }
+      (** Address counters / pointers into the memories. *)
+  | Fsm of { name : string; states : int }
+      (** One-hot control automaton. *)
+  | Bram of { name : string; kbits : int }
+
+val retrieval_unit : component list
+(** The Fig. 7 datapath: request/CB address counters, attribute ID /
+    value / weight / reciprocal registers, ABS difference unit, the two
+    multipliers (similarity x reciprocal, similarity x weight),
+    accumulator, best-score/best-ID registers, the result comparator,
+    the memory muxes, and the Fig. 6 control FSM. *)
+
+val compacted_retrieval_unit : component list
+(** The Sec. 5 "compacted attribute block" variant: 32-bit wide memory
+    port (double BRAM data width), an extra holding register, a slightly
+    larger FSM. *)
+
+val nbest_retrieval_unit : k:int -> component list
+(** The Sec. 5 "n most similar" extension: the single best-score/ID
+    register pair is replaced by [k] pairs plus an insertion comparator
+    chain.  @raise Invalid_argument when [k < 1]. *)
+
+val component_name : component -> string
+
+(** {1 Pricing} *)
+
 (** Raw primitive demand of one component. *)
 type cost = { luts : int; ffs : int; brams : int; mults : int }
 
-val component_cost : Rtlsim.Datapath.component -> cost
-
-(** Calibration constants: packing/overhead and wire/logic delays. *)
-type calibration = {
-  overhead : float;
-      (** Multiplier on ideally packed slices; default 1.86 (generated
-          VHDL, see module doc). *)
-  lut_delay_ns : float;
-  carry_per_bit_ns : float;
-  bram_access_ns : float;
-  mult_delay_ns : float;
-  routing_factor : float;  (** Net delay as a multiple of logic delay. *)
-}
-
-val default_calibration : calibration
+val component_cost : component -> cost
 
 type estimate = {
   slices : int;
@@ -44,8 +73,7 @@ type estimate = {
   critical_path : string;  (** Name of the limiting path. *)
 }
 
-val estimate : ?calibration:calibration -> Rtlsim.Datapath.component list
-  -> estimate
+val estimate : component list -> estimate
 
 (** A target device's capacity, for utilisation percentages. *)
 type device = {
@@ -77,20 +105,6 @@ type paper_numbers = {
 }
 
 val table2 : paper_numbers
-
-val of_netlist : Netlist.Ir.design -> Rtlsim.Datapath.component list
-(** Derive the component inventory directly from an elaborated netlist
-    IR design rather than the hand-maintained [Rtlsim.Datapath] table:
-    ROM cells become 18-kbit block RAMs, selected assignments become
-    muxes, each FSM becomes an FSM box plus one register (or counter,
-    when its only arithmetic is self-increment) per signal it loads,
-    and operator sites — de-duplicated by operand text, since one
-    drawn Fig. 7 box serves every state that uses it — become
-    multiplier/adder/subtractor/comparator boxes.  The
-    [if a >= b then a - b else b - a] idiom is recognised as one ABS
-    unit.  Feed the result to {!estimate} and cross-check against the
-    legacy table ({!Rtlsim.Datapath.retrieval_unit}): block-RAM and
-    multiplier counts must agree exactly. *)
 
 val pp_estimate : Format.formatter -> estimate -> unit
 val pp_utilization : Format.formatter -> utilization -> unit

@@ -57,7 +57,7 @@ let test_rom_validation () =
    one Fig. 7 box). *)
 let test_table2_primitives () =
   let d = get (El.design_of_scenario cb request) in
-  let table2 = Resource.estimate Rtlsim.Datapath.retrieval_unit in
+  let table2 = Resource.estimate Resource.retrieval_unit in
   let roms =
     List.concat_map
       (fun m -> List.filter (function Ir.Rom _ -> true | _ -> false) m.Ir.cells)

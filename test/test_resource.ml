@@ -1,12 +1,11 @@
 (* Tests for the FPGA resource/clock estimator (Table 2). *)
 
-module D = Rtlsim.Datapath
 module R = Resource
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let estimate = R.estimate D.retrieval_unit
+let estimate = R.estimate R.retrieval_unit
 
 let test_table2_inventory () =
   check_int "slices = paper's 441" R.table2.R.paper_slices estimate.R.slices;
@@ -33,23 +32,23 @@ let test_device_capacities () =
   check_int "mults" 96 R.xc2v3000.R.device_mults
 
 let test_component_costs () =
-  let reg = R.component_cost (D.Register { name = "r"; bits = 16 }) in
+  let reg = R.component_cost (R.Register { name = "r"; bits = 16 }) in
   check_int "register ffs" 16 reg.R.ffs;
   check_int "register luts" 0 reg.R.luts;
-  let adder = R.component_cost (D.Adder { name = "a"; bits = 16 }) in
+  let adder = R.component_cost (R.Adder { name = "a"; bits = 16 }) in
   check_int "adder luts" 16 adder.R.luts;
-  let mult = R.component_cost (D.Multiplier { name = "m"; a_bits = 16; b_bits = 16 }) in
+  let mult = R.component_cost (R.Multiplier { name = "m"; a_bits = 16; b_bits = 16 }) in
   check_int "multiplier primitive" 1 mult.R.mults;
   check_int "multiplier takes no luts" 0 mult.R.luts;
-  let bram = R.component_cost (D.Bram { name = "b"; kbits = 18 }) in
+  let bram = R.component_cost (R.Bram { name = "b"; kbits = 18 }) in
   check_int "bram primitive" 1 bram.R.brams;
-  let fsm = R.component_cost (D.Fsm { name = "f"; states = 11 }) in
+  let fsm = R.component_cost (R.Fsm { name = "f"; states = 11 }) in
   check_int "fsm ffs (one-hot)" 11 fsm.R.ffs;
-  let mux = R.component_cost (D.Mux { name = "x"; inputs = 4; bits = 16 }) in
+  let mux = R.component_cost (R.Mux { name = "x"; inputs = 4; bits = 16 }) in
   check_int "4:1 mux luts" 24 mux.R.luts
 
 let test_compacted_variant () =
-  let compacted = R.estimate D.compacted_retrieval_unit in
+  let compacted = R.estimate R.compacted_retrieval_unit in
   check_bool "compacted needs more slices" true
     (compacted.R.slices > estimate.R.slices);
   check_int "still 2 brams" 2 compacted.R.brams;
@@ -57,42 +56,31 @@ let test_compacted_variant () =
 
 let test_nbest_datapath () =
   let base = estimate in
-  let n4 = R.estimate (D.nbest_retrieval_unit ~k:4) in
-  let n8 = R.estimate (D.nbest_retrieval_unit ~k:8) in
+  let n4 = R.estimate (R.nbest_retrieval_unit ~k:4) in
+  let n8 = R.estimate (R.nbest_retrieval_unit ~k:8) in
   check_bool "k=4 grows over single-best" true (n4.R.slices > base.R.slices);
   check_bool "k=8 grows over k=4" true (n8.R.slices > n4.R.slices);
   check_int "still 2 brams" 2 n8.R.brams;
   check_int "still 2 multipliers" 2 n8.R.mult18x18;
   Alcotest.check_raises "k must be positive"
-    (Invalid_argument "Datapath.nbest_retrieval_unit: k must be >= 1")
-    (fun () -> ignore (D.nbest_retrieval_unit ~k:0))
+    (Invalid_argument "Resource.nbest_retrieval_unit: k must be >= 1")
+    (fun () -> ignore (R.nbest_retrieval_unit ~k:0))
 
 let test_datapath_inventory () =
-  check_int "2 brams in the datapath" 2 (D.bram_count D.retrieval_unit);
-  check_int "2 multipliers in the datapath" 2
-    (D.multiplier_count D.retrieval_unit);
+  check_int "2 brams in the datapath" 2 estimate.R.brams;
+  check_int "2 multipliers in the datapath" 2 estimate.R.mult18x18;
   check_bool "fsm present" true
     (List.exists
-       (function D.Fsm _ -> true | _ -> false)
-       D.retrieval_unit);
+       (function R.Fsm _ -> true | _ -> false)
+       R.retrieval_unit);
   check_bool "component names unique" true
-    (let names = List.map D.component_name D.retrieval_unit in
+    (let names = List.map R.component_name R.retrieval_unit in
      List.length names = List.length (List.sort_uniq String.compare names))
-
-let test_calibration_knobs () =
-  let lean = { R.default_calibration with R.overhead = 1.0 } in
-  let e = R.estimate ~calibration:lean D.retrieval_unit in
-  check_bool "overhead scales slices" true (e.R.slices < estimate.R.slices);
-  let slow_routing =
-    { R.default_calibration with R.routing_factor = 3.0 }
-  in
-  let e2 = R.estimate ~calibration:slow_routing D.retrieval_unit in
-  check_bool "routing slows the clock" true (e2.R.clock_mhz < estimate.R.clock_mhz)
 
 let test_no_multiplier_path () =
   (* Without multipliers, the memory path should dominate. *)
   let no_mult =
-    List.filter (function D.Multiplier _ -> false | _ -> true) D.retrieval_unit
+    List.filter (function R.Multiplier _ -> false | _ -> true) R.retrieval_unit
   in
   let e = R.estimate no_mult in
   check_int "no multipliers" 0 e.R.mult18x18;
@@ -100,53 +88,19 @@ let test_no_multiplier_path () =
     (not (String.equal e.R.critical_path "multiplier-complement"));
   check_bool "faster clock" true (e.R.clock_mhz > estimate.R.clock_mhz)
 
-let test_of_netlist_crosscheck () =
-  let d =
-    match
-      Netlist.Elaborate.design_of_scenario Qos_core.Scenario_audio.casebase
-        Qos_core.Scenario_audio.request
-    with
-    | Ok d -> d
-    | Error e -> Alcotest.fail e
-  in
-  let derived = R.of_netlist d in
-  check_int "brams match the legacy table" (D.bram_count D.retrieval_unit)
-    (D.bram_count derived);
-  check_int "multipliers match the legacy table"
-    (D.multiplier_count D.retrieval_unit)
-    (D.multiplier_count derived);
-  check_bool "abs unit recognised" true
-    (List.exists (function D.Abs_unit _ -> true | _ -> false) derived);
-  check_bool "address counters recognised" true
-    (List.exists (function D.Counter _ -> true | _ -> false) derived);
-  check_bool "fsm carries the 22 cycle-exact states" true
-    (List.exists
-       (function D.Fsm { states; _ } -> states = 22 | _ -> false)
-       derived);
-  let e = R.estimate derived in
-  check_int "still 2 brams" 2 e.R.brams;
-  check_int "still 2 multipliers" 2 e.R.mult18x18;
-  (* The IR inventory keeps every comparator site and the full
-     cycle-exact control, so it prices above the condensed Fig. 7
-     table — but must stay in Table 2's class, not a different order
-     of magnitude. *)
-  check_bool "slices in Table 2's class" true
-    (e.R.slices >= R.table2.R.paper_slices / 2
-    && e.R.slices <= R.table2.R.paper_slices * 5 / 2)
-
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen f)
 
 let component_gen =
   QCheck2.Gen.(
     oneof
       [
-        map (fun bits -> D.Register { name = "r"; bits }) (int_range 1 32);
-        map (fun bits -> D.Adder { name = "a"; bits }) (int_range 1 32);
-        map (fun bits -> D.Abs_unit { name = "abs"; bits }) (int_range 1 32);
+        map (fun bits -> R.Register { name = "r"; bits }) (int_range 1 32);
+        map (fun bits -> R.Adder { name = "a"; bits }) (int_range 1 32);
+        map (fun bits -> R.Abs_unit { name = "abs"; bits }) (int_range 1 32);
         map
-          (fun (inputs, bits) -> D.Mux { name = "m"; inputs; bits })
+          (fun (inputs, bits) -> R.Mux { name = "m"; inputs; bits })
           (pair (int_range 2 8) (int_range 1 32));
-        map (fun states -> D.Fsm { name = "f"; states }) (int_range 1 64);
+        map (fun states -> R.Fsm { name = "f"; states }) (int_range 1 64);
       ])
 
 let props =
@@ -178,10 +132,7 @@ let () =
           Alcotest.test_case "compacted variant" `Quick test_compacted_variant;
           Alcotest.test_case "datapath inventory" `Quick test_datapath_inventory;
           Alcotest.test_case "n-best datapath" `Quick test_nbest_datapath;
-          Alcotest.test_case "calibration knobs" `Quick test_calibration_knobs;
           Alcotest.test_case "no-multiplier path" `Quick test_no_multiplier_path;
-          Alcotest.test_case "netlist-derived inventory" `Quick
-            test_of_netlist_crosscheck;
         ] );
       ("properties", props);
     ]
