@@ -65,6 +65,12 @@ let rec collect_results = function
       let* xs = collect_results rest in
       Ok (x :: xs)
 
+(* A type outside the case base is hosted nowhere. *)
+let hosts routes ~node ~type_id =
+  match Hashtbl.find routes type_id with
+  | replicas -> List.mem node replicas
+  | exception Not_found -> false
+
 let create ?(vnodes = 64) ?(fault_domains = 3) ~nodes:count ~replication
     ~engine (cb : Casebase.t) =
   if count < 1 then Error "Substrate.create: nodes must be >= 1"
@@ -79,24 +85,24 @@ let create ?(vnodes = 64) ?(fault_domains = 3) ~nodes:count ~replication
        hosts the full type (every variant), so any replica answers
        decision-identically to the full case base. *)
     let routes = Hashtbl.create 16 in
-    let hosted = Array.make count [] in
     List.iter
       (fun (ft : Ftype.t) ->
-        let replicas = Ring.route ring ~key:ft.Ftype.id ~replicas:replication in
-        Hashtbl.replace routes ft.Ftype.id replicas;
-        List.iter (fun n -> hosted.(n) <- ft :: hosted.(n)) replicas)
+        Hashtbl.replace routes ft.Ftype.id
+          (Ring.route ring ~key:ft.Ftype.id ~replicas:replication))
       cb.Casebase.ftypes;
     let* node_list =
       collect_results
         (List.map
            (fun (node_id, fault_domain) ->
              let* devices = node_devices node_id in
-             let fts = List.rev hosted.(node_id) in
-             let* sub =
-               Casebase.make
+             let sub =
+               Casebase.restrict
                  ~name:(Printf.sprintf "%s@n%d" cb.Casebase.name node_id)
-                 ~schema:cb.Casebase.schema fts
+                 (fun (ft : Ftype.t) ->
+                   hosts routes ~node:node_id ~type_id:ft.Ftype.id)
+                 cb
              in
+             let fts = sub.Casebase.ftypes in
              let* eng =
                match fts with
                | [] -> Ok None
@@ -146,10 +152,7 @@ let replicas_for t ~type_id =
 let node t i = t.nodes.(i)
 let members t = t.placement.ids
 
-let holds t ~node ~type_id =
-  match Hashtbl.find t.placement.routes type_id with
-  | replicas -> List.mem node replicas
-  | exception Not_found -> false
+let holds t ~node ~type_id = hosts t.placement.routes ~node ~type_id
 
 let acquire t ~node =
   let n = t.nodes.(node) in

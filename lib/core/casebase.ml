@@ -34,6 +34,8 @@ let make ~name ~schema ftypes =
         (fun () -> { name; schema; ftypes = sorted })
         (check_conformance schema sorted))
 
+let restrict ~name keep t = { t with name; ftypes = List.filter keep t.ftypes }
+
 let derive_schema ?(naming = fun id -> Printf.sprintf "attr-%d" id) ftypes =
   let module M = Map.Make (Int) in
   let widen bounds (aid, v) =

@@ -20,6 +20,12 @@ val make :
 (** Sorts function types; rejects duplicate type IDs, attributes missing
     from the schema, and out-of-bounds attribute values. *)
 
+val restrict : name:string -> (Ftype.t -> bool) -> t -> t
+(** [restrict ~name keep t] is [t] cut down to the function types that
+    satisfy [keep], under [name].  It needs no validation: every type
+    it keeps was validated when [t] was made, and it keeps their
+    order. *)
+
 val derive_schema :
   ?naming:(Attr.id -> string) -> Ftype.t list -> (Attr.Schema.t, string) result
 (** Builds the design-time schema the way the paper does: per attribute

@@ -159,6 +159,22 @@ let test_casebase_stats () =
   check_int "max impls" 3 s.Casebase.max_impls_per_type;
   check_int "max attrs" 4 s.Casebase.max_attrs_per_impl
 
+let test_casebase_restrict () =
+  let cb = Scenario_audio.casebase in
+  let sub =
+    Casebase.restrict ~name:"sub" (fun (ft : Ftype.t) -> ft.Ftype.id <> 1) cb
+  in
+  check_bool "equals make over the kept types" true
+    (Casebase.equal sub
+       (get
+          (Casebase.make ~name:"sub" ~schema:cb.Casebase.schema
+             (List.filter (fun (ft : Ftype.t) -> ft.Ftype.id <> 1)
+                cb.Casebase.ftypes))));
+  check_bool "type 1 dropped" true (Casebase.find_type sub 1 = None);
+  check_int "nothing kept" 0
+    (List.length
+       (Casebase.restrict ~name:"none" (fun _ -> false) cb).Casebase.ftypes)
+
 (* --- Requests ------------------------------------------------------------ *)
 
 let test_request_make () =
@@ -405,6 +421,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_casebase_validation;
           Alcotest.test_case "derive schema" `Quick test_derive_schema;
           Alcotest.test_case "stats" `Quick test_casebase_stats;
+          Alcotest.test_case "restrict" `Quick test_casebase_restrict;
         ] );
       ( "requests",
         [
