@@ -819,8 +819,13 @@ let serve_cmd =
              domains first.")
   in
   let jobs =
+    let in_range =
+      checked Arg.int
+        ~expect:(Printf.sprintf "an integer in 1..%d" Cluster.Serve.max_jobs)
+        (fun v -> v >= 1 && v <= Cluster.Serve.max_jobs)
+    in
     Arg.(
-      value & opt int 1
+      value & opt in_range 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for the decision phase.  The end-of-run report \

@@ -32,6 +32,7 @@ type spec = {
 }
 
 let clock_mhz = 75.0
+let max_jobs = 127
 let heartbeat_period_us = 500.0
 let min_service_us = 40.0
 let resync_rate = 0.01
@@ -217,7 +218,6 @@ let compute_decisions sub (arrivals : (int * float * Request.t) array) ~jobs =
       (Error (Engine.Engine_failure "unserved"))
   in
   let owner = Array.map (fun (_, _, request) -> primary sub request) arrivals in
-  let jobs = max 1 jobs in
   let worker w () =
     Array.iteri
       (fun idx (_, _, request) ->
@@ -518,6 +518,13 @@ end
 
 let run ?obs (spec : spec) =
   let ( let* ) = Result.bind in
+  let* () =
+    if spec.jobs < 1 || spec.jobs > max_jobs then
+      Error
+        (Printf.sprintf "serve: jobs must be in 1..%d, got %d" max_jobs
+           spec.jobs)
+    else Ok ()
+  in
   let* sub =
     Substrate.create ~vnodes:spec.vnodes ~fault_domains:spec.fault_domains
       ~nodes:spec.nodes ~replication:spec.replication ~engine:spec.engine
@@ -833,7 +840,7 @@ let run ?obs (spec : spec) =
       nodes = spec.nodes;
       replication = sub.Substrate.replication;
       fault_domains = spec.fault_domains;
-      jobs = max 1 spec.jobs;
+      jobs = spec.jobs;
       engine_name = spec.engine_name;
       requests = n_req;
       full = !full_c;

@@ -76,7 +76,9 @@ type spec = {
   replication : int;  (** Replicas per function type, clamped to [nodes]. *)
   fault_domains : int;  (** Node [i] sits in domain [i mod fault_domains]. *)
   vnodes : int;  (** Virtual nodes per node on the placement ring. *)
-  jobs : int;  (** Decision domains for the {!Pregenerated} source. *)
+  jobs : int;
+      (** Decision domains for the {!Pregenerated} source, in
+          1..{!max_jobs}. *)
   engine_name : string;  (** Registry name, for the report. *)
   engine : Qos_core.Engine.factory;  (** Each node's retrieval engine. *)
   apps : Desim.Apps.profile list;  (** The application mix. *)
@@ -118,6 +120,10 @@ val default_spec : unit -> spec
     envelope, sized to outlast a typical transient bounce plus
     detector recovery and rejoin re-replication), no SLO, stealing
     disabled, pregenerated source, retention on, load scale 1. *)
+
+val max_jobs : int
+(** 127: the OCaml 5 runtime's 128-domain limit minus the main domain.
+    {!run} refuses a [jobs] outside 1..[max_jobs]. *)
 
 val heartbeat_period_us : float
 (** 500 us: every live node beats at this period, and the detector

@@ -415,6 +415,9 @@ let bad_flags =
   and faults = "faults --duration-us 20000 --reconfig-fail-prob 0.5"
   and plain_faults = "faults --duration-us 20000" in
   [
+    ("serve", "--jobs 0");
+    ("serve", "--jobs=-1");
+    ("serve", "--jobs 128");
     ("serve", "--load-scale 0");
     ("serve", "--load-scale=-1");
     ("serve", "--load-scale inf");

@@ -864,6 +864,21 @@ let test_serve_engine_invariance () =
         [ 1; 3 ])
     Engines.bit_accurate
 
+(* An out-of-range [jobs] is refused before the run starts any
+   domain. *)
+let test_serve_jobs_range () =
+  List.iter
+    (fun jobs ->
+      match Serve.run (spec ~duration_us:1_000.0 ~jobs ()) with
+      | Ok _ -> Alcotest.failf "jobs %d accepted" jobs
+      | Error msg ->
+          check_bool
+            (Printf.sprintf "jobs %d names the range" jobs)
+            true
+            (contains msg (Printf.sprintf "1..%d" Serve.max_jobs)))
+    [ 0; -1; Serve.max_jobs + 1 ];
+  check_int "the runtime limit minus the main domain" 127 Serve.max_jobs
+
 let test_serve_unknown_type () =
   (* A request for a type the case base lacks is an engine error: it
      answers [Failed] naming the type — never degraded, never dropped —
@@ -1233,6 +1248,7 @@ let () =
           Alcotest.test_case "engine invariance" `Quick
             test_serve_engine_invariance;
           Alcotest.test_case "unknown type" `Quick test_serve_unknown_type;
+          Alcotest.test_case "jobs out of range" `Quick test_serve_jobs_range;
           Alcotest.test_case "matches sequential engine" `Quick
             test_serve_matches_sequential_engine;
         ] );
