@@ -153,13 +153,13 @@ let run ?obs spec =
   let scrub_enabled = spec.scrub_period_us <> None in
   (* Counters. *)
   let seu_injected = ref 0 and scrub_runs = ref 0 in
-  let scrub_repairs = ref 0 and scrub_diagnostics = ref 0 in
+  let scrub_diagnostics = ref 0 in
   let detected_retrievals = ref 0 and undetected_retrievals = ref 0 in
-  let failed_loads = ref 0 and flash_errors = ref 0 in
+  let flash_errors = ref 0 in
   let bitstream_errors = ref 0 and deadline_misses = ref 0 in
-  let retries = ref 0 and recovered_loads = ref 0 in
+  let recovered_loads = ref 0 in
   let lost_allocations = ref 0 and recovery_us_sum = ref 0.0 in
-  let relocations = ref 0 and lost_tasks = ref 0 in
+  let lost_tasks = ref 0 in
   let rev_deltas = ref [] in
   (* Tasks the campaign still owes a release: task_id -> (request it
      was granted for, absolute release time). *)
@@ -232,7 +232,6 @@ let run ?obs spec =
             end;
             schedule_release task.Manager.task_id ~at:release_at
         | Some cause ->
-            incr failed_loads;
             (match cause with
             | Manager.Flash_read_error -> incr flash_errors
             | Manager.Bitstream_load_error -> incr bitstream_errors
@@ -251,7 +250,6 @@ let run ?obs spec =
                 in
                 Backoff.delay spec.backoff ~attempt ~u
               in
-              incr retries;
               Manager.record_retry manager ~task ~attempt:(attempt + 1)
                 ~backoff_us:backoff;
               Engine.schedule engine ~delay:backoff (fun _ ->
@@ -281,7 +279,6 @@ let run ?obs spec =
             let diags = Scrubber.diagnose s in
             scrub_diagnostics := !scrub_diagnostics + diags;
             let words = Scrubber.repair s in
-            incr scrub_repairs;
             record_scrub ~words ~diags
           end
           else incr undetected_retrievals
@@ -320,7 +317,6 @@ let run ?obs spec =
                             Manager.relocate manager ~task:victim request
                           with
                           | Ok (regrant, delta) ->
-                              incr relocations;
                               rev_deltas := delta :: !rev_deltas;
                               if observing then
                                 Obs.Events.record flight_log
@@ -366,7 +362,6 @@ let run ?obs spec =
             let diags = Scrubber.diagnose s in
             scrub_diagnostics := !scrub_diagnostics + diags;
             let words = Scrubber.repair s in
-            incr scrub_repairs;
             record_scrub ~words ~diags
           end;
           if Engine.now engine +. period <= duration then
@@ -440,6 +435,11 @@ let run ?obs spec =
         availability)
     obs;
   let totals = sim.Simulate.totals in
+  (* Each of these events is tallied once, by the manager call that
+     records it. *)
+  let tallied kind =
+    Option.value ~default:0 (List.assoc_opt kind sim.Simulate.event_counts)
+  in
   {
     seed = base.Simulate.seed;
     duration_us = duration;
@@ -452,18 +452,18 @@ let run ?obs spec =
       {
         seu_injected = !seu_injected;
         scrub_runs = !scrub_runs;
-        scrub_repairs = !scrub_repairs;
+        scrub_repairs = tallied "scrubbed";
         scrub_diagnostics = !scrub_diagnostics;
         detected_retrievals = !detected_retrievals;
         undetected_retrievals = !undetected_retrievals;
       };
     recovery =
       {
-        failed_loads = !failed_loads;
+        failed_loads = tallied "reconfig-failed";
         flash_errors = !flash_errors;
         bitstream_errors = !bitstream_errors;
         deadline_misses = !deadline_misses;
-        retries = !retries;
+        retries = tallied "retried";
         recovered_loads = !recovered_loads;
         lost_allocations = !lost_allocations;
         mean_recovery_us =
@@ -472,7 +472,7 @@ let run ?obs spec =
       };
     degradation =
       {
-        relocations = !relocations;
+        relocations = tallied "relocated";
         lost_tasks = !lost_tasks;
         similarity_deltas = List.rev !rev_deltas;
       };
