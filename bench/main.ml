@@ -286,9 +286,10 @@ let run_s1 () =
       let mean = float_of_int total_cycles /. float_of_int (List.length requests) in
       Printf.printf
         "\nstreaming throughput (static CB-MEM, 64 requests): %.0f cycles/request\n\
-         -> %.0f retrievals/ms at the 75 MHz Table 2 clock\n"
+         -> %.0f retrievals/ms at the %.0f MHz Table 2 clock\n"
         mean
-        (75_000.0 /. mean)
+        (Engine.clock_mhz *. 1000.0 /. mean)
+        Engine.clock_mhz
 
 (* ------------------------------------------------------------------ *)
 (* S2: fixed-point vs floating-point identity                          *)
@@ -526,11 +527,12 @@ let run_s6 () =
   in
   Printf.printf
     "\nbypass hit rate: %.1f%% of %d lookups; each hit skips a ~%d-cycle\n\
-     retrieval (%.2f us at 75 MHz, charged in the simulation's setup\n\
+     retrieval (%.2f us at %.0f MHz, charged in the simulation's setup\n\
      times) plus the placement checks.\n"
     (100.0 *. float_of_int b.Allocator.Bypass.hits /. float_of_int (max 1 total))
     total retrieval_cycles
-    (float_of_int retrieval_cycles /. 75.0)
+    (float_of_int retrieval_cycles /. Engine.clock_mhz)
+    Engine.clock_mhz
 
 (* ------------------------------------------------------------------ *)
 (* A1: column placement ablation                                       *)

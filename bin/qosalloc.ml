@@ -435,9 +435,8 @@ let observe_retrieval ctx (o : Rtlsim.Machine.outcome) =
       Obs.Metrics.inc_by c
         (Rtlsim.Machine.phase_cycles_get p stats.Rtlsim.Machine.phases))
     Rtlsim.Machine.all_phases;
-  let clock_mhz = 75.0 in
   Obs.Tracer.complete ctx.Obs.Ctx.tracer ~ts:0.0
-    ~dur:(float_of_int stats.Rtlsim.Machine.cycles /. clock_mhz)
+    ~dur:(float_of_int stats.Rtlsim.Machine.cycles /. Engine.clock_mhz)
     ~args:
       [
         ("cycles", string_of_int stats.Rtlsim.Machine.cycles);

@@ -31,7 +31,6 @@ type spec = {
   load_scale : float;
 }
 
-let clock_mhz = 75.0
 let max_jobs = 127
 let heartbeat_period_us = 500.0
 let min_service_us = 40.0
@@ -231,7 +230,7 @@ let compute_decisions sub (arrivals : (int * float * Request.t) array) ~jobs =
 
 let service_us (d : Engine.decision) =
   match d.Engine.cycles with
-  | Some c -> Float.max min_service_us (float_of_int c /. clock_mhz)
+  | Some c -> Float.max min_service_us (float_of_int c /. Engine.clock_mhz)
   | None -> min_service_us
 
 (* Growable per-request storage, only populated when the spec retains

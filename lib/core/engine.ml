@@ -2,6 +2,8 @@ module Q = Fxp.Q15
 
 type decision = { impl_id : int; score : Q.t; cycles : int option }
 
+let clock_mhz = 75.0
+
 type error =
   | Unknown_type of int
   | No_implementations of int

@@ -26,6 +26,11 @@ type decision = {
           timing model (float, fixed, native). *)
 }
 
+val clock_mhz : float
+(** 75 MHz, the retrieval unit's clock in the paper's running text
+    (Sec. 4.2; Table 2 prints 77): [cycles /. clock_mhz] is the
+    unit's time in microseconds. *)
+
 type error =
   | Unknown_type of int  (** Function type absent from the case base. *)
   | No_implementations of int  (** Type present but has no variants. *)

@@ -22,7 +22,10 @@ let default_spec () =
     (* The run-time system pays the hardware unit's retrieval latency
        (75 MHz, Table 2) on every non-bypass allocation. *)
     policy =
-      { Manager.default_policy with Manager.retrieval_clock_mhz = Some 75.0 };
+      {
+        Manager.default_policy with
+        Manager.retrieval_clock_mhz = Some Qos_core.Engine.clock_mhz;
+      };
     placement = None;
     collect_trace = false;
     casebase = Apps.reference_casebase;
