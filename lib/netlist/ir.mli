@@ -3,8 +3,9 @@
     One elaborated description of the paper's Fig. 7 retrieval datapath
     (and the Fig. 4/5 BRAM organisation) feeds every structural
     consumer: the VHDL printer in [Rtlgen.Vhdl], the IR-level lint
-    passes in [Analysis.Netlist_check], the area/clock estimates in
-    [Resource.of_netlist] and the cycle simulator in {!Sim}.
+    passes in [Analysis.Netlist_check] and the cycle simulator in
+    {!Sim}.  The Table 2 area and clock estimate is not one of them:
+    [Resource] prices its own condensed Fig. 7 inventory.
 
     The IR deliberately mirrors the synthesisable VHDL subset the
     generator emits — unsigned vectors with explicit widths, registered
