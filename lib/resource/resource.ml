@@ -146,9 +146,7 @@ type path = { path_name : string; logic_ns : float }
 (* Candidate register-to-register paths of the Fig. 7 datapath. *)
 let candidate_paths components =
   let has_multiplier =
-    List.exists
-      (function Multiplier _ -> true | _ -> false)
-      components
+    List.exists (function Multiplier _ -> true | _ -> false) components
   in
   let bits = 16.0 in
   let carry = bits *. carry_per_bit_ns in
@@ -189,9 +187,7 @@ let estimate components =
      co-locates a datapath LUT with an unrelated FF, so LUT and FF
      demand are packed separately rather than shared. *)
   let ideal = ceil_div total.luts 2 + ceil_div total.ffs 2 in
-  let slices =
-    int_of_float (Float.round (float_of_int ideal *. overhead))
-  in
+  let slices = int_of_float (Float.round (float_of_int ideal *. overhead)) in
   let worst =
     List.fold_left
       (fun (acc : path) p -> if p.logic_ns > acc.logic_ns then p else acc)

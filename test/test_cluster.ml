@@ -243,9 +243,9 @@ let test_substrate_placement () =
         replicas)
     cb.Casebase.ftypes
 
-(* A node's case base is the full one cut down to the types it hosts,
-   under the name "<name>@n<k>": the case base [Casebase.make] builds
-   from those types. *)
+(* A node's case base is the full one cut down to the types the ring
+   places on it, under the name "<name>@n<k>": the case base
+   [Casebase.make] builds from those types. *)
 let test_substrate_sub_casebases () =
   List.iter
     (fun (cb : Casebase.t) ->
@@ -262,8 +262,10 @@ let test_substrate_sub_casebases () =
               (Casebase.make
                  ~name:(Printf.sprintf "%s@n%d" cb.Casebase.name id)
                  ~schema:cb.Casebase.schema
-                 (List.filter_map (Casebase.find_type cb)
-                    node.Substrate.hosted_types))
+                 (List.filter
+                    (fun (ft : Ftype.t) ->
+                      Substrate.holds sub ~node:id ~type_id:ft.Ftype.id)
+                    cb.Casebase.ftypes))
           in
           check_bool
             (Printf.sprintf "%s node %d" cb.Casebase.name id)
