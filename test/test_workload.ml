@@ -213,6 +213,95 @@ let percentile values ~p =
         let n = List.length sorted in
         Some (List.nth sorted (min (n - 1) (St.nearest_rank ~p ~n - 1)))
 
+(* Array oracle for [St.finalize]: a copy of the finite values, a
+   comparison sort, then the sum and variance folds in sorted order. *)
+let finalize_oracle values =
+  let sorted = Array.of_list (List.filter Float.is_finite values) in
+  let n = Array.length sorted in
+  if n = 0 then None
+  else begin
+    Array.sort Float.compare sorted;
+    let fn = float_of_int n in
+    let total = Array.fold_left ( +. ) 0.0 sorted in
+    let mu = total /. fn in
+    let variance =
+      Array.fold_left (fun s v -> s +. ((v -. mu) ** 2.0)) 0.0 sorted /. fn
+    in
+    let pct p = sorted.(min (n - 1) (St.nearest_rank ~p ~n - 1)) in
+    Some
+      {
+        St.n;
+        mean = mu;
+        stddev = sqrt variance;
+        minimum = sorted.(0);
+        maximum = sorted.(n - 1);
+        p50 = pct 50.0;
+        p90 = pct 90.0;
+        p95 = pct 95.0;
+        p99 = pct 99.0;
+        nonfinite = List.length values - n;
+      }
+  end
+
+(* [mean] and [stddev] bit for bit; the order statistics under
+   [Float.equal], which does not tell [-0.0] from [0.0]. *)
+let same_summary a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (a : St.summary), Some (b : St.summary) ->
+      let bits = Int64.bits_of_float in
+      let order s = St.[ s.minimum; s.p50; s.p90; s.p95; s.p99; s.maximum ] in
+      a.n = b.n
+      && a.nonfinite = b.nonfinite
+      && Int64.equal (bits a.mean) (bits b.mean)
+      && Int64.equal (bits a.stddev) (bits b.stddev)
+      && List.for_all2 Float.equal (order a) (order b)
+  | _ -> false
+
+let ulps_from x k =
+  Int64.float_of_bits (Int64.add (Int64.bits_of_float x) (Int64.of_int k))
+
+(* Values whose sum stays finite: negatives, both zeros, subnormals,
+   small integers for ties, 40.0 give or take a few ulp (the shape of
+   a stream-1m latency buffer), and the NaN and infinities [add]
+   skips and counts. *)
+let tame_value_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, float_range (-1000.0) 1000.0);
+        (3, map float_of_int (int_range (-20) 20));
+        (3, map (ulps_from 40.0) (int_range (-4) 4));
+        (1, oneofl [ 0.0; -0.0 ]);
+        ( 1,
+          map
+            (fun k -> ldexp (float_of_int k) (-1074))
+            (int_range (-1000) 1000) );
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
+      ])
+
+(* Any bit pattern, and the extremes. *)
+let wild_value_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map Int64.float_of_bits int64);
+        ( 1,
+          oneofl
+            [
+              Float.max_float;
+              -.Float.max_float;
+              Float.min_float;
+              -.Float.min_float;
+              0.0;
+              -0.0;
+              Float.nan;
+              Float.infinity;
+              Float.neg_infinity;
+            ] );
+        (1, tame_value_gen);
+      ])
+
 let test_stats_known_values () =
   let s = Option.get (St.summarize [ 1.0; 2.0; 3.0; 4.0 ]) in
   check_int "n" 4 s.St.n;
@@ -339,6 +428,23 @@ let test_acc_streaming () =
   check_int "nan skipped" 1000 after.St.n;
   check_int "nan counted" 1 after.St.nonfinite;
   check_bool "p95 unchanged" true (after.St.p95 = 950.0)
+
+let test_finalize_large () =
+  (* 300,000 values cross many doublings of the accumulator's buffer. *)
+  let rand = Random.State.make [| 23 |] in
+  let draw n = QCheck2.Gen.(generate1 ~rand (list_repeat n tame_value_gen)) in
+  let values = draw 300_000 in
+  let acc = St.create () in
+  List.iter (St.add acc) values;
+  let first = St.finalize acc in
+  check_bool "equals the oracle" true
+    (same_summary (finalize_oracle values) first);
+  check_bool "a second finalize gives the same summary" true
+    (same_summary first (St.finalize acc));
+  let more = draw 1_000 in
+  List.iter (St.add acc) more;
+  check_bool "an add after finalize summarises every value" true
+    (same_summary (finalize_oracle (values @ more)) (St.finalize acc))
 
 let test_pp_summary_golden () =
   match St.summarize [ 5.0; 1.0; 3.0; 2.0; 4.0 ] with
@@ -496,6 +602,23 @@ let stats_props =
             && s.St.maximum = at 100.0
             && Float.abs (s.St.mean -. m) < 1e-9
         | _ -> false);
+    (* One shape per list: all passes of a sort see a mixed digit on
+       wild and tame lists, and most see one digit on ties and on the
+       values around 40.0. *)
+    prop "finalize agrees with the array oracle"
+      QCheck2.Gen.(
+        let size = int_range 1 3000 in
+        oneof
+          [
+            list_size size wild_value_gen;
+            list_size size tame_value_gen;
+            list_size size (map float_of_int (int_range (-20) 20));
+            list_size size (map (ulps_from 40.0) (int_range (-4) 4));
+          ])
+      (fun values ->
+        let acc = St.create () in
+        List.iter (St.add acc) values;
+        same_summary (finalize_oracle values) (St.finalize acc));
   ]
 
 let stream_props =
@@ -557,6 +680,7 @@ let () =
           Alcotest.test_case "nearest-rank float boundary" `Quick
             test_percentile_nearest_rank_boundary;
           Alcotest.test_case "streaming accumulator" `Quick test_acc_streaming;
+          Alcotest.test_case "300,000 values" `Quick test_finalize_large;
           Alcotest.test_case "pp_summary golden" `Quick test_pp_summary_golden;
         ] );
       ( "stream",
