@@ -25,7 +25,7 @@ let nearest_rank ~p ~n =
 (* --- Streaming accumulator ---------------------------------------------- *)
 
 (* Values land in a doubling float array rather than a list: one flat
-   buffer, sorted once at [finalize] for the percentiles. *)
+   buffer, sorted in place at [finalize] for the percentiles. *)
 type acc = {
   mutable values : float array;
   mutable used : int;
@@ -49,18 +49,73 @@ let add acc v =
 let count acc = acc.used
 let nonfinite_count acc = acc.nonfinite
 
+(* --- LSD radix sort on the IEEE-754 bits ------------------------------------ *)
+
+let digit_bits = 11
+let digit_mask = (1 lsl digit_bits) - 1
+
+(* Digit [shift / digit_bits] of [v]'s sort key.  The key flips every
+   bit of a negative value and only the sign bit of any other, so the
+   keys' unsigned order is float order, with [-0.0] just below [0.0].
+   Inlined so that [v] and the key stay unboxed. *)
+let[@inline] digit v shift =
+  let b = Int64.bits_of_float v in
+  let key = Int64.logxor b (Int64.logor (Int64.shift_right b 63) Int64.min_int) in
+  Int64.to_int (Int64.shift_right_logical key shift) land digit_mask
+
+(* Sorts [values.(0 .. n-1)] in place, [n >= 1], one stable counting
+   pass per digit through one scratch array of [n] floats.  A pass
+   whose digit is the same for every value moves nothing. *)
+let radix_sort values n =
+  let counts = Array.make (digit_mask + 1) 0 in
+  let src = ref values and dst = ref (Array.create_float n) in
+  let shift = ref 0 in
+  while !shift < 64 do
+    let a = !src and b = !dst and s = !shift in
+    Array.fill counts 0 (digit_mask + 1) 0;
+    for i = 0 to n - 1 do
+      let d = digit (Array.unsafe_get a i) s in
+      counts.(d) <- counts.(d) + 1
+    done;
+    if counts.(digit a.(0) s) < n then begin
+      let start = ref 0 in
+      for d = 0 to digit_mask do
+        let c = counts.(d) in
+        counts.(d) <- !start;
+        start := !start + c
+      done;
+      for i = 0 to n - 1 do
+        let v = Array.unsafe_get a i in
+        let d = digit v s in
+        b.(counts.(d)) <- v;
+        counts.(d) <- counts.(d) + 1
+      done;
+      src := b;
+      dst := a
+    end;
+    shift := s + digit_bits
+  done;
+  if !src != values then Array.blit !src 0 values 0 n
+
 let finalize acc =
   if acc.used = 0 then None
   else begin
-    let sorted = Array.sub acc.values 0 acc.used in
-    Array.sort Float.compare sorted;
     let n = acc.used in
+    let sorted = acc.values in
+    radix_sort sorted n;
     let fn = float_of_int n in
-    let total = Array.fold_left ( +. ) 0.0 sorted in
-    let mu = total /. fn in
-    let variance =
-      Array.fold_left (fun s v -> s +. ((v -. mu) ** 2.0)) 0.0 sorted /. fn
-    in
+    (* Left to right over the sorted prefix: the order fixes the
+       rounding, and a loop boxes no float. *)
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      total := !total +. sorted.(i)
+    done;
+    let mu = !total /. fn in
+    let squares = ref 0.0 in
+    for i = 0 to n - 1 do
+      squares := !squares +. ((sorted.(i) -. mu) ** 2.0)
+    done;
+    let variance = !squares /. fn in
     (* Nearest rank on the sorted buffer. *)
     let pct p =
       let rank = nearest_rank ~p ~n in

@@ -19,8 +19,9 @@ type summary = {
 (** {1 Streaming accumulation}
 
     [create]/[add]/[finalize] build a summary without the caller
-    materialising a [float list]: values stream into one flat buffer
-    that is sorted exactly once. *)
+    materialising a [float list]: values stream into one flat buffer,
+    which each [finalize] sorts in place with a linear-time radix sort
+    on the values' IEEE-754 bits. *)
 
 type acc
 
@@ -39,7 +40,12 @@ val nonfinite_count : acc -> int
 val finalize : acc -> summary option
 (** [None] only when no finite value was added.  The accumulator may
     be finalized more than once; further [add]s are also allowed (the
-    summary is a snapshot). *)
+    summary is a snapshot).
+
+    The sort runs in place on the accumulator's buffer, with one
+    scratch array of {!count} floats, and allocates nothing per value.
+    It orders [-0.0] just below [0.0].  The order of the buffer is not
+    part of the contract: the summary is the same in any order. *)
 
 val summarize : float list -> summary option
 (** Wrapper over [create]/[add]/[finalize].  [None] when the list

@@ -312,7 +312,12 @@ let test_stats_known_values () =
   check_bool "p50 nearest rank" true (s.St.p50 = 2.0);
   check_bool "p99 is max here" true (s.St.p99 = 4.0);
   check_bool "empty" true (St.summarize [] = None);
-  check_bool "mean empty" true (mean [] = None)
+  check_bool "mean empty" true (mean [] = None);
+  (* [-0.0] sorts just below [0.0], whichever came first. *)
+  let z = Option.get (St.summarize [ 0.0; -0.0 ]) in
+  let bits = Int64.bits_of_float in
+  check_bool "minimum is -0.0" true (bits z.St.minimum = bits (-0.0));
+  check_bool "maximum is 0.0" true (bits z.St.maximum = bits 0.0)
 
 let test_stats_nonfinite () =
   (* A stray NaN/inf is skipped and counted, not allowed to poison the
