@@ -376,6 +376,89 @@ let scenario_of_seed seed =
 
 let seed_gen = QCheck2.Gen.int_range 0 100_000
 
+(* Oracle for the divider configuration: each variant's score, in
+   case-base order, with [quotient ~d ~dmax] as the Q15 distance
+   d / (dmax + 1) inside [Engine_fixed]'s weighting and sum. *)
+let oracle_scores ~quotient (cb : Casebase.t) (req : Request.t) =
+  match Casebase.find_type cb req.Request.type_id with
+  | None -> []
+  | Some ft ->
+      let weights =
+        Engine_fixed.quantize_weights (Request.normalized_weights req)
+      in
+      let score impl =
+        List.fold_left
+          (fun acc (aid, rvalue, weight) ->
+            let local =
+              match
+                ( Impl.find_attr impl aid,
+                  Attr.Schema.dmax cb.Casebase.schema aid )
+              with
+              | Some cvalue, Some dmax ->
+                  Fxp.Q15.complement_to_one
+                    (quotient ~d:(Fxp.Q15.abs_diff_int rvalue cvalue) ~dmax)
+              | _ -> Fxp.Q15.zero
+            in
+            Fxp.Q15.add acc (Fxp.Q15.mul local weight))
+          Fxp.Q15.zero weights
+      in
+      List.map (fun impl -> (impl.Impl.id, score impl)) ft.Ftype.impls
+
+(* The reciprocal datapath's quotient: d times the Q15 (1 + dmax)^-1. *)
+let reciprocal_quotient ~d ~dmax = Fxp.Q15.mul_int (Fxp.Q15.recip_succ dmax) d
+
+(* The divider's quotient, rounded to nearest as [Machine] divides. *)
+let exact_quotient ~d ~dmax =
+  let dm1 = dmax + 1 in
+  Fxp.Q15.of_raw_exn
+    (min (((d lsl 15) + (dm1 / 2)) / dm1) (Fxp.Q15.to_raw Fxp.Q15.max_value))
+
+(* The first variant with the highest score: a later one must score
+   strictly higher to replace it, as in the machine. *)
+let oracle_best scores =
+  List.fold_left
+    (fun best (id, score) ->
+      match best with
+      | Some (_, top) when Fxp.Q15.compare score top <= 0 -> best
+      | Some _ | None -> Some (id, score))
+    None scores
+
+(* The divider picks the best variant under exact division, with its
+   score: the two datapaths round the quotient differently, so on
+   near-ties its pick can differ from the reciprocal path's. *)
+let divider_picks_exact_best seed =
+  let cb, req = scenario_of_seed seed in
+  match
+    ( M.retrieve ~config:{ M.paper_config with M.use_divider = true } cb req,
+      oracle_best (oracle_scores ~quotient:exact_quotient cb req) )
+  with
+  | Ok o, Some (id, score) ->
+      o.M.best_impl_id = id && Fxp.Q15.equal o.M.best_score score
+  | Error (M.Type_not_found _), None | Error (M.No_implementations _), None ->
+      true
+  | _ -> false
+
+let test_divider_near_ties () =
+  (* The two seeds of 0..100,000 at which the divider's pick scores
+     more than 8 ulp below the reciprocal path's best. *)
+  List.iter
+    (fun seed ->
+      check_bool
+        (Printf.sprintf "seed %d: best under exact division" seed)
+        true
+        (divider_picks_exact_best seed);
+      let cb, req = scenario_of_seed seed in
+      let divider =
+        get_m "divider"
+          (M.retrieve ~config:{ M.paper_config with M.use_divider = true } cb req)
+      in
+      check_bool
+        (Printf.sprintf "seed %d: the reciprocal path picks another" seed)
+        true
+        ((getr (Engine_fixed.best cb req)).Retrieval.impl.Impl.id
+        <> divider.M.best_impl_id))
+    [ 37700; 78596 ]
+
 let equivalent config seed =
   let cb, req = scenario_of_seed seed in
   match (M.retrieve ~config cb req, Engine_fixed.best cb req) with
@@ -420,31 +503,25 @@ let props =
             resume.M.stats.M.cycles <= restart.M.stats.M.cycles
         | Error _, Error _ -> true
         | _ -> false);
-    prop "divider config picks a same-score winner" seed_gen (fun seed ->
+    prop "divider config picks a same-score winner" seed_gen
+      divider_picks_exact_best;
+    prop "divider oracle on the reciprocal path equals the fixed engine"
+      seed_gen (fun seed ->
         let cb, req = scenario_of_seed seed in
-        match
-          ( M.retrieve ~config:{ M.paper_config with M.use_divider = true } cb req,
-            Engine_fixed.rank_all cb req )
-        with
-        | Ok o, Ok ranked -> (
-            (* The divider rounds differently, so on near-ties it may pick
-               a different variant; its pick's reciprocal-path score must
-               then be within a few ulp of the true best. *)
-            match ranked with
-            | [] -> false
-            | best :: _ -> (
-                match
-                  List.find_opt
-                    (fun r -> r.Retrieval.impl.Impl.id = o.M.best_impl_id)
-                    ranked
-                with
-                | None -> false
-                | Some picked ->
-                    Fxp.Q15.to_raw best.Retrieval.score
-                    - Fxp.Q15.to_raw picked.Retrieval.score
-                    <= 8))
-        | Error _, Error _ -> true
-        | _ -> false);
+        let fixed =
+          match Casebase.find_type cb req.Request.type_id with
+          | None -> []
+          | Some ft ->
+              List.map
+                (fun impl ->
+                  ( impl.Impl.id,
+                    Engine_fixed.score_impl cb.Casebase.schema req impl ))
+                ft.Ftype.impls
+        in
+        List.equal
+          (fun (a, s) (b, t) -> a = b && Fxp.Q15.equal s t)
+          fixed
+          (oracle_scores ~quotient:reciprocal_quotient cb req));
   ]
 
 let nbest_props =
@@ -505,6 +582,7 @@ let () =
           Alcotest.test_case "restart slower" `Quick
             test_restart_scan_is_slower_or_equal;
           Alcotest.test_case "divider slower" `Quick test_divider_is_slower;
+          Alcotest.test_case "divider near ties" `Quick test_divider_near_ties;
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "registered bram" `Quick test_registered_bram;
           Alcotest.test_case "pipelined" `Quick test_pipelined_config;
