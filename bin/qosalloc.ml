@@ -827,8 +827,9 @@ let serve_cmd =
       value & opt in_range 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for the decision phase.  The end-of-run report \
-             is byte-identical at any value.")
+            "Workers for the decision phase: at most one per node, the \
+             first on the main domain.  The end-of-run report is \
+             byte-identical at any value.")
   in
   let engine =
     engine_arg ~default:"native"

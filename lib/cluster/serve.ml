@@ -208,22 +208,34 @@ let decide sub request =
   | None -> Error (Engine.Engine_failure "node hosts no types")
   | Some e -> e.Engine.retrieve request
 
-(* Worker [w] decides exactly the indices whose primary node [n] has
-   [n mod jobs = w], so an engine instance is only ever driven from one
-   domain and workers write disjoint indices of the shared array. *)
+(* [min jobs nodes] workers, so each owns at least one node: worker [w]
+   decides exactly the indices whose primary node [n] has
+   [n mod workers = w].  An engine instance is only ever driven from
+   one domain and workers write disjoint indices of the shared array.
+   Worker 0 runs on the calling domain, so one worker spawns none. *)
 let compute_decisions sub (arrivals : (int * float * Request.t) array) ~jobs =
   let decisions =
     Array.make (Array.length arrivals)
       (Error (Engine.Engine_failure "unserved"))
   in
-  let owner = Array.map (fun (_, _, request) -> primary sub request) arrivals in
-  let worker w () =
-    Array.iteri
-      (fun idx (_, _, request) ->
-        if owner.(idx) mod jobs = w then decisions.(idx) <- decide sub request)
-      arrivals
+  let workers = min jobs (Array.length sub.Substrate.nodes) in
+  (* Each worker's indices, bucketed once, in arrival order. *)
+  let owned = Array.make workers [] in
+  for idx = Array.length arrivals - 1 downto 0 do
+    let _, _, request = arrivals.(idx) in
+    let w = primary sub request mod workers in
+    owned.(w) <- idx :: owned.(w)
+  done;
+  let work w () =
+    List.iter
+      (fun idx ->
+        let _, _, request = arrivals.(idx) in
+        decisions.(idx) <- decide sub request)
+      owned.(w)
   in
-  Array.iter Domain.join (Array.init jobs (fun w -> Domain.spawn (worker w)));
+  let spawned = Array.init (workers - 1) (fun w -> Domain.spawn (work (w + 1))) in
+  work 0 ();
+  Array.iter Domain.join spawned;
   decisions
 
 (* --- sequential control phase ----------------------------------------------- *)

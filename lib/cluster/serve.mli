@@ -16,11 +16,14 @@
     {b Decision computation} retrieves every request on its {e primary}
     replica's engine, through one pure call for both sources: a
     decision depends only on the node's sub-case-base, which hosts the
-    full function type.  {!Pregenerated} makes that call across [jobs]
-    worker domains before the control phase starts — worker [w]
-    decides every request whose primary node [n] has [n mod jobs = w],
-    so each node's engine is driven by exactly one worker, and writes
-    it into that request's submission-index slot.  {!Stream} makes it
+    full function type.  {!Pregenerated} makes that call before the
+    control phase starts, across [min jobs nodes] workers so that each
+    worker owns a node: worker [w] decides every request whose primary
+    node [n] has [n mod workers = w], so each node's engine is driven
+    by exactly one worker, and writes it into that request's
+    submission-index slot.  Worker 0 runs on the calling domain and
+    each other worker on a domain of its own, so [jobs = 1] spawns no
+    domain; each worker walks only its own requests.  {!Stream} makes it
     as each arrival is pulled.  Both then feed the arrivals to the
     control phase through the same pull loop: the event queue runs up
     to an arrival's timestamp and the request starts there.  Decisions

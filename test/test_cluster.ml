@@ -525,7 +525,10 @@ let test_serve_chaos_acceptance () =
   check_bool "digest invariant at jobs=3" true
     (String.equal d1 (Serve.results_digest (run 3)));
   check_bool "digest invariant at jobs=4" true
-    (String.equal d1 (Serve.results_digest (run 4)))
+    (String.equal d1 (Serve.results_digest (run 4)));
+  (* More jobs than the 6 nodes: one worker per node. *)
+  check_bool "digest invariant at jobs=8" true
+    (String.equal d1 (Serve.results_digest (run 8)))
 
 let test_serve_degraded_path () =
   (* Replication 1 leaves no replica to fail over to: killing nodes
