@@ -219,22 +219,18 @@ let compute_decisions sub (arrivals : (int * float * Request.t) array) ~jobs =
       (Error (Engine.Engine_failure "unserved"))
   in
   let workers = min jobs (Array.length sub.Substrate.nodes) in
-  (* Each worker's indices, bucketed once, in arrival order. *)
-  let owned = Array.make workers [] in
-  for idx = Array.length arrivals - 1 downto 0 do
-    let _, _, request = arrivals.(idx) in
-    let w = primary sub request mod workers in
-    owned.(w) <- idx :: owned.(w)
-  done;
-  let work w () =
-    List.iter
-      (fun idx ->
-        let _, _, request = arrivals.(idx) in
-        decisions.(idx) <- decide sub request)
-      owned.(w)
+  let owner = Array.map (fun (_, _, request) -> primary sub request) arrivals in
+  let worker w () =
+    Array.iteri
+      (fun idx (_, _, request) ->
+        if owner.(idx) mod workers = w then
+          decisions.(idx) <- decide sub request)
+      arrivals
   in
-  let spawned = Array.init (workers - 1) (fun w -> Domain.spawn (work (w + 1))) in
-  work 0 ();
+  let spawned =
+    Array.init (workers - 1) (fun w -> Domain.spawn (worker (w + 1)))
+  in
+  worker 0 ();
   Array.iter Domain.join spawned;
   decisions
 

@@ -23,7 +23,8 @@
     by exactly one worker, and writes it into that request's
     submission-index slot.  Worker 0 runs on the calling domain and
     each other worker on a domain of its own, so [jobs = 1] spawns no
-    domain; each worker walks only its own requests.  {!Stream} makes it
+    domain and [jobs = 127] on 6 nodes spawns 5.  A worker whose nodes
+    are no request's primary decides nothing.  {!Stream} makes it
     as each arrival is pulled.  Both then feed the arrivals to the
     control phase through the same pull loop: the event queue runs up
     to an arrival's timestamp and the request starts there.  Decisions
