@@ -248,6 +248,48 @@ let test_dead_mutation () =
   check_pass_errors "netlist-dead" Nc.dead_pass d true;
   check_pass_errors "netlist-dead" Nc.dead_pass (design ()) false
 
+let has_dead severity net msg ds =
+  List.exists
+    (fun d ->
+      d.Diag.severity = severity
+      && String.equal d.Diag.location ("qos_retrieval_unit/" ^ net)
+      && String.equal d.Diag.message msg)
+    ds
+
+let test_undriven_mutation () =
+  (* A cell reads a declared signal that no cell drives. *)
+  let d =
+    with_unit (fun m ->
+        {
+          m with
+          Ir.signals =
+            { Ir.sname = "ghost"; stype = Ir.Word; sdoc = None }
+            :: { Ir.sname = "sink"; stype = Ir.Word; sdoc = None }
+            :: m.Ir.signals;
+          Ir.cells =
+            Ir.Comb { cname = "gs"; ctarget = "sink"; cexpr = Ir.Ref "ghost" }
+            :: m.Ir.cells;
+        })
+  in
+  check_bool "undriven read is an error" true
+    (has_dead Diag.Error "ghost" "signal is read but never driven"
+       (Nc.dead_pass d))
+
+let test_unused_mutation () =
+  (* A declared signal that nothing reads or drives. *)
+  let d =
+    with_unit (fun m ->
+        {
+          m with
+          Ir.signals =
+            { Ir.sname = "spare"; stype = Ir.Bit; sdoc = None } :: m.Ir.signals;
+        })
+  in
+  let ds = Nc.dead_pass d in
+  check_bool "unused signal warned" true
+    (has_dead Diag.Warning "spare" "unused signal" ds);
+  check_int "and nothing else" 1 (List.length ds)
+
 let test_bram_mutation () =
   (* Instantiate the single-port CB memory twice (Fig. 4/5 forbids a
      second reader on the same port). *)
@@ -338,6 +380,8 @@ let () =
           Alcotest.test_case "driver mutation" `Quick test_driver_mutation;
           Alcotest.test_case "comb mutation" `Quick test_comb_mutation;
           Alcotest.test_case "dead mutation" `Quick test_dead_mutation;
+          Alcotest.test_case "undriven mutation" `Quick test_undriven_mutation;
+          Alcotest.test_case "unused mutation" `Quick test_unused_mutation;
           Alcotest.test_case "bram mutation" `Quick test_bram_mutation;
           Alcotest.test_case "clock mutation" `Quick test_clock_mutation;
         ] );
