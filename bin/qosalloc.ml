@@ -1139,22 +1139,12 @@ let lint_cmd =
     Ok (Analysis.Driver.lint_raw ~cb_mem ~req_mem ~supplemental_base)
   in
   (* Scenario mode: encode the case base + request and run every pass
-     family, including the netlist IR passes and the generated VHDL.  A
-     scenario that does not encode is a lint finding (exit 2), not a
-     CLI failure. *)
+     family, including the netlist IR passes.  A scenario that does not
+     encode is a lint finding (exit 2), not a CLI failure. *)
   let scenario casebase request =
     let* cb = input "casebase" (load_casebase casebase) in
     let* req = input "request" (load_request request) in
-    let vhdl =
-      match Rtlgen.Vhdl.project cb req with
-      | Ok files ->
-          List.map
-            (fun (f : Rtlgen.Vhdl.file) ->
-              (f.Rtlgen.Vhdl.filename, f.Rtlgen.Vhdl.contents))
-            files
-      | Error _ -> []
-    in
-    Ok (Analysis.Driver.lint_scenario ~vhdl cb req)
+    Ok (Analysis.Driver.lint cb req)
   in
   let report format (Ok diags | Error diags) =
     (match format with
@@ -1199,7 +1189,7 @@ let lint_cmd =
   in
   let doc =
     "statically analyse the RAM image, fixed-point datapath, soft-core \
-     routines, elaborated netlist and generated VHDL"
+     routines and elaborated netlist"
   in
   let man =
     [
@@ -1209,9 +1199,10 @@ let lint_cmd =
          termination, sorted attribute IDs, pointer bounds, reserved words, \
          reciprocal and weight-sum consistency), interval range analysis of \
          the Q15 datapath, CFG/dataflow checks of both MicroBlaze routine \
-         styles, six structural passes over the elaborated netlist IR \
+         styles, and six structural passes over the elaborated netlist IR \
          (width, multi-driver, combinational loops, dead logic, BRAM port \
-         conflicts, clock domains), and a lint of the generated VHDL.";
+         conflicts, clock domains).  The VHDL that $(b,export) writes is \
+         printed from that IR.";
       `P
         "Exit status: 0 when clean (Info findings allowed), 1 when any \
          warning was reported, 2 when any error was reported, including \

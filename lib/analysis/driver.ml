@@ -18,10 +18,6 @@ let prog_pass image =
       prefix_loc tag (Prog_check.check_items ~memory_words items))
     [ ("hand", Hand_optimized); ("cc", Compiled_c) ]
 
-let vhdl_pass = function
-  | [] -> []
-  | files -> Vhdl_check.check_files files
-
 (* Elaborate the Fig. 7 datapath for this image and run the six
    IR-level structural passes over it.  Elaboration failure is itself
    a finding (the image describes a datapath we cannot build), not a
@@ -59,33 +55,16 @@ let lint_raw ~cb_mem ~req_mem ~supplemental_base =
     (Image_check.check_raw ~cb_mem ~req_mem ~supplemental_base
     @ range_pass_raw ~cb_mem ~req_mem ~supplemental_base)
 
-let lint_image ?(vhdl = []) (image : Memlayout.system_image) =
-  Diagnostic.sort
-    (Image_check.check_system image
-    @ range_pass_raw ~cb_mem:image.Memlayout.cb_mem
-        ~req_mem:image.Memlayout.req_mem
-        ~supplemental_base:image.Memlayout.supplemental_base
-    @ prog_pass image
-    @ netlist_pass image
-    @ vhdl_pass vhdl)
-
-let lint ?(vhdl = []) cb req =
+let lint cb req =
   match Memlayout.build_system cb req with
-  | Error e -> Error e
-  | Ok image ->
-      Ok
-        (Diagnostic.sort
-           (Image_check.check_system image
-           @ (Range_check.analyze ~request:req cb).Range_check.diagnostics
-           @ prog_pass image
-           @ netlist_pass image
-           @ vhdl_pass vhdl))
-
-let lint_scenario ?(vhdl = []) cb req =
-  match lint ~vhdl cb req with
-  | Ok ds -> ds
   | Error e ->
       (* The scenario does not even encode: report that as the single
-         (sorted) finding so the CLI exit-code contract — 2 on errors,
-         1 on warnings, 0 otherwise — holds on every input. *)
+         finding so the CLI exit-code contract — 2 on errors, 1 on
+         warnings, 0 otherwise — holds on every input. *)
       [ Diagnostic.errorf ~pass:"image" ~loc:"encode" "%s" e ]
+  | Ok image ->
+      Diagnostic.sort
+        (Image_check.check_system image
+        @ (Range_check.analyze ~request:req cb).Range_check.diagnostics
+        @ prog_pass image
+        @ netlist_pass image)

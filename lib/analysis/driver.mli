@@ -9,37 +9,17 @@
       ([Hand_optimized] and [Compiled_c]), with instruction locations
       prefixed ["hand:"] / ["cc:"];
     + {!Netlist_check} — the six IR-level structural passes over the
-      elaborated {!Netlist.Elaborate.system} datapath for the image;
-    + {!Vhdl_check} over caller-supplied VHDL sources (the caller
-      renders them — typically via [Rtlgen.Vhdl.project] — so this
-      library stays independent of the generator). *)
+      elaborated {!Netlist.Elaborate.system} datapath for the image.
+      The VHDL [Rtlgen.Vhdl] emits is printed from that same IR. *)
 
-val lint :
-  ?vhdl:(string * string) list ->
-  Qos_core.Casebase.t ->
-  Qos_core.Request.t ->
-  (Diagnostic.t list, string) result
+val lint : Qos_core.Casebase.t -> Qos_core.Request.t -> Diagnostic.t list
 (** Design-time lint: encodes the scenario with
-    {!Memlayout.build_system} (whose failure is the returned [Error]),
-    then runs all passes; the range pass uses the schema's proven
-    reciprocals and the request's quantised weights. *)
-
-val lint_scenario :
-  ?vhdl:(string * string) list ->
-  Qos_core.Casebase.t ->
-  Qos_core.Request.t ->
-  Diagnostic.t list
-(** Total variant of {!lint}: an encoding failure becomes a single
-    error diagnostic instead of an [Error], so callers map severities
-    straight to the exit-code contract (2 errors / 1 warnings / 0). *)
-
-val lint_image :
-  ?vhdl:(string * string) list -> Memlayout.system_image -> Diagnostic.t list
-(** Raw-image lint (e.g. over re-imported hex files): the image pass
-    trusts nothing, the range pass analyses the {e stored} reciprocal
-    and weight words (skipped when the lists do not even decode — the
-    image pass already reports why), and the program pass checks both
-    routine styles against the actual memory-map size. *)
+    {!Memlayout.build_system}, then runs all passes and sorts their
+    findings; the range pass uses the schema's proven reciprocals and
+    the request's quantised weights.  Total: a scenario that does not
+    encode is a single [image] error diagnostic, so callers map
+    severities straight to the exit-code contract (2 errors / 1
+    warnings / 0). *)
 
 val lint_raw :
   cb_mem:int array ->
@@ -48,4 +28,4 @@ val lint_raw :
   Diagnostic.t list
 (** Image + range passes over bare memory words — no case base
     required, so this accepts arbitrarily corrupted input.  The
-    program and VHDL passes need a full scenario and are skipped. *)
+    program and netlist passes need a full scenario and are skipped. *)

@@ -1,7 +1,8 @@
 (* Tests for the qosalloc.analysis static-analysis passes: a clean bill
-   of health on the paper scenario, plus one negative test per pass
-   that must produce an Error naming the offending word, instruction or
-   signal. *)
+   of health on the paper scenario, plus negative tests for the image,
+   range and program passes that must produce an Error naming the
+   offending word or instruction.  The netlist passes have their own
+   mutation harness in test_netlist.ml. *)
 
 open Qos_core
 module D = Analysis.Diagnostic
@@ -35,13 +36,8 @@ let fail_with what diags =
 
 (* --- Positive: the paper scenario is clean through every pass --------- *)
 
-let project_files () =
-  List.map
-    (fun (f : Rtlgen.Vhdl.file) -> (f.Rtlgen.Vhdl.filename, f.Rtlgen.Vhdl.contents))
-    (get (Rtlgen.Vhdl.project cb request))
-
 let test_lint_clean () =
-  let diags = get (Analysis.Driver.lint ~vhdl:(project_files ()) cb request) in
+  let diags = Analysis.Driver.lint cb request in
   if D.errors diags > 0 || D.warnings diags > 0 then
     fail_with "paper scenario must lint clean" diags;
   (* The only finding is the proven Info about weight-rounding slack. *)
@@ -52,7 +48,7 @@ let test_lint_clean () =
          && contains d.D.message "ulp")
        diags)
 
-let test_lint_image_raw_clean () =
+let test_lint_raw_clean () =
   let image = get (Memlayout.build_system cb request) in
   let diags =
     Analysis.Driver.lint_raw ~cb_mem:image.Memlayout.cb_mem
@@ -93,14 +89,10 @@ let test_prog_clean_both_styles () =
       if diags <> [] then fail_with "retrieval routine must be clean" diags)
     [ Mblaze.Retrieval_prog.Hand_optimized; Mblaze.Retrieval_prog.Compiled_c ]
 
-let test_vhdl_clean_generated () =
-  let diags = Analysis.Vhdl_check.check_files (project_files ()) in
-  if diags <> [] then fail_with "generated VHDL must lint clean" diags
-
 let test_netlist_passes_in_lint () =
   (* The driver runs the six IR passes; the clean scenario surfaces
      their summary Info and nothing worse. *)
-  let diags = Analysis.Driver.lint_scenario cb request in
+  let diags = Analysis.Driver.lint cb request in
   check_int "no errors" 0 (D.errors diags);
   check_int "no warnings" 0 (D.warnings diags);
   check_bool "netlist summary info present" true
@@ -110,14 +102,14 @@ let test_netlist_passes_in_lint () =
          && contains d.D.message "6 IR passes")
        diags)
 
-let test_lint_scenario_total () =
-  (* An un-encodable scenario is a lint error (exit 2), not an Error:
-     attribute id 65535 passes Request.make but collides with the end
-     marker during encoding. *)
+let test_lint_total () =
+  (* An un-encodable scenario is a lint error (exit 2): attribute id
+     65535 passes Request.make but collides with the end marker during
+     encoding. *)
   let colliding = get (Qos_core.Request.make ~type_id:1 [ (65535, 16, 1.0) ]) in
   check_bool "scenario really fails to encode" true
-    (Result.is_error (Analysis.Driver.lint ~vhdl:[] cb colliding));
-  let diags = Analysis.Driver.lint_scenario cb colliding in
+    (Result.is_error (Memlayout.build_system cb colliding));
+  let diags = Analysis.Driver.lint cb colliding in
   check_bool "encode failure becomes an error diagnostic" true
     (D.errors diags > 0);
   check_int "exit code 2" 2 (D.exit_code diags)
@@ -233,60 +225,6 @@ let test_prog_unreachable_and_r0 () =
          d.D.severity = D.Warning && contains d.D.message "unreachable")
        diags)
 
-(* --- Negative: vhdl pass ---------------------------------------------------- *)
-
-let bad_vhdl =
-  {|
-entity t is
-end entity t;
-
-architecture rtl of t is
-  signal a : std_logic;
-  signal b : std_logic;
-  signal w : unsigned(7 downto 0);
-  signal v : unsigned(3 downto 0);
-  signal z : unsigned(3 downto 0);
-begin
-  a <= b;
-  a <= b;
-  w <= v;
-  v <= z;
-  z <= w(3 downto 0);
-end architecture rtl;
-|}
-
-let test_vhdl_errors () =
-  let diags = Analysis.Vhdl_check.check_file ~name:"bad.vhd" bad_vhdl in
-  check_bool "multiply-driven signal named" true
-    (has_error ~loc_part:"bad.vhd"
-       ~msg_part:"signal 'a' is driven from 2 concurrent regions" diags);
-  check_bool "undriven read signal named" true
-    (has_error ~loc_part:"bad.vhd" ~msg_part:"signal 'b' is read but never"
-       diags);
-  check_bool "width mismatch named" true
-    (has_error ~loc_part:"bad.vhd" ~msg_part:"width mismatch: 'w' is 8 bit"
-       diags)
-
-let test_vhdl_unused_warning () =
-  let src =
-    {|
-entity u is
-end entity u;
-
-architecture rtl of u is
-  signal unused : std_logic;
-begin
-end architecture rtl;
-|}
-  in
-  let diags = Analysis.Vhdl_check.check_file ~name:"u.vhd" src in
-  check_bool "unused signal warned" true
-    (List.exists
-       (fun (d : D.t) ->
-         d.D.severity = D.Warning
-         && contains d.D.message "'unused' is declared but never used")
-       diags)
-
 (* --- Driver + emit gating ---------------------------------------------------- *)
 
 let test_driver_merges_and_sorts () =
@@ -329,14 +267,7 @@ let props =
         let req = Workload.Generator.sized_request ~seed cb in
         match Rtlgen.Vhdl.project cb req with
         | Error _ -> true (* un-encodable scenarios are exercised elsewhere *)
-        | Ok files ->
-            let vhdl =
-              List.map
-                (fun (f : Rtlgen.Vhdl.file) ->
-                  (f.Rtlgen.Vhdl.filename, f.Rtlgen.Vhdl.contents))
-                files
-            in
-            D.errors (Analysis.Driver.lint_scenario ~vhdl cb req) = 0);
+        | Ok _ -> D.errors (Analysis.Driver.lint cb req) = 0);
   ]
 
 let () =
@@ -345,11 +276,10 @@ let () =
       ( "clean",
         [
           Alcotest.test_case "full lint" `Quick test_lint_clean;
-          Alcotest.test_case "raw image lint" `Quick test_lint_image_raw_clean;
+          Alcotest.test_case "raw image lint" `Quick test_lint_raw_clean;
           Alcotest.test_case "range proof" `Quick test_range_proof;
           Alcotest.test_case "routines (both styles)" `Quick
             test_prog_clean_both_styles;
-          Alcotest.test_case "generated VHDL" `Quick test_vhdl_clean_generated;
           Alcotest.test_case "netlist passes in lint" `Quick
             test_netlist_passes_in_lint;
         ] );
@@ -377,18 +307,13 @@ let () =
           Alcotest.test_case "unreachable code" `Quick
             test_prog_unreachable_and_r0;
         ] );
-      ( "vhdl",
-        [
-          Alcotest.test_case "handcrafted errors" `Quick test_vhdl_errors;
-          Alcotest.test_case "unused warning" `Quick test_vhdl_unused_warning;
-        ] );
       ( "driver",
         [
           Alcotest.test_case "merge and sort" `Quick
             test_driver_merges_and_sorts;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "lint_scenario is total" `Quick
-            test_lint_scenario_total;
+            test_lint_total;
         ] );
       ("properties", props);
     ]
