@@ -204,9 +204,13 @@ let make_obs ~metrics ~trace_out ~events_out =
       in
       Some (Obs.Ctx.create ~tracer ~events ())
 
+(* Every file a flag names is written here: a path that cannot be
+   written is an IO failure, exit 1 like any other [or_die]. *)
 let write_file path contents =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc contents)
+  try
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc contents)
+  with Sys_error m -> or_die (Error m)
 
 let emit_obs obs ~metrics ~trace_out ~events_out =
   match obs with
@@ -470,8 +474,7 @@ let trace_cmd =
             (Rtlsim.Vcd.render ~signals:Rtlsim.Machine.waveform_signals
                o.Rtlsim.Machine.waveform)
         in
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc text);
+        write_file path text;
         Printf.printf "waveform: %d changes -> %s\n"
           (List.length o.Rtlsim.Machine.waveform)
           path
@@ -532,9 +535,7 @@ let simulate_cmd =
     match trace_csv with
     | None -> ()
     | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc
-              (Desim.Tracefile.to_csv report.Desim.Simulate.trace));
+        write_file path (Desim.Tracefile.to_csv report.Desim.Simulate.trace);
         Format.printf "trace: %d rows -> %s@."
           (List.length report.Desim.Simulate.trace)
           path;
@@ -1063,10 +1064,8 @@ let export_cmd =
      with Sys_error m -> or_die (Error m));
     let write filename contents =
       let path = Filename.concat out_dir filename in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc contents);
-      Printf.printf "wrote %s
-" path
+      write_file path contents;
+      Printf.printf "wrote %s\n" path
     in
     let files = or_die (Rtlgen.Vhdl.project cb req) in
     List.iter

@@ -539,6 +539,42 @@ let test_faults_observability () =
   check_bool "queue-depth gauge exported" true
     (contains text "# TYPE qosalloc_sim_queue_depth gauge")
 
+(* A file a flag names that cannot be written is an IO failure: exit 1
+   naming the path, never an uncaught exception (125).  Every path but
+   the last sits under a missing directory; export's -o names a regular
+   file. *)
+let write_error_cases =
+  let missing name = Filename.concat (Filename.concat tmp_dir "missing") name
+  and plain () =
+    let path = Filename.concat tmp_dir "plain-file" in
+    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc "");
+    path
+  in
+  List.map
+    (fun (name, args, path) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let path = path () in
+          let code, out = run_cli (args ^ " " ^ path) in
+          check_int "IO failure" 1 code;
+          check_bool "names the path" true (contains out ("qosalloc: " ^ path))))
+    [
+      ("serve --out", "serve --duration-us 1000 --out", fun () -> missing "r.txt");
+      ( "serve --slo-out",
+        "serve --duration-us 1000 --slo-out",
+        fun () -> missing "slo.json" );
+      ( "simulate --metrics",
+        "simulate --duration-us 1000 --metrics",
+        fun () -> missing "m.prom" );
+      ( "simulate --trace-csv",
+        "simulate --duration-us 1000 --trace-csv",
+        fun () -> missing "t.csv" );
+      ( "faults --metrics",
+        "faults --duration-us 1000 --metrics",
+        fun () -> missing "f.prom" );
+      ("trace --vcd", "trace --vcd", fun () -> missing "w.vcd");
+      ("export -o", "export -o", plain);
+    ]
+
 let test_bad_input_fails_cleanly () =
   let bad = Filename.concat tmp_dir "bad.cb" in
   Out_channel.with_open_text bad (fun oc ->
@@ -587,6 +623,7 @@ let () =
         [ Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism ]
       );
       ("flag ranges", bad_flag_cases);
+      ("write errors", write_error_cases);
       (* Alcotest pads suite names to the longest and cuts test names
          at 80 columns: a name longer than "observability" would cut
          the longest flag-range names. *)
