@@ -4,8 +4,8 @@
     into a closed {!Ir.design} and runs {!Sim.run} — slow (the
     simulator settles a combinational fixpoint every clock) but an
     independent witness of the elaborated hardware's behaviour, held
-    cycle- and decision-identical to [Rtlsim.Machine] by
-    {!Sim.crosscheck}. *)
+    cycle- and decision-identical to [Rtlsim.Machine] by the netlist
+    test suite. *)
 
 val create : Qos_core.Casebase.t -> (Qos_core.Engine.t, string) result
 (** Engine named ["netlist"]; bit-accurate, reports cycles (no phase

@@ -398,44 +398,3 @@ let run ?(max_cycles = 5_000_000) design =
     in
     Ok (loop max_cycles)
   with Sim_error msg -> Error msg
-
-(* --- Equivalence against the reference machine --------------------------- *)
-
-let crosscheck image =
-  match Elaborate.system image with
-  | Error e -> Error ("elaborate: " ^ e)
-  | Ok design -> (
-      match run design with
-      | Error e -> Error ("netlist sim: " ^ e)
-      | Ok sim -> (
-          match Rtlsim.Machine.run image with
-          | Ok o -> (
-              let mcycles = o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles in
-              let mid = o.Rtlsim.Machine.best_impl_id in
-              let mscore = Fxp.Q15.to_raw o.Rtlsim.Machine.best_score in
-              match sim.decision with
-              | None -> Error "netlist raised not_found; machine found a winner"
-              | Some d ->
-                  if d.Qos_core.Engine.impl_id <> mid then
-                    Error
-                      (Printf.sprintf
-                         "decision mismatch: netlist impl %d, machine %d"
-                         d.Qos_core.Engine.impl_id mid)
-                  else if Fxp.Q15.to_raw d.Qos_core.Engine.score <> mscore then
-                    Error
-                      (Printf.sprintf "score mismatch: netlist %d, machine %d"
-                         (Fxp.Q15.to_raw d.Qos_core.Engine.score)
-                         mscore)
-                  else if sim.cycles <> mcycles then
-                    Error
-                      (Printf.sprintf "cycle mismatch: netlist %d, machine %d"
-                         sim.cycles mcycles)
-                  else Ok sim)
-          | Error
-              ( Rtlsim.Machine.Type_not_found _
-              | Rtlsim.Machine.No_implementations _ ) ->
-              if sim.decision = None then Ok sim
-              else
-                Error "machine reported not-found; netlist delivered a result"
-          | Error (Rtlsim.Machine.Malformed_image m) ->
-              Error ("machine rejected the image: " ^ m)))

@@ -1,5 +1,5 @@
-(** Cycle simulator over elaborated {!Ir} designs, plus the
-    equivalence harness against [Rtlsim.Machine].
+(** Cycle simulator over elaborated {!Ir} designs.  The netlist test
+    suite holds it cycle- and decision-identical to [Rtlsim.Machine].
 
     The simulator flattens the design's instance hierarchy (generics
     bound, ports renamed onto the nets of the enclosing module),
@@ -25,11 +25,3 @@ val run : ?max_cycles:int -> Ir.design -> (outcome, string) result
 (** Simulate to [done = '1'].  Errors on unresolved names, a
     combinational fixpoint that does not settle (a dynamic
     combinational loop) or cycle-limit overrun (default 5,000,000). *)
-
-val crosscheck : Memlayout.system_image -> (outcome, string) result
-(** Elaborate [image], simulate it, and compare against
-    [Rtlsim.Machine.run] under the paper configuration: identical
-    cycle count, winning implementation id and raw Q15 score — or,
-    when the machine reports type-not-found / no-implementations, the
-    netlist must raise [not_found].  Any divergence is an [Error]
-    naming both sides. *)

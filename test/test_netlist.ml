@@ -99,6 +99,51 @@ let test_table2_primitives () =
 
 (* --- simulator equivalence ------------------------------------------------ *)
 
+(* Elaborate [image], simulate it, and compare against
+   [Rtlsim.Machine.run] under the paper configuration: identical cycle
+   count, winning implementation id and raw Q15 score — or, when the
+   machine reports type-not-found / no-implementations, the netlist
+   must raise [not_found].  Any divergence is an [Error] naming both
+   sides. *)
+let crosscheck image =
+  match El.system image with
+  | Error e -> Error ("elaborate: " ^ e)
+  | Ok design -> (
+      match Sim.run design with
+      | Error e -> Error ("netlist sim: " ^ e)
+      | Ok sim -> (
+          match Rtlsim.Machine.run image with
+          | Ok o -> (
+              let mcycles = o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles in
+              let mid = o.Rtlsim.Machine.best_impl_id in
+              let mscore = Fxp.Q15.to_raw o.Rtlsim.Machine.best_score in
+              match sim.Sim.decision with
+              | None -> Error "netlist raised not_found; machine found a winner"
+              | Some d ->
+                  if d.Qos_core.Engine.impl_id <> mid then
+                    Error
+                      (Printf.sprintf
+                         "decision mismatch: netlist impl %d, machine %d"
+                         d.Qos_core.Engine.impl_id mid)
+                  else if Fxp.Q15.to_raw d.Qos_core.Engine.score <> mscore then
+                    Error
+                      (Printf.sprintf "score mismatch: netlist %d, machine %d"
+                         (Fxp.Q15.to_raw d.Qos_core.Engine.score)
+                         mscore)
+                  else if sim.Sim.cycles <> mcycles then
+                    Error
+                      (Printf.sprintf "cycle mismatch: netlist %d, machine %d"
+                         sim.Sim.cycles mcycles)
+                  else Ok sim)
+          | Error
+              ( Rtlsim.Machine.Type_not_found _
+              | Rtlsim.Machine.No_implementations _ ) ->
+              if sim.Sim.decision = None then Ok sim
+              else
+                Error "machine reported not-found; netlist delivered a result"
+          | Error (Rtlsim.Machine.Malformed_image m) ->
+              Error ("machine rejected the image: " ^ m)))
+
 let machine_cycles image =
   match Rtlsim.Machine.run image with
   | Ok o -> o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles
@@ -106,7 +151,7 @@ let machine_cycles image =
 
 let test_sim_matches_machine_audio () =
   let image = get (Memlayout.build_system cb request) in
-  let sim = get (Sim.crosscheck image) in
+  let sim = get (crosscheck image) in
   (* The paper scenario's pinned figures: impl 2, raw score 31588, and
      the cycle count the profiler reports. *)
   (match sim.Sim.decision with
@@ -121,7 +166,7 @@ let test_sim_matches_machine_audio () =
 let test_sim_not_found () =
   let missing = get (Request.make ~type_id:42 [ (1, 16, 1.0) ]) in
   let image = get (Memlayout.build_system cb missing) in
-  let sim = get (Sim.crosscheck image) in
+  let sim = get (crosscheck image) in
   check_bool "not_found" true (sim.Sim.decision = None)
 
 let golden_scenarios () =
@@ -141,7 +186,7 @@ let test_sim_matches_machine_generated () =
   List.iter
     (fun (cb, req) ->
       let image = get (Memlayout.build_system cb req) in
-      match Sim.crosscheck image with
+      match crosscheck image with
       | Ok _ -> ()
       | Error e -> Alcotest.fail e)
     (golden_scenarios ())
@@ -352,7 +397,7 @@ let props =
         let req = Workload.Generator.sized_request ~seed cb in
         match Memlayout.build_system cb req with
         | Error _ -> true
-        | Ok image -> Result.is_ok (Sim.crosscheck image));
+        | Ok image -> Result.is_ok (crosscheck image));
   ]
 
 let () =
