@@ -26,11 +26,12 @@
 
     The generated text is deterministic for a given case base and
     request.  It is not compiled in this repository's CI (no VHDL
-    toolchain in the sealed environment); structural well-formedness is
-    covered by tests, semantic equivalence by the shared
-    [Rtlsim.Machine] model: the printed FSM is cycle-exact against it,
-    a property the netlist simulator asserts on every golden
-    workload. *)
+    toolchain in the sealed environment).  [test/export_audio.golden.vhd]
+    pins the printed text of the shipped scenario byte for byte; the
+    structure it prints is what the netlist passes lint, and semantic
+    equivalence rests on the shared [Rtlsim.Machine] model: the
+    printed FSM is cycle-exact against it, a property the netlist
+    suite asserts on every golden workload. *)
 
 type file = { filename : string; contents : string }
 
