@@ -1,19 +1,17 @@
 open Qos_core
 
-let quantise w = Fxp.Q15.to_raw (Fxp.Q15.of_float w)
-
 let signature (r : Request.t) =
-  List.map (fun (aid, v, w) -> (aid, v, quantise w)) (Request.normalized_weights r)
+  List.map
+    (fun (c : Request.constr) -> (c.attr, c.value, Fxp.Q15.to_raw c.q15))
+    r.constraints
 
 let fingerprint (r : Request.t) =
   List.fold_left
-    (fun acc (aid, v, w) ->
-      let h = acc in
-      let h = (h * 1000003) lxor aid in
-      let h = (h * 1000003) lxor v in
-      (h * 1000003) lxor quantise w)
-    (r.type_id * 1000003)
-    (Request.normalized_weights r)
+    (fun h (c : Request.constr) ->
+      let h = (h * 1000003) lxor c.attr in
+      let h = (h * 1000003) lxor c.value in
+      (h * 1000003) lxor Fxp.Q15.to_raw c.q15)
+    (r.type_id * 1000003) r.constraints
   land max_int
 
 (* The token the table is addressed by (what the hardware would hold in

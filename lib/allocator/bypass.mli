@@ -5,7 +5,7 @@
     A token is addressed by (application, function type, request
     fingerprint) and remembers the selected variant.  The 62-bit
     fingerprint is not injective, so every entry also stores the
-    normalized constraint triples it was created from and a hit is
+    constraint triples it was created from and a hit is
     verified against them: a fingerprint collision between two distinct
     requests is reported as a miss (counted separately in
     {!type-stats}) instead of silently returning the wrong variant.
@@ -13,17 +13,19 @@
 
 type key
 (** Lookup key: application, function type, fingerprint, plus the full
-    normalized signature used to verify hits. *)
+    signature used to verify hits. *)
 
 val fingerprint : Qos_core.Request.t -> int
 (** Order-independent (constraints are stored sorted) hash of the
-    constraint triples, with weights quantised to Q15 so requests that
-    the hardware cannot distinguish share a token. *)
+    constraint triples, with each weight as its request's Q15 word
+    ([Request.constr.q15]) so requests that the hardware cannot
+    distinguish share a token. *)
 
 val signature : Qos_core.Request.t -> (int * int * int) list
-(** Normalized [(attr, value, q15_weight)] triples — the exact data the
-    fingerprint summarises.  Two requests with equal signatures are
-    indistinguishable to the retrieval hardware. *)
+(** [(attr, value, raw q15)] triples, built from the request's
+    [Request.constr.q15] — the exact data the fingerprint summarises.
+    Two requests with equal signatures are indistinguishable to the
+    retrieval hardware. *)
 
 val key_of :
   ?fingerprint:(Qos_core.Request.t -> int) ->

@@ -115,8 +115,8 @@ let analyze ?request (cb : Qos_core.Casebase.t) =
   | Some r ->
       let weights =
         List.map
-          (fun (aid, _, w) -> (aid, Fxp.Q15.to_raw w))
-          (Engine_fixed.quantize_weights (Request.normalized_weights r))
+          (fun (c : Request.constr) -> (c.attr, Fxp.Q15.to_raw c.q15))
+          r.Request.constraints
       in
       analyze_core ~attrs ~weights
   | None ->

@@ -49,8 +49,8 @@ type report = {
 val analyze : ?request:Qos_core.Request.t -> Qos_core.Casebase.t -> report
 (** Design-time proof over the schema's reciprocals.  Without
     [request], the weight vector ranges over every normalised request
-    constraining up to all schema attributes; with it, the concrete
-    quantised weights are used. *)
+    constraining up to all schema attributes; with it, the request's
+    own Q15 weights ([Request.constr.q15]) are used. *)
 
 val analyze_raw :
   supplemental:(int * int * int * int) list ->

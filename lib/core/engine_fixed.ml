@@ -7,20 +7,16 @@ type ranked = score Retrieval.ranked
 let local_fixed ~recip a b =
   Q.complement_to_one (Q.mul_int recip (Q.abs_diff_int a b))
 
-let quantize_weights triples =
-  List.map (fun (aid, v, w) -> (aid, v, Q.of_float w)) triples
-
-let score_impl schema request impl =
-  let add acc (aid, rvalue, weight) =
+let score_impl schema (request : Request.t) impl =
+  let add acc (c : Request.constr) =
     let local =
-      match (Impl.find_attr impl aid, Attr.Schema.recip schema aid) with
+      match (Impl.find_attr impl c.attr, Attr.Schema.recip schema c.attr) with
       | None, _ | _, None -> Q.zero
-      | Some cvalue, Some recip -> local_fixed ~recip rvalue cvalue
+      | Some cvalue, Some recip -> local_fixed ~recip c.value cvalue
     in
-    Q.add acc (Q.mul local weight)
+    Q.add acc (Q.mul local c.q15)
   in
-  List.fold_left add Q.zero
-    (quantize_weights (Request.normalized_weights request))
+  List.fold_left add Q.zero request.constraints
 
 let rank_all casebase (request : Request.t) =
   match Casebase.find_type casebase request.type_id with
@@ -70,7 +66,7 @@ let score_error_bound schema request =
       0
       (Attr.Schema.descriptors schema)
   in
-  let n = List.length (Request.normalized_weights request) in
+  let n = Request.constraint_count request in
   ((0.5 *. float_of_int max_dmax) +. (2.0 *. float_of_int n)) *. Q.ulp
 
 let agrees_with_float casebase request =

@@ -18,14 +18,11 @@ val local_fixed : recip:Fxp.Q15.t -> Attr.value -> Attr.value -> score
 (** One local similarity exactly as the datapath computes it:
     absolute difference, multiply by the reciprocal, complement to one. *)
 
-val quantize_weights : (Attr.id * Attr.value * float) list
-  -> (Attr.id * Attr.value * Fxp.Q15.t) list
-(** Round each normalised weight to Q15 — the design-time request-list
-    encoding step (Fig. 4, left). *)
-
 val score_impl : Attr.Schema.t -> Request.t -> Impl.t -> score
 (** Weighted-sum global similarity in Q15 (the only amalgamation the
-    hardware implements). *)
+    hardware implements), over each constraint's [Request.constr.q15]
+    weight — the request-list word of Fig. 4, rounded once by
+    {!Request.make}. *)
 
 val rank_all :
   Casebase.t -> Request.t -> (ranked list, Retrieval.error) result

@@ -1,16 +1,29 @@
-type constr = { attr : Attr.id; value : Attr.value; weight : float }
+type constr = {
+  attr : Attr.id;
+  value : Attr.value;
+  weight : float;
+  q15 : Fxp.Q15.t;
+}
 
 type t = { type_id : int; constraints : constr list }
 
 let rec check_unique = function
   | [] | [ _ ] -> Ok ()
-  | a :: (b :: _ as rest) ->
-      if a.attr = b.attr then
-        Error (Printf.sprintf "duplicate constraint on attribute %d" a.attr)
+  | (a, _, _) :: ((b, _, _) :: _ as rest) ->
+      if a = b then
+        Error (Printf.sprintf "duplicate constraint on attribute %d" a)
       else check_unique rest
 
-let sum_weights constraints =
-  List.fold_left (fun acc c -> acc +. c.weight) 0.0 constraints
+let sum_weights triples =
+  List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 triples
+
+(* The weight rule, applied here only: each weight's share of [total],
+   rounded to the Q15 word the request list holds (Fig. 4). *)
+let quantise total triples =
+  List.map
+    (fun (attr, value, weight) ->
+      { attr; value; weight; q15 = Fxp.Q15.of_float (weight /. total) })
+    triples
 
 let make ~type_id triples =
   if type_id <= 0 || type_id > Attr.max_word then
@@ -32,37 +45,37 @@ let make ~type_id triples =
           (Printf.sprintf "constraint (attr %d, value %d, weight %g) invalid"
              aid v w)
     | None -> (
-        let constraints =
-          triples
-          |> List.map (fun (attr, value, weight) -> { attr; value; weight })
-          |> List.sort (fun a b -> Int.compare a.attr b.attr)
+        let sorted =
+          List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) triples
         in
-        match check_unique constraints with
+        match check_unique sorted with
         | Error _ as e -> e
         | Ok () ->
-            (* An overflowing total would normalise every weight to 0. *)
-            let total = sum_weights constraints in
-            if Float.is_finite total then Ok { type_id; constraints }
+            (* An overflowing total would quantise every weight to 0. *)
+            let total = sum_weights sorted in
+            if Float.is_finite total then
+              Ok { type_id; constraints = quantise total sorted }
             else
               Error
                 (Printf.sprintf
                    "constraint weights sum to a non-finite total (%g)" total))
 
-let equal_weights ~type_id pairs =
-  make ~type_id (List.map (fun (aid, v) -> (aid, v, 1.0)) pairs)
-
-let weight_total t = sum_weights t.constraints
-
 let normalized_weights t =
-  let total = weight_total t in
-  if total <= 0.0 then []
-  else List.map (fun c -> (c.attr, c.value, c.weight /. total)) t.constraints
+  let total =
+    List.fold_left (fun acc c -> acc +. c.weight) 0.0 t.constraints
+  in
+  List.map (fun c -> (c.attr, c.value, c.weight /. total)) t.constraints
 
 let find t aid = List.find_opt (fun c -> c.attr = aid) t.constraints
 let constraint_count t = List.length t.constraints
 
 let drop_constraint t aid =
-  { t with constraints = List.filter (fun c -> c.attr <> aid) t.constraints }
+  let kept =
+    List.filter_map
+      (fun c -> if c.attr = aid then None else Some (c.attr, c.value, c.weight))
+      t.constraints
+  in
+  { t with constraints = quantise (sum_weights kept) kept }
 
 let update t aid f =
   match find t aid with

@@ -3,13 +3,18 @@
     A request names the desired function type and an {e incomplete}
     subset of constraining attributes — attributes the caller does not
     care about are simply absent (Sec. 3).  Each constraint carries a
-    relative weight; engines normalise weights so they sum to 1 as
-    equation (2) requires. *)
+    relative weight and its share of the request's weight total, which
+    sums to 1 as equation (2) requires.  {!make} rounds that share to
+    Q15 once: the word the Fig. 4 request list holds and every
+    bit-accurate engine multiplies by. *)
 
-type constr = {
+type constr = private {
   attr : Attr.id;
   value : Attr.value;
   weight : float;  (** Relative importance, strictly positive. *)
+  q15 : Fxp.Q15.t;
+      (** [Fxp.Q15.of_float (weight /. total)], where [total] sums the
+          request's weights left to right in attribute-ID order. *)
 }
 
 type t = private {
@@ -18,22 +23,15 @@ type t = private {
 }
 
 val make : type_id:int -> (Attr.id * Attr.value * float) list -> (t, string) result
-(** Sorts constraints by ID; rejects duplicates, non-positive weights,
-    weights whose sum overflows to infinity and out-of-word-range
-    IDs/values.  An empty constraint list is legal (a pure type
-    lookup). *)
-
-val equal_weights : type_id:int -> (Attr.id * Attr.value) list -> (t, string) result
-(** Convenience: every constraint gets weight 1 (engines normalise). *)
-
-val weight_total : t -> float
-(** The constraint weights summed left to right in attribute-ID order:
-    the divisor {!normalized_weights} uses.  Finite; 0.0 without
-    constraints. *)
+(** Sorts constraints by ID and computes each one's [q15]; rejects
+    duplicates, non-positive weights, weights whose sum overflows to
+    infinity and out-of-word-range IDs/values.  An empty constraint
+    list is legal (a pure type lookup). *)
 
 val normalized_weights : t -> (Attr.id * Attr.value * float) list
-(** Constraints with weights rescaled to sum to 1.  Empty list when the
-    request has no constraints. *)
+(** Constraints with weights rescaled to sum to 1, unrounded: the
+    floating-point reference's weights.  Empty list when the request
+    has no constraints. *)
 
 val find : t -> Attr.id -> constr option
 val constraint_count : t -> int
@@ -41,7 +39,8 @@ val constraint_count : t -> int
 val drop_constraint : t -> Attr.id -> t
 (** Remove one constraint — the unit step of the relaxation loop the
     paper sketches in Sec. 3 ("repeat its request with rather relaxed
-    constraints"). *)
+    constraints").  The remaining [q15] shares are taken of the
+    remaining total. *)
 
 val reweight : t -> Attr.id -> float -> (t, string) result
 (** Replace the weight of one constraint. *)

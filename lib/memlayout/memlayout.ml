@@ -58,19 +58,18 @@ let refusing encode = try Ok (encode ()) with Refused m -> Error m
 (* --- Request list ------------------------------------------------------ *)
 
 let encode_request (r : Request.t) =
-  let normalized = Request.normalized_weights r in
   refusing (fun () ->
       List.iter
-        (fun (aid, v, _) ->
-          check_value "request attribute id" aid;
-          check_value "request attribute value" v)
-        normalized;
+        (fun (c : Request.constr) ->
+          check_value "request attribute id" c.attr;
+          check_value "request attribute value" c.value)
+        r.constraints;
       Array.of_list
-        (r.Request.type_id
+        (r.type_id
          :: List.concat_map
-              (fun (aid, v, w) ->
-                [ aid; v; Fxp.Q15.to_raw (Fxp.Q15.of_float w) ])
-              normalized
+              (fun (c : Request.constr) ->
+                [ c.attr; c.value; Fxp.Q15.to_raw c.q15 ])
+              r.constraints
         @ [ end_marker ]))
 
 let decode_request words =

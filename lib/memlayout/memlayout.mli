@@ -69,8 +69,9 @@ module Ram : sig
 end
 
 val encode_request : Qos_core.Request.t -> (int array, string) result
-(** Weights are normalised then rounded to Q15.  Fails on an
-    attribute ID or value outside 0..{!max_value_word}. *)
+(** Each constraint's weight word is its [Request.constr.q15], the
+    share {!Qos_core.Request.make} rounded.  Fails on an attribute ID
+    or value outside 0..{!max_value_word}. *)
 
 type decoded_request = {
   req_type_id : int;

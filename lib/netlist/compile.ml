@@ -162,10 +162,10 @@ let retrieve t (request : Request.t) =
       Error (E.No_implementations type_id)
   | Some ct ->
       let constraints = request.Request.constraints in
-      (* Request.normalized_weights' quotients, without its list.  A
-         constraint on an attribute outside the supplemental list
-         scores 0 on every variant, so it is left out. *)
-      let total = Request.weight_total request in
+      (* Each constraint's weight is its request-list Q15 word, rounded
+         once by Request.make.  A constraint on an attribute outside
+         the supplemental list scores 0 on every variant, so it is
+         left out. *)
       let cs = Array.make (4 * List.length constraints) 0 in
       let n = ref 0 in
       List.iter
@@ -175,7 +175,7 @@ let retrieve t (request : Request.t) =
             cs.(!n) <- t.slot.(aid);
             cs.(!n + 1) <- c.Request.value;
             cs.(!n + 2) <- t.recip.(aid);
-            cs.(!n + 3) <- Q.to_raw (Q.of_float (c.Request.weight /. total));
+            cs.(!n + 3) <- Q.to_raw c.Request.q15;
             n := !n + 4
           end)
         constraints;

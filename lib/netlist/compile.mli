@@ -15,11 +15,11 @@
       supplemental list's Q15 reciprocal, and from type ID to its
       table.
 
-    A retrieval looks up each constraint's column, reciprocal and
-    quantised weight once, then scores every variant with array reads
-    and inline Q15 arithmetic that replicates [Fxp.Q15] operation for
-    operation (saturating add, round-to-nearest multiply,
-    complement-to-one).  It keeps no state between calls, so worker
+    A retrieval looks up each constraint's column and reciprocal once
+    and takes its Q15 weight as [Request.make] rounded it, then scores
+    every variant with array reads and inline Q15 arithmetic that
+    replicates [Fxp.Q15] operation for operation (saturating add,
+    round-to-nearest multiply, complement-to-one).  It keeps no state between calls, so worker
     domains may share one compiled case base.  The hardware's
     word-serial resume scan down the level-2 lists, and its cycles,
     stay modelled in [Rtlsim] and the netlist.

@@ -233,6 +233,68 @@ let test_request_edits () =
   let revalued = get (Request.with_value r 1 9) in
   check_int "revalued" 9 (Option.get (Request.find revalued 1)).Request.value
 
+(* The weight rule, restated: each constraint's Q15 word is its
+   weight's share of the total, folded left to right in attribute-ID
+   order. *)
+let shares_hold (r : Request.t) =
+  let by_id =
+    List.sort
+      (fun (a : Request.constr) (b : Request.constr) -> compare a.attr b.attr)
+      r.constraints
+  in
+  let total =
+    List.fold_left (fun acc (c : Request.constr) -> acc +. c.weight) 0.0 by_id
+  in
+  List.for_all
+    (fun (c : Request.constr) ->
+      Fxp.Q15.equal c.q15 (Fxp.Q15.of_float (c.weight /. total)))
+    r.constraints
+
+(* The rule holds for [r] and for every edit of each of its
+   constraints. *)
+let edits_keep_shares (r : Request.t) weight =
+  let holds = function Ok r -> shares_hold r | Error _ -> false in
+  shares_hold r
+  && List.for_all
+       (fun (c : Request.constr) ->
+         shares_hold (Request.drop_constraint r c.attr)
+         && holds (Request.reweight r c.attr weight)
+         && holds (Request.with_value r c.attr (c.value / 2)))
+       r.constraints
+
+let raw_shares (r : Request.t) =
+  List.map (fun (c : Request.constr) -> Fxp.Q15.to_raw c.q15) r.constraints
+
+let test_request_q15 () =
+  let check_raws = Alcotest.(check (list int)) in
+  let r = get (Request.make ~type_id:1 [ (4, 40, 2.0); (1, 16, 1.0) ]) in
+  check_raws "thirds" [ 10923; 21845 ] (raw_shares r);
+  (* 1e-300 vanishes next to 1e300, and is the whole total alone. *)
+  let extreme =
+    get (Request.make ~type_id:1 [ (1, 5, 1e-300); (2, 6, 1e300) ])
+  in
+  check_raws "1e-300 next to 1e300" [ 0; 32768 ] (raw_shares extreme);
+  check_raws "1e-300 alone" [ 32768 ]
+    (raw_shares (Request.drop_constraint extreme 2));
+  check_bool "1e-300 next to 1e300, edited" true
+    (edits_keep_shares extreme 1.0);
+  let equal =
+    get (Request.make ~type_id:1 (List.init 17 (fun i -> (i + 1, i, 1.0))))
+  in
+  check_raws "seventeen equal weights" (List.init 17 (fun _ -> 1928))
+    (raw_shares equal);
+  check_bool "seventeen equal weights, edited" true
+    (edits_keep_shares equal 3.0);
+  (* Summed in ID order the total is exactly 65536, so weight 3 sits on
+     a rounding tie (1.5 -> 2).  Summed in the order given, the two
+     2^-37 weights survive and it rounds to 1. *)
+  let tiny = ldexp 1.0 (-37) in
+  check_raws "ID-order total" [ 2; 32767; 0; 0 ]
+    (raw_shares
+       (get
+          (Request.make ~type_id:1
+             [ (4, 0, tiny); (3, 0, tiny); (2, 0, 65533.0); (1, 0, 3.0) ])))
+
 (* --- Targets ------------------------------------------------------------- *)
 
 let test_target_strings () =
@@ -324,6 +386,24 @@ let test_printers_do_not_crash () =
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen f)
 
 let value_gen = QCheck2.Gen.int_range 0 65535
+
+let request_q15_prop =
+  prop "q15 is an ID-ordered share"
+    QCheck2.Gen.(pair (int_range 0 100_000) (float_range 1e-6 1e6))
+    (fun (seed, weight) ->
+      let rng = Workload.Prng.create ~seed in
+      let schema =
+        Workload.Generator.schema rng Workload.Generator.default_schema_spec
+      in
+      let r =
+        Workload.Generator.request rng ~schema ~type_id:1
+          {
+            Workload.Generator.constraints = (1, 10);
+            weight_profile = `Random;
+            value_slack = 0.1;
+          }
+      in
+      edits_keep_shares r weight)
 
 let weights_sims_gen =
   QCheck2.Gen.(
@@ -430,6 +510,8 @@ let () =
             test_request_weight_overflow;
           Alcotest.test_case "normalization" `Quick test_request_normalization;
           Alcotest.test_case "edits" `Quick test_request_edits;
+          Alcotest.test_case "q15 shares" `Quick test_request_q15;
+          request_q15_prop;
         ] );
       ("targets", [ Alcotest.test_case "strings" `Quick test_target_strings ]);
       ( "similarity",

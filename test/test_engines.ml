@@ -82,10 +82,6 @@ let test_fixed_engine_internals () =
   (* Saturation: distance so large that d * recip overflows one. *)
   check_int "local_fixed saturates to 0" 0
     (Fxp.Q15.to_raw (Engine_fixed.local_fixed ~recip 0 60000));
-  (* Weight quantisation. *)
-  (match Engine_fixed.quantize_weights [ (1, 5, 1.0 /. 3.0) ] with
-  | [ (1, 5, w) ] -> check_int "third quantises to 10923" 10923 (Fxp.Q15.to_raw w)
-  | _ -> Alcotest.fail "unexpected quantisation");
   (* Fixed n_best and threshold mirror the float API. *)
   let top2 = getr (Engine_fixed.n_best ~n:2 cb request) in
   Alcotest.(check (list int))

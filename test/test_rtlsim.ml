@@ -378,13 +378,17 @@ let seed_gen = QCheck2.Gen.int_range 0 100_000
 
 (* Oracle for the divider configuration: each variant's score, in
    case-base order, with [quotient ~d ~dmax] as the Q15 distance
-   d / (dmax + 1) inside [Engine_fixed]'s weighting and sum. *)
+   d / (dmax + 1) inside [Engine_fixed]'s weighting and sum.  It rounds
+   the normalised weights itself, not through [Request.constr.q15], so
+   it does not share the weight rule with the code it checks. *)
 let oracle_scores ~quotient (cb : Casebase.t) (req : Request.t) =
   match Casebase.find_type cb req.Request.type_id with
   | None -> []
   | Some ft ->
       let weights =
-        Engine_fixed.quantize_weights (Request.normalized_weights req)
+        List.map
+          (fun (aid, v, w) -> (aid, v, Fxp.Q15.of_float w))
+          (Request.normalized_weights req)
       in
       let score impl =
         List.fold_left
