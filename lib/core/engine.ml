@@ -48,12 +48,6 @@ let equal_decision a b =
   && Q.equal a.score b.score
   && match (a.cycles, b.cycles) with Some x, Some y -> x = y | _ -> true
 
-let pp_decision ppf d =
-  Format.fprintf ppf "impl %d, S = %a" d.impl_id Q.pp d.score;
-  match d.cycles with
-  | None -> ()
-  | Some c -> Format.fprintf ppf " (%d cycles)" c
-
 let float_engine cb =
   let retrieve (request : Request.t) =
     match Engine_float.best cb request with

@@ -88,5 +88,3 @@ val fixed_engine : factory
 
 val equal_decision : decision -> decision -> bool
 (** Variant and score; cycles compared only when both report them. *)
-
-val pp_decision : Format.formatter -> decision -> unit

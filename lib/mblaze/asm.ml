@@ -60,17 +60,3 @@ let assemble items =
 
 let code_bytes p =
   Array.fold_left (fun acc insn -> acc + Isa.encoded_bytes insn) 0 p.insns
-
-let pp_program ppf p =
-  let label_at index =
-    List.filter_map
-      (fun (name, i) -> if i = index then Some name else None)
-      p.labels
-  in
-  Array.iteri
-    (fun i insn ->
-      List.iter (fun name -> Format.fprintf ppf "%s:@." name) (label_at i);
-      Format.fprintf ppf "  %04d  %a@." i
-        (Isa.pp_insn (fun ppf t -> Format.fprintf ppf "@%d" t))
-        insn)
-    p.insns

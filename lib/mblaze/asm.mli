@@ -14,6 +14,3 @@ val assemble : item list -> (program, string) result
 
 val code_bytes : program -> int
 (** Encoded size of the routine (4 bytes per instruction). *)
-
-val pp_program : Format.formatter -> program -> unit
-(** Disassembly listing with labels re-attached. *)

@@ -179,7 +179,6 @@ let inc_by r n =
 
 let counter_value r = !r
 let set r v = r := v
-let gauge_value r = !r
 
 let observe h v =
   if Float.is_finite v then begin

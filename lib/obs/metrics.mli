@@ -49,7 +49,6 @@ val inc_by : counter -> int -> unit
 
 val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 (** Non-finite observations are dropped (histograms must stay

@@ -97,10 +97,6 @@ let pp_stats ppf s =
     s.cycles s.cb_accesses s.req_accesses s.mult_ops s.alu_ops s.impls_visited
     s.attrs_matched s.attrs_missing
 
-let pp_phases ppf c =
-  Format.fprintf ppf "tree-walk=%d attr-scan=%d mac=%d mem-stall=%d"
-    c.tree_walk c.attr_scan c.mac c.mem_stall
-
 exception Halt of error
 
 type machine = {

@@ -173,4 +173,3 @@ val retrieve_nbest :
 
 val error_to_string : error -> string
 val pp_stats : Format.formatter -> stats -> unit
-val pp_phases : Format.formatter -> phase_cycles -> unit

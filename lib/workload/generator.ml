@@ -89,10 +89,6 @@ let request rng ~schema:sch ~type_id spec =
   in
   get (Request.make ~type_id (List.map constraint_of chosen))
 
-let request_for rng (cb : Casebase.t) spec =
-  let ft = Prng.choose rng cb.ftypes in
-  request rng ~schema:cb.schema ~type_id:ft.Ftype.id spec
-
 let sized_casebase ~seed ~types ~impls ~attrs =
   let rng = Prng.create ~seed in
   let sch = schema rng { attr_count = attrs; max_bound = 1000 } in

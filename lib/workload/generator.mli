@@ -49,10 +49,6 @@ val request :
   request_spec ->
   Qos_core.Request.t
 
-val request_for :
-  Prng.t -> Qos_core.Casebase.t -> request_spec -> Qos_core.Request.t
-(** Request against a random function type of the case base. *)
-
 val sized_casebase :
   seed:int -> types:int -> impls:int -> attrs:int -> Qos_core.Casebase.t
 (** Convenience for sweeps: a fully populated case base where every
