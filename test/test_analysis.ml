@@ -256,19 +256,36 @@ let test_exit_codes () =
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen f)
 
-let props =
-  [
-    prop "encode -> emit -> lint is error-free on generated scenarios"
-      (QCheck2.Gen.int_range 0 20_000)
-      (fun seed ->
-        let cb =
-          Workload.Generator.sized_casebase ~seed ~types:2 ~impls:3 ~attrs:3
-        in
-        let req = Workload.Generator.sized_request ~seed cb in
-        match Rtlgen.Vhdl.project cb req with
-        | Error _ -> true (* un-encodable scenarios are exercised elsewhere *)
-        | Ok _ -> D.errors (Analysis.Driver.lint cb req) = 0);
-  ]
+(* Every generated scenario encodes and prints: the five files in
+   project order, the two scenario-free ones exactly as their printers
+   give them, and a lint without errors. *)
+let emit_lint_prop =
+  let module V = Rtlgen.Vhdl in
+  let package = V.package () and unit = V.retrieval_unit () in
+  prop "encode -> emit -> lint is error-free on generated scenarios"
+    (QCheck2.Gen.int_range 0 20_000)
+    (fun seed ->
+      let cb =
+        Workload.Generator.sized_casebase ~seed ~types:2 ~impls:3 ~attrs:3
+      in
+      let req = Workload.Generator.sized_request ~seed cb in
+      match V.project cb req with
+      | Error _ -> false
+      | Ok files ->
+          List.map (fun (f : V.file) -> f.V.filename) files
+          = [
+              "qos_retrieval_pkg.vhd";
+              "qos_retrieval_unit.vhd";
+              "qos_cb_rom.vhd";
+              "qos_req_rom.vhd";
+              "qos_retrieval_tb.vhd";
+            ]
+          && List.nth files 0 = package
+          && List.nth files 1 = unit
+          && List.for_all (fun (f : V.file) -> f.V.contents <> "") files
+          && D.errors (Analysis.Driver.lint cb req) = 0)
+
+let props = [ emit_lint_prop ]
 
 let () =
   Alcotest.run "analysis"
