@@ -1,14 +1,6 @@
 (* qosalloc: command-line front end for the QoS-based function
-   allocation library.
-
-   Subcommands:
-     retrieve   run CBR retrieval over a case base for a request
-     layout     show the Fig. 4/5 RAM images and memory accounting
-     trace      run the hardware unit model with a cycle trace
-     resources  print the Table 2 resource estimate
-     simulate   run the full-system discrete-event simulation
-     faults     run a fault-injection campaign with recovery
-     demo       emit the built-in paper example as text-format files *)
+   allocation library.  `qosalloc --help` lists the subcommands, and
+   `qosalloc SUBCOMMAND --help` documents each one. *)
 
 open Cmdliner
 open Qos_core
@@ -211,6 +203,21 @@ let write_file path contents =
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc contents)
   with Sys_error m -> or_die (Error m)
+
+(* The files a run will write, checked before it starts: a missing
+   directory or a path that names a directory exits 1 at once, and no
+   output is written.  A path these checks pass can still fail at
+   [write_file], e.g. on permissions. *)
+let check_outputs paths =
+  List.iter
+    (fun path ->
+      let dir = Filename.dirname path in
+      let fail reason = or_die (Error (path ^ ": " ^ reason)) in
+      if not (Sys.file_exists dir) then fail "No such file or directory"
+      else if not (Sys.is_directory dir) then fail "Not a directory"
+      else if Sys.file_exists path && Sys.is_directory path then
+        fail "Is a directory")
+    (List.filter_map Fun.id paths)
 
 let emit_obs obs ~metrics ~trace_out ~events_out =
   match obs with
@@ -450,6 +457,7 @@ let observe_retrieval ctx (o : Rtlsim.Machine.outcome) =
 
 let trace_cmd =
   let run casebase request config vcd metrics trace_out =
+    check_outputs [ vcd; metrics; trace_out ];
     let cb = or_die (load_casebase casebase) in
     let req = or_die (load_request request) in
     let o =
@@ -519,6 +527,7 @@ let resources_cmd =
 
 let simulate_cmd =
   let run duration_us seed trace_csv metrics trace_out engine =
+    check_outputs [ trace_csv; metrics; trace_out ];
     let spec =
       {
         (Desim.Simulate.default_spec ()) with
@@ -612,6 +621,7 @@ let faults_cmd =
   let run duration_us seed seu_mean scrub_period reconfig_prob flash_prob
       deadline max_retries backoff device_faults format metrics trace_out
       events_out engine =
+    check_outputs [ metrics; trace_out; events_out ];
     let base =
       {
         (Desim.Simulate.default_spec ()) with
@@ -746,6 +756,7 @@ let serve_cmd =
       kill_frac bounce_mean bounce_down retries backoff min_availability slo
       steal steal_threshold stream requests load_scale slo_out out metrics
       trace_out events_out =
+    check_outputs [ out; slo_out; metrics; trace_out; events_out ];
     let engine = or_die (Engines.of_name engine_name) in
     let d = Cluster.Serve.default_spec () in
     let spec =

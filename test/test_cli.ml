@@ -542,23 +542,29 @@ let test_faults_observability () =
 (* A file a flag names that cannot be written is an IO failure: exit 1
    naming the path, never an uncaught exception (125).  Every path but
    the last sits under a missing directory; export's -o names a regular
-   file. *)
+   file.  The run checks its output paths before it starts, so a valid
+   path named beside a bad one is not written either. *)
 let write_error_cases =
   let missing name = Filename.concat (Filename.concat tmp_dir "missing") name
   and plain () =
     let path = Filename.concat tmp_dir "plain-file" in
     Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc "");
     path
-  in
+  and ok = Filename.concat tmp_dir "ok.ndjson" in
   List.map
     (fun (name, args, path) ->
       Alcotest.test_case name `Quick (fun () ->
           let path = path () in
+          if Sys.file_exists ok then Sys.remove ok;
           let code, out = run_cli (args ^ " " ^ path) in
           check_int "IO failure" 1 code;
-          check_bool "names the path" true (contains out ("qosalloc: " ^ path))))
+          check_bool "names the path" true (contains out ("qosalloc: " ^ path));
+          check_bool "writes nothing" false (Sys.file_exists ok)))
     [
       ("serve --out", "serve --duration-us 1000 --out", fun () -> missing "r.txt");
+      ( "serve --events-out beside --out",
+        "serve --duration-us 1000 --events-out " ^ ok ^ " --out",
+        fun () -> missing "r.txt" );
       ( "serve --slo-out",
         "serve --duration-us 1000 --slo-out",
         fun () -> missing "slo.json" );
