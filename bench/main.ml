@@ -58,7 +58,7 @@ let subsection title = Printf.printf "--- %s ---\n" title
 let get_hw cb request =
   match Rtlsim.Machine.retrieve cb request with
   | Ok o -> o
-  | Error e -> failwith (Rtlsim.Machine.error_to_string e)
+  | Error e -> failwith (Retrieval.error_to_string e)
 
 let run_t1 () =
   section "T1" "Table 1: retrieval similarity example (Fig. 3 case base)";
@@ -770,7 +770,7 @@ let run_s7 () =
   List.iter
     (fun k ->
       match Rtlsim.Machine.retrieve_nbest ~k cb req with
-      | Error e -> Printf.printf "%-4d | %s\n" k (Rtlsim.Machine.error_to_string e)
+      | Error e -> Printf.printf "%-4d | %s\n" k (Retrieval.error_to_string e)
       | Ok o ->
           let cycles = o.Rtlsim.Machine.nbest_stats.Rtlsim.Machine.cycles in
           let est = Resource.estimate (Resource.nbest_retrieval_unit ~k) in
@@ -834,7 +834,7 @@ let run_s8 () =
       Printf.printf
         "re-layouted hardware image retrieves impl %d in %d cycles\n"
         o.Rtlsim.Machine.best_impl_id o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles
-  | Error e -> print_endline (Rtlsim.Machine.error_to_string e)
+  | Error e -> print_endline (Retrieval.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* B3: amalgamation and threshold sensitivity                          *)

@@ -204,20 +204,23 @@ let write_file path contents =
         Out_channel.output_string oc contents)
   with Sys_error m -> or_die (Error m)
 
-(* The files a run will write, checked before it starts: a missing
-   directory or a path that names a directory exits 1 at once, and no
-   output is written.  A path these checks pass can still fail at
-   [write_file], e.g. on permissions. *)
-let check_outputs paths =
-  List.iter
-    (fun path ->
+(* The files a run will write, checked before it starts: a path two
+   flags name (one write would clobber the other), a missing directory
+   or a path that names a directory exits 1 at once, and no output is
+   written.  A path these checks pass can still fail at [write_file],
+   e.g. on permissions. *)
+let rec check_outputs = function
+  | [] -> ()
+  | None :: rest -> check_outputs rest
+  | Some path :: rest ->
       let dir = Filename.dirname path in
       let fail reason = or_die (Error (path ^ ": " ^ reason)) in
-      if not (Sys.file_exists dir) then fail "No such file or directory"
+      if List.mem (Some path) rest then fail "named by two output flags"
+      else if not (Sys.file_exists dir) then fail "No such file or directory"
       else if not (Sys.is_directory dir) then fail "Not a directory"
       else if Sys.file_exists path && Sys.is_directory path then
-        fail "Is a directory")
-    (List.filter_map Fun.id paths)
+        fail "Is a directory";
+      check_outputs rest
 
 let emit_obs obs ~metrics ~trace_out ~events_out =
   match obs with
@@ -462,8 +465,9 @@ let trace_cmd =
     let req = or_die (load_request request) in
     let o =
       or_die
-        (Rtlsim.Engine.retrieve_traced ~config ~trace:true
-           ~waveform:(vcd <> None) cb req)
+        (Result.map_error Engine.error_to_string
+           (Rtlsim.Machine.retrieve ~config ~trace:true
+              ~waveform:(vcd <> None) cb req))
     in
     List.iter print_endline o.Rtlsim.Machine.trace;
     Printf.printf "best: impl %d, S = %.4f\n" o.Rtlsim.Machine.best_impl_id
@@ -534,7 +538,7 @@ let simulate_cmd =
         Desim.Simulate.duration_us;
         seed;
         collect_trace = trace_csv <> None;
-        retrieval_engine = Some (or_die (Engines.of_name engine));
+        retrieval_engine = or_die (Engines.of_name engine);
       }
     in
     let obs = make_obs ~metrics ~trace_out ~events_out:None in
@@ -627,7 +631,7 @@ let faults_cmd =
         (Desim.Simulate.default_spec ()) with
         Desim.Simulate.duration_us;
         seed;
-        retrieval_engine = Some (or_die (Engines.of_name engine));
+        retrieval_engine = or_die (Engines.of_name engine);
       }
     in
     List.iter
@@ -1261,18 +1265,19 @@ let verify_cmd =
     let image =
       or_die (Memlayout.reconstruct_system ~cb_mem ~req_mem ~supplemental_base)
     in
-    match Rtlsim.Engine.run_image image with
+    match Rtlsim.Machine.run image with
     | Error e ->
-        prerr_endline ("qosalloc: retrieval failed: " ^ e);
+        prerr_endline
+          ("qosalloc: retrieval failed: " ^ Engine.error_to_string e);
         exit 1
-    | Ok d ->
-        let got_impl = d.Engine.impl_id in
-        let got_score = Fxp.Q15.to_raw d.Engine.score in
+    | Ok o ->
+        let got_impl = o.Rtlsim.Machine.best_impl_id in
+        let got_score = Fxp.Q15.to_raw o.Rtlsim.Machine.best_score in
         Printf.printf
           "reconstructed image: %d CB words, %d request words\n\
            hardware model: impl %d, raw score %d (%d cycles)\n"
           (Array.length cb_mem) (Array.length req_mem) got_impl got_score
-          (Option.value d.Engine.cycles ~default:0);
+          o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles;
         if got_impl = expected_impl && got_score = expected_score then
           print_endline "VERIFY: PASS (matches the exported expectations)"
         else begin
@@ -1317,32 +1322,33 @@ let difftest_cmd =
             value_slack = 0.15;
           }
       in
-      let via name =
-        match Engines.of_name name with
+      let decide factory =
+        match factory cb with
         | Error e -> Error (Engine.Engine_failure e)
-        | Ok factory -> (
-            match factory cb with
-            | Error e -> Error (Engine.Engine_failure e)
-            | Ok eng -> eng.Engine.retrieve req)
+        | Ok eng -> eng.Engine.retrieve req
       in
-      let fixed = Engine_fixed.best cb req in
-      let rtl = via "rtlsim" in
-      let native = via "native" in
-      let sw = Mblaze.Retrieval_prog.run cb req in
-      let agree =
-        match (fixed, rtl, native, sw) with
-        | Ok f, Ok o, Ok nd, Ok r ->
-            f.Retrieval.impl.Impl.id = o.Engine.impl_id
-            && o.Engine.impl_id = r.Mblaze.Retrieval_prog.best_impl_id
-            && o.Engine.impl_id = nd.Engine.impl_id
-            && Fxp.Q15.equal f.Retrieval.score o.Engine.score
-            && Fxp.Q15.equal o.Engine.score nd.Engine.score
-            && Fxp.Q15.equal f.Retrieval.score
-                 r.Mblaze.Retrieval_prog.best_score
-            && Engine_fixed.agrees_with_float cb req
-        | Error _, Error _, Error _, Ok r ->
+      let fixed = decide Engine.fixed_engine in
+      (* Every bit-accurate engine decides as fixed does, or fails as
+         it does. *)
+      let same (_, factory) =
+        match (fixed, decide factory) with
+        | Ok f, Ok d -> Engine.equal_decision f d
+        | Error f, Error d -> Engine.equal_error f d
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      let sw =
+        match (fixed, Mblaze.Retrieval_prog.run cb req) with
+        | Ok f, Ok r ->
+            f.Engine.impl_id = r.Mblaze.Retrieval_prog.best_impl_id
+            && Fxp.Q15.equal f.Engine.score r.Mblaze.Retrieval_prog.best_score
+        | Error _, Ok r ->
             r.Mblaze.Retrieval_prog.status <> Mblaze.Retrieval_prog.Found
-        | _ -> false
+        | _, Error _ -> false
+      in
+      let agree =
+        List.for_all same Engines.bit_accurate
+        && sw
+        && Engine_fixed.agrees_with_float cb req
       in
       if not agree then begin
         incr failures;

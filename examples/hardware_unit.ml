@@ -13,7 +13,7 @@ let () =
 
   print_endline "FSM trace (paper example, word-serial configuration):";
   (match M.retrieve ~trace:true cb request with
-  | Error e -> print_endline (M.error_to_string e)
+  | Error e -> print_endline (Retrieval.error_to_string e)
   | Ok o ->
       List.iter (fun line -> print_endline ("  " ^ line)) o.M.trace;
       Printf.printf "=> impl %d, S = %.4f\n\n" o.M.best_impl_id
@@ -24,7 +24,7 @@ let () =
   let req = Workload.Generator.sized_request ~seed:62 big in
   let run label config =
     match M.retrieve ~config big req with
-    | Error e -> Printf.printf "  %-28s %s\n" label (M.error_to_string e)
+    | Error e -> Printf.printf "  %-28s %s\n" label (Retrieval.error_to_string e)
     | Ok o ->
         Printf.printf "  %-28s %6d cycles (impl %d)\n" label
           o.M.stats.M.cycles o.M.best_impl_id

@@ -65,7 +65,7 @@ let () =
 
   (* 5. The same retrieval on the cycle-accurate hardware model. *)
   match Rtlsim.Machine.retrieve casebase request with
-  | Error e -> print_endline (Rtlsim.Machine.error_to_string e)
+  | Error e -> print_endline (Retrieval.error_to_string e)
   | Ok o ->
       Printf.printf "hardware unit: impl %d in %d cycles (%d BRAM reads)\n"
         o.Rtlsim.Machine.best_impl_id o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles

@@ -64,7 +64,7 @@ let () =
         o.Rtlsim.Machine.best_impl_id
         (Fxp.Q15.to_float o.Rtlsim.Machine.best_score)
         o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles
-  | Error e -> print_endline (Rtlsim.Machine.error_to_string e));
+  | Error e -> print_endline (Retrieval.error_to_string e));
 
   (* 4. Forget the stale GPP variant whose configuration data left the
      repository. *)

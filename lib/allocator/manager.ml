@@ -5,7 +5,6 @@ type policy = {
   max_candidates : int;
   allow_preemption : bool;
   flash_read_us_per_word : float;
-  retrieval_clock_mhz : float option;
 }
 
 let default_policy =
@@ -14,7 +13,6 @@ let default_policy =
     max_candidates = 4;
     allow_preemption = true;
     flash_read_us_per_word = 0.02;
-    retrieval_clock_mhz = None;
   }
 
 type task = {
@@ -134,8 +132,8 @@ type t = {
           map per FPGA-class device. *)
   placement_policy : Placement.policy option;
   retrieval_engine : Engine.t option;
-      (** Built at {!create} when a retrieval clock is configured;
-          models the per-grant retrieval latency. *)
+      (** Built at {!create} when an engine factory is given; models
+          the per-grant retrieval latency. *)
   mutable running : task list;
   mutable next_task_id : int;
   mutable rev_events : event list;
@@ -148,13 +146,11 @@ type t = {
 }
 
 let create ~casebase ~devices ~catalog ?(policy = default_policy)
-    ?placement_policy ?obs ?(retrieval_engine = Rtlsim.Engine.factory) () =
+    ?placement_policy ?obs ?retrieval_engine () =
   let column_maps = Hashtbl.create 4 in
-  (* Only instantiate the engine when its latency model is consulted. *)
   let engine =
-    match policy.retrieval_clock_mhz with
-    | None -> None
-    | Some _ -> Result.to_option (retrieval_engine casebase)
+    Option.bind retrieval_engine (fun factory ->
+        Result.to_option (factory casebase))
   in
   (match placement_policy with
   | None -> ()
@@ -466,14 +462,15 @@ let allocate_impl t ~app_id ~priority (request : Request.t) =
       Ok grant
   | None -> (
       (* The retrieval itself costs time on the hardware unit; model it
-         once per (non-bypass) request when a clock is configured. *)
+         once per (non-bypass) request when an engine is given. *)
       let retrieval_us =
-        match (t.policy.retrieval_clock_mhz, t.retrieval_engine) with
-        | Some mhz, Some eng -> (
+        match t.retrieval_engine with
+        | Some eng -> (
             match eng.Engine.retrieve request with
-            | Ok { Engine.cycles = Some c; _ } -> float_of_int c /. mhz
+            | Ok { Engine.cycles = Some c; _ } ->
+                float_of_int c /. Engine.clock_mhz
             | Ok _ | Error _ -> 0.0)
-        | _ -> 0.0
+        | None -> 0.0
       in
       (match t.instr with
       | Some i when retrieval_us > 0.0 ->

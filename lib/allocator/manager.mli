@@ -18,16 +18,10 @@ type policy = {
   allow_preemption : bool;
   flash_read_us_per_word : float;
       (** Configuration-repository read cost, per 16-bit word. *)
-  retrieval_clock_mhz : float option;
-      (** When set, every non-bypass allocation also runs the
-          cycle-accurate retrieval unit model and charges its latency at
-          this clock — so bypass tokens save measurable microseconds.
-          [None] (the default) models retrieval as free. *)
 }
 
 val default_policy : policy
-(** threshold 0.5, 4 candidates, preemption on, 0.02 us/word, retrieval
-    latency not modelled. *)
+(** threshold 0.5, 4 candidates, preemption on, 0.02 us/word. *)
 
 type task = private {
   task_id : int;
@@ -120,10 +114,11 @@ val create :
     column extent.  Without it (the default) devices are simple
     capacity counters.
 
-    [retrieval_engine] (default [Rtlsim.Engine.factory]) supplies the
-    engine that models per-grant retrieval latency; it is only
-    instantiated when [policy.retrieval_clock_mhz] is set, and an
-    engine that reports no cycle counts contributes zero latency.
+    With [retrieval_engine], every non-bypass allocation also runs
+    the engine it builds and charges the decision's cycles at
+    [Engine.clock_mhz], so bypass tokens save measurable
+    microseconds.  An engine that reports no cycle counts, or none at
+    all (the default), models retrieval as free.
 
     With [obs] set, the manager resolves its setup-time and
     retrieval-latency histograms once, samples them per grant, and

@@ -65,6 +65,8 @@ let lint cb req =
   | Ok image ->
       Diagnostic.sort
         (Image_check.check_system image
-        @ (Range_check.analyze ~request:req cb).Range_check.diagnostics
+        @ range_pass_raw ~cb_mem:image.Memlayout.cb_mem
+            ~req_mem:image.Memlayout.req_mem
+            ~supplemental_base:image.Memlayout.supplemental_base
         @ prog_pass image
         @ netlist_pass image)

@@ -15,8 +15,8 @@
 val lint : Qos_core.Casebase.t -> Qos_core.Request.t -> Diagnostic.t list
 (** Design-time lint: encodes the scenario with
     {!Memlayout.build_system}, then runs all passes and sorts their
-    findings; the range pass uses the schema's proven reciprocals and
-    the request's quantised weights.  Total: a scenario that does not
+    findings; the range pass reads the reciprocal and weight words of
+    that image, as {!lint_raw} does.  Total: a scenario that does not
     encode is a single [image] error diagnostic, so callers map
     severities straight to the exit-code contract (2 errors / 1
     warnings / 0). *)

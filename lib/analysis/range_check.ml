@@ -73,12 +73,41 @@ let score_of_terms diags terms =
 let finish diags attr_ranges score =
   { attr_ranges; score; diagnostics = Diagnostic.sort !diags }
 
-let analyze_core ~attrs ~weights =
+(* Worst case over the request domain: any normalised request over up
+   to all schema attributes.  Per-term saturation is impossible (each
+   weight is at most one ulp-rounded share of 1), and the accumulator
+   is bounded by one plus the documented rounding slack of ceil(m/2)
+   ulps — proven here rather than enumerated. *)
+let analyze (cb : Qos_core.Casebase.t) =
+  let open Qos_core in
   let diags = ref [] in
   let attr_ranges =
     List.map
-      (fun (attr_id, dmax, recip) -> attr_datapath diags ~attr_id ~dmax ~recip)
-      attrs
+      (fun (d : Attr.descriptor) ->
+        let dmax = Attr.dmax d in
+        attr_datapath diags ~attr_id:d.Attr.id ~dmax
+          ~recip:(Fxp.Q15.to_raw (Fxp.Q15.recip_succ dmax)))
+      (Attr.Schema.descriptors cb.Casebase.schema)
+  in
+  let m = List.length attr_ranges in
+  let hi = min sat_bound (if m = 0 then 0 else one + ((m + 1) / 2)) in
+  if hi > one then
+    diags :=
+      info ~loc:"score"
+        "over all normalised requests with up to %d constraints the global \
+         similarity is bounded by raw %d (%d ulp(s) of weight rounding \
+         slack); the accumulator cannot saturate"
+        m hi (hi - one)
+      :: !diags;
+  finish diags attr_ranges { lo = 0; hi }
+
+let analyze_raw ~supplemental ~weights =
+  let diags = ref [] in
+  let attr_ranges =
+    List.map
+      (fun (attr_id, lower, upper, recip) ->
+        attr_datapath diags ~attr_id ~dmax:(max 0 (upper - lower)) ~recip)
+      supplemental
   in
   let local_hi aid =
     match List.find_opt (fun r -> r.attr_id = aid) attr_ranges with
@@ -102,53 +131,3 @@ let analyze_core ~attrs ~weights =
   in
   let score = score_of_terms diags terms in
   finish diags attr_ranges score
-
-let analyze ?request (cb : Qos_core.Casebase.t) =
-  let open Qos_core in
-  let attrs =
-    List.map
-      (fun (d : Attr.descriptor) ->
-        (d.Attr.id, Attr.dmax d, Fxp.Q15.to_raw (Fxp.Q15.recip_succ (Attr.dmax d))))
-      (Attr.Schema.descriptors cb.Casebase.schema)
-  in
-  match request with
-  | Some r ->
-      let weights =
-        List.map
-          (fun (c : Request.constr) -> (c.attr, Fxp.Q15.to_raw c.q15))
-          r.Request.constraints
-      in
-      analyze_core ~attrs ~weights
-  | None ->
-      (* Worst case over the request domain: any normalised request over
-         up to all schema attributes.  Per-term saturation is impossible
-         (each weight is at most one ulp-rounded share of 1), and the
-         accumulator is bounded by one plus the documented rounding
-         slack of ceil(m/2) ulps — proven here rather than enumerated. *)
-      let diags = ref [] in
-      let attr_ranges =
-        List.map
-          (fun (attr_id, dmax, recip) ->
-            attr_datapath diags ~attr_id ~dmax ~recip)
-          attrs
-      in
-      let m = List.length attrs in
-      let hi = min sat_bound (if m = 0 then 0 else one + ((m + 1) / 2)) in
-      if hi > one then
-        diags :=
-          info ~loc:"score"
-            "over all normalised requests with up to %d constraints the \
-             global similarity is bounded by raw %d (%d ulp(s) of weight \
-             rounding slack); the accumulator cannot saturate"
-            m hi (hi - one)
-          :: !diags;
-      finish diags attr_ranges { lo = 0; hi }
-
-let analyze_raw ~supplemental ~weights =
-  let attrs =
-    List.map
-      (fun (aid, lower, upper, recip) ->
-        (aid, max 0 (upper - lower), recip))
-      supplemental
-  in
-  analyze_core ~attrs ~weights

@@ -6,7 +6,7 @@
 
     - per attribute, the distance [d] ranges over [[0, dmax]]; the
       product [d * recip] is bounded and checked against the 16-bit
-      saturation bound of the multiplier ([Fxp.S.mul_int]);
+      saturation bound of the multiplier ([Fxp.Q15.mul_int]);
     - the complement step clamps the local similarity into
       [[0, Q15.one]];
     - each weighted term is bounded by its weight word, and the
@@ -46,11 +46,10 @@ type report = {
   diagnostics : Diagnostic.t list;
 }
 
-val analyze : ?request:Qos_core.Request.t -> Qos_core.Casebase.t -> report
-(** Design-time proof over the schema's reciprocals.  Without
-    [request], the weight vector ranges over every normalised request
-    constraining up to all schema attributes; with it, the request's
-    own Q15 weights ([Request.constr.q15]) are used. *)
+val analyze : Qos_core.Casebase.t -> report
+(** Design-time proof over the schema's reciprocals: the weight vector
+    ranges over every normalised request constraining up to all
+    schema attributes. *)
 
 val analyze_raw :
   supplemental:(int * int * int * int) list ->

@@ -39,9 +39,9 @@ let embed_request schema dims (request : Request.t) =
 
 let prepare ?(ridge = 1e-6) (cb : Casebase.t) ~type_id =
   match Casebase.find_type cb type_id with
-  | None -> Error (Printf.sprintf "type %d not in case base" type_id)
+  | None -> Error (Retrieval.error_to_string (Unknown_type type_id))
   | Some ft when ft.Ftype.impls = [] ->
-      Error (Printf.sprintf "type %d has no implementations" type_id)
+      Error (Retrieval.error_to_string (No_implementations type_id))
   | Some ft ->
       let dims =
         Array.of_list

@@ -31,12 +31,14 @@ val clock_mhz : float
     (Sec. 4.2; Table 2 prints 77): [cycles /. clock_mhz] is the
     unit's time in microseconds. *)
 
-type error =
+type error = Retrieval.error =
   | Unknown_type of int  (** Function type absent from the case base. *)
   | No_implementations of int  (** Type present but has no variants. *)
   | Engine_failure of string
       (** Engine-specific failure (e.g. an image that does not
           encode). *)
+(** {!Retrieval.error}, re-exported with its constructors: every
+    engine, and [Rtlsim.Machine], answers with this one type. *)
 
 type caps = {
   bit_accurate : bool;
@@ -64,11 +66,10 @@ type factory = Casebase.t -> (t, string) result
     16-bit address space). *)
 
 val error_to_string : error -> string
+(** {!Retrieval.error_to_string}. *)
+
 val pp_error : Format.formatter -> error -> unit
 val equal_error : error -> error -> bool
-
-val of_retrieval_error : Retrieval.error -> error
-(** Embed the core-engine error type. *)
 
 val batch_of_single :
   (Request.t -> (decision, error) result) ->

@@ -18,35 +18,15 @@ let score_impl schema (request : Request.t) impl =
   in
   List.fold_left add Q.zero request.constraints
 
-let rank_all casebase (request : Request.t) =
-  match Casebase.find_type casebase request.type_id with
-  | None -> Error (Retrieval.Unknown_type request.type_id)
-  | Some ft when Ftype.impl_count ft = 0 ->
-      Error (Retrieval.No_implementations request.type_id)
-  | Some ft ->
-      let score impl =
-        { Retrieval.impl; score = score_impl casebase.schema request impl }
-      in
-      let scored = List.map score ft.Ftype.impls in
-      Ok
-        (List.stable_sort
-           (fun a b -> Q.compare b.Retrieval.score a.Retrieval.score)
-           scored)
+let rank_all casebase request =
+  Retrieval.rank ~compare:Q.compare
+    (score_impl casebase.Casebase.schema request)
+    casebase request
 
-let best casebase request =
-  Result.bind (rank_all casebase request) (function
-    | [] -> Error (Retrieval.No_implementations request.Request.type_id)
-    | top :: _ -> Ok top)
+let best casebase request = Retrieval.best (rank_all casebase request)
 
-let take n list =
-  let rec loop n acc = function
-    | [] -> List.rev acc
-    | _ when n <= 0 -> List.rev acc
-    | x :: rest -> loop (n - 1) (x :: acc) rest
-  in
-  loop n [] list
-
-let n_best ~n casebase request = Result.map (take n) (rank_all casebase request)
+let n_best ~n casebase request =
+  Retrieval.n_best ~n (rank_all casebase request)
 
 let above_threshold ~threshold casebase request =
   Result.map

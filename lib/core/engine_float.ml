@@ -10,41 +10,16 @@ let score_impl ?(amalgamation = Similarity.Weighted_sum) schema request impl =
   let pairs = List.map pair (Request.normalized_weights request) in
   Similarity.amalgamate amalgamation pairs
 
-let rank_all ?amalgamation casebase (request : Request.t) =
-  match Casebase.find_type casebase request.type_id with
-  | None -> Error (Retrieval.Unknown_type request.type_id)
-  | Some ft when Ftype.impl_count ft = 0 ->
-      Error (Retrieval.No_implementations request.type_id)
-  | Some ft ->
-      let score impl =
-        {
-          Retrieval.impl;
-          score = score_impl ?amalgamation casebase.schema request impl;
-        }
-      in
-      let scored = List.map score ft.Ftype.impls in
-      (* Stable descending sort: ties keep case-base order, matching the
-         hardware's strict greater-than best-register update. *)
-      Ok
-        (List.stable_sort
-           (fun a b -> Float.compare b.Retrieval.score a.Retrieval.score)
-           scored)
+let rank_all ?amalgamation casebase request =
+  Retrieval.rank ~compare:Float.compare
+    (score_impl ?amalgamation casebase.Casebase.schema request)
+    casebase request
 
 let best ?amalgamation casebase request =
-  Result.bind (rank_all ?amalgamation casebase request) (function
-    | [] -> Error (Retrieval.No_implementations request.Request.type_id)
-    | top :: _ -> Ok top)
-
-let take n list =
-  let rec loop n acc = function
-    | [] -> List.rev acc
-    | _ when n <= 0 -> List.rev acc
-    | x :: rest -> loop (n - 1) (x :: acc) rest
-  in
-  loop n [] list
+  Retrieval.best (rank_all ?amalgamation casebase request)
 
 let n_best ?amalgamation ~n casebase request =
-  Result.map (take n) (rank_all ?amalgamation casebase request)
+  Retrieval.n_best ~n (rank_all ?amalgamation casebase request)
 
 let above_threshold ?amalgamation ~threshold casebase request =
   Result.map

@@ -5,7 +5,7 @@ let rebuild (cb : Casebase.t) ?(schema = cb.schema) ftypes =
 
 let update_type (cb : Casebase.t) type_id f =
   match Casebase.find_type cb type_id with
-  | None -> Error (Printf.sprintf "function type %d not in case base" type_id)
+  | None -> Error (Retrieval.error_to_string (Unknown_type type_id))
   | Some ft ->
       let* updated = f ft in
       let ftypes =
@@ -39,7 +39,7 @@ let add_type (cb : Casebase.t) ft =
 
 let remove_type (cb : Casebase.t) ~type_id =
   if Casebase.find_type cb type_id = None then
-    Error (Printf.sprintf "function type %d not in case base" type_id)
+    Error (Retrieval.error_to_string (Unknown_type type_id))
   else
     rebuild cb
       (List.filter (fun (ft : Ftype.t) -> ft.id <> type_id) cb.ftypes)

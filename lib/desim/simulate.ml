@@ -11,7 +11,7 @@ type spec = {
   casebase : Qos_core.Casebase.t;
   apps : Apps.profile list;
   max_negotiation_rounds : int;
-  retrieval_engine : Qos_core.Engine.factory option;
+  retrieval_engine : Qos_core.Engine.factory;
 }
 
 let default_spec () =
@@ -19,19 +19,15 @@ let default_spec () =
     duration_us = 200_000.0;
     seed = 42;
     devices = Device.default_system ();
-    (* The run-time system pays the hardware unit's retrieval latency
-       (75 MHz, Table 2) on every non-bypass allocation. *)
-    policy =
-      {
-        Manager.default_policy with
-        Manager.retrieval_clock_mhz = Some Qos_core.Engine.clock_mhz;
-      };
+    policy = Manager.default_policy;
     placement = None;
     collect_trace = false;
     casebase = Apps.reference_casebase;
     apps = Apps.standard_apps;
     max_negotiation_rounds = 3;
-    retrieval_engine = None;
+    (* The run-time system pays the hardware unit's retrieval latency
+       (75 MHz, Table 2) on every non-bypass allocation. *)
+    retrieval_engine = Rtlsim.Engine.factory;
   }
 
 type app_metrics = {
@@ -107,7 +103,7 @@ let run ?obs ?layer spec =
     Manager.create ~casebase:spec.casebase ~devices:spec.devices
       ~catalog:(Catalog.of_casebase_default spec.casebase)
       ~policy:spec.policy ?placement_policy:spec.placement ?obs
-      ?retrieval_engine:spec.retrieval_engine ()
+      ~retrieval_engine:spec.retrieval_engine ()
   in
   let root_rng = Workload.Prng.create ~seed:spec.seed in
   let states =

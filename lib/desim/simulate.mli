@@ -15,15 +15,15 @@ type spec = {
   casebase : Qos_core.Casebase.t;
   apps : Apps.profile list;
   max_negotiation_rounds : int;
-  retrieval_engine : Qos_core.Engine.factory option;
-      (** Engine that models per-grant retrieval latency; [None] (the
-          default) leaves the manager on [Rtlsim.Engine.factory]. *)
+  retrieval_engine : Qos_core.Engine.factory;
+      (** Engine that models per-grant retrieval latency: the manager
+          charges its cycles at [Engine.clock_mhz]. *)
 }
 
 val default_spec : unit -> spec
 (** 200 ms of the Fig. 1 reference system under the four standard
     applications, seed 42, with the retrieval unit's latency modelled
-    at the paper's 75 MHz clock. *)
+    by [Rtlsim.Engine.factory] at the paper's 75 MHz clock. *)
 
 type app_metrics = {
   requests : int;

@@ -1,46 +1,9 @@
-module type Format = sig
-  val fractional_bits : int
-end
-
-module type S = sig
-  type t = private int
-
-  val fractional_bits : int
-  val zero : t
-  val one : t
-  val half : t
-  val max_value : t
-  val ulp : float
-  val of_raw : int -> t option
-  val of_raw_exn : int -> t
-  val to_raw : t -> int
-  val of_float : float -> t
-  val to_float : t -> float
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val mul_int : t -> int -> t
-  val div : t -> t -> t
-  val recip_succ : int -> t
-  val complement_to_one : t -> t
-  val compare : t -> t -> int
-  val equal : t -> t -> bool
-  val min : t -> t -> t
-  val max : t -> t -> t
-  val abs_diff_int : int -> int -> int
-  val pp : Format.formatter -> t -> unit
-end
-
 let raw_bound = 65535
 
-module Make (F : Format) : S = struct
+module Q15 = struct
   type t = int
 
-  let () =
-    if F.fractional_bits < 0 || F.fractional_bits > 15 then
-      invalid_arg "Fxp.Make: fractional_bits must be within [0, 15]"
-
-  let fractional_bits = F.fractional_bits
+  let fractional_bits = 15
   let zero = 0
   let one = 1 lsl fractional_bits
   let half = one / 2
@@ -89,11 +52,3 @@ module Make (F : Format) : S = struct
   let abs_diff_int a b = abs (a - b)
   let pp ppf t = Format.fprintf ppf "%.4f (%d)" (to_float t) t
 end
-
-module Q15 = Make (struct
-  let fractional_bits = 15
-end)
-
-module Q8 = Make (struct
-  let fractional_bits = 8
-end)

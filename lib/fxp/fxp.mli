@@ -4,29 +4,26 @@
     similarities as 16-bit words.  Similarities live in [0, 1] and are
     represented in Q15 ([{!Q15.one} = 32768]).  The expensive division of
     equation (1) is replaced by a multiplication with the design-time
-    precomputed reciprocal [(1 + dmax)^-1] (Sec. 4.1), which {!S.recip_succ}
+    precomputed reciprocal [(1 + dmax)^-1] (Sec. 4.1), which {!Q15.recip_succ}
     models.
 
     All operations saturate at the 16-bit raw bound instead of wrapping, the
     behaviour of the saturating datapath adders. *)
 
-(** Width/format description of a fixed-point instantiation. *)
-module type Format = sig
-  val fractional_bits : int
-  (** Number of fractional bits; must be in [0, 15]. *)
-end
-
-(** Operations of one fixed-point format. *)
-module type S = sig
+(** Q15: 1 sign-free integer bit, 15 fractional bits; [one] = 32768.
+    The format the retrieval datapath uses for similarities and
+    weights. *)
+module Q15 : sig
   type t = private int
   (** A raw 16-bit unsigned fixed-point value in [0, 65535]. *)
 
   val fractional_bits : int
+  (** 15. *)
 
   val zero : t
 
   val one : t
-  (** [2 ^ fractional_bits]. *)
+  (** [2 ^ 15]. *)
 
   val half : t
 
@@ -34,7 +31,7 @@ module type S = sig
   (** Largest representable value, raw 65535. *)
 
   val ulp : float
-  (** Magnitude of one least-significant bit, [2. ** -fractional_bits]. *)
+  (** Magnitude of one least-significant bit, [2. ** -15]. *)
 
   val of_raw : int -> t option
   (** [of_raw r] is [Some] iff [r] is within [0, 65535]. *)
@@ -94,14 +91,3 @@ module type S = sig
   val pp : Format.formatter -> t -> unit
   (** Prints the decimal value followed by the raw word, e.g. "0.8919 (29224)". *)
 end
-
-module Make (F : Format) : S
-
-(** Q15: 1 sign-free integer bit, 15 fractional bits; [one] = 32768.
-    The format used by the retrieval datapath for similarities and
-    weights. *)
-module Q15 : S
-
-(** Q8: 8 integer bits, 8 fractional bits.  Used by resource/latency
-    models where values exceed 2.0. *)
-module Q8 : S

@@ -7,12 +7,6 @@ let decision_of_outcome (o : Machine.outcome) =
     cycles = Some o.Machine.stats.Machine.cycles;
   }
 
-let error_of_machine = function
-  | Machine.Type_not_found id -> E.Unknown_type id
-  | Machine.No_implementations id -> E.No_implementations id
-  | Machine.Malformed_image m ->
-      E.Engine_failure ("malformed RAM image: " ^ m)
-
 let create ?(config = Machine.paper_config) cb =
   match Memlayout.encode_cb cb with
   | Error e -> Error e
@@ -20,10 +14,7 @@ let create ?(config = Machine.paper_config) cb =
       let run_outcome request =
         match Memlayout.attach_request image request with
         | Error m -> Error (E.Engine_failure m)
-        | Ok sys -> (
-            match Machine.run ~config sys with
-            | Ok o -> Ok o
-            | Error e -> Error (error_of_machine e))
+        | Ok sys -> Machine.run ~config sys
       in
       let retrieve request = Result.map decision_of_outcome (run_outcome request) in
       let phase_cycles request =
@@ -46,12 +37,3 @@ let create ?(config = Machine.paper_config) cb =
         }
 
 let factory cb = create cb
-
-let run_image ?config image =
-  match Machine.run ?config image with
-  | Ok o -> Ok (decision_of_outcome o)
-  | Error e -> Error (Machine.error_to_string e)
-
-let retrieve_traced ?config ?trace ?waveform cb request =
-  Result.map_error Machine.error_to_string
-    (Machine.retrieve ?config ?trace ?waveform cb request)

@@ -4,12 +4,7 @@
     each retrieval only encodes the request and runs the FSM, so the
     cycle counts are identical to [Machine.retrieve] (the image is the
     same) while the design-time tree encoding is amortised — the
-    run-time usage pattern the paper assumes.
-
-    This module is also the only sanctioned doorway to the machine for
-    consumers outside [lib/rtlsim]: the trace/waveform and raw-image
-    entry points the CLI needs are re-exported here so nothing else
-    calls {!Machine} directly. *)
+    run-time usage pattern the paper assumes. *)
 
 val create :
   ?config:Machine.config -> Qos_core.Casebase.t -> (Qos_core.Engine.t, string) result
@@ -18,24 +13,3 @@ val create :
 
 val factory : Qos_core.Engine.factory
 (** {!create} under the paper configuration. *)
-
-val decision_of_outcome : Machine.outcome -> Qos_core.Engine.decision
-
-val error_of_machine : Machine.error -> Qos_core.Engine.error
-
-val run_image :
-  ?config:Machine.config ->
-  Memlayout.system_image ->
-  (Qos_core.Engine.decision, string) result
-(** Execute one retrieval over a pre-built (e.g. re-imported) RAM
-    image — the [qosalloc verify] path. *)
-
-val retrieve_traced :
-  ?config:Machine.config ->
-  ?trace:bool ->
-  ?waveform:bool ->
-  Qos_core.Casebase.t ->
-  Qos_core.Request.t ->
-  (Machine.outcome, string) result
-(** One-shot retrieval exposing the machine's full outcome (cycle
-    trace, waveform, statistics) — the [qosalloc trace] path. *)

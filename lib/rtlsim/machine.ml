@@ -80,16 +80,9 @@ let waveform_signals =
     { Vcd.signal_name = "best_score"; width = 16 };
   ]
 
-type error =
-  | Type_not_found of int
-  | No_implementations of int
-  | Malformed_image of string
-
-let error_to_string = function
-  | Type_not_found id -> Printf.sprintf "function type %d not found in CB-MEM" id
-  | No_implementations id ->
-      Printf.sprintf "function type %d has an empty implementation list" id
-  | Malformed_image m -> "malformed RAM image: " ^ m
+(* An image the FSM cannot walk is an engine failure; an absent or
+   empty type is the unit's not-found flag. *)
+let malformed m = Qos_core.Retrieval.Engine_failure ("malformed RAM image: " ^ m)
 
 let pp_stats ppf s =
   Format.fprintf ppf
@@ -97,7 +90,7 @@ let pp_stats ppf s =
     s.cycles s.cb_accesses s.req_accesses s.mult_ops s.alu_ops s.impls_visited
     s.attrs_matched s.attrs_missing
 
-exception Halt of error
+exception Halt of Qos_core.Retrieval.error
 
 type machine = {
   cb : Ram.t;
@@ -137,7 +130,7 @@ let end_marker = Memlayout.end_marker
 let tick m n =
   m.cycles <- m.cycles + n;
   if m.cycles > cycle_limit then
-    raise (Halt (Malformed_image "cycle limit exceeded (pointer loop?)"))
+    raise (Halt (malformed "cycle limit exceeded (pointer loop?)"))
 
 (* Charge [n] cycles to [phase].  All cycle accounting funnels through
    here so the phase split always sums to the total. *)
@@ -216,7 +209,7 @@ let read m mem addr =
   if m.config.registered_bram then charge m Mem_stall 1;
   sample m (if mem == m.cb then "cb_addr" else "req_addr") addr;
   try Ram.read mem addr
-  with Invalid_argument msg -> raise (Halt (Malformed_image msg))
+  with Invalid_argument msg -> raise (Halt (malformed msg))
 
 (* Two adjacent words.  The compacted port (Sec. 5) delivers the pair in
    one access; the word-serial port needs two.  At the very end of the
@@ -251,7 +244,7 @@ let mult m =
 (* Scan the level-0 type list for [rtype]; deliver the level-1 base. *)
 let rec scan_type_list m addr rtype =
   let id, ptr = read_pair m m.cb addr in
-  if id = end_marker then raise (Halt (Type_not_found rtype))
+  if id = end_marker then raise (Halt (Qos_core.Retrieval.Unknown_type rtype))
   else if id = rtype then (
     emit_trace m "type-list: matched type %d -> impl list @%d" rtype ptr;
     ptr)
@@ -329,7 +322,7 @@ let local_similarity m rvalue supp cbvalue =
       alu m 1;
       let d = Q.abs_diff_int rvalue cv in
       let dm1 = upper - lower + 1 in
-      if dm1 <= 0 then raise (Halt (Malformed_image "supplemental bounds inverted"));
+      if dm1 <= 0 then raise (Halt (malformed "supplemental bounds inverted"));
       charge m Mac divider_cycles;
       alu m 1;
       let raw = ((d lsl 15) + (dm1 / 2)) / dm1 in
@@ -393,7 +386,7 @@ let scan m (image : Memlayout.system_image) init visit =
       let score = eval_impl m attr_ptr in
       impl_loop (pos + 2) (visit acc impl_id score)
     end
-    else if m.impls_visited = 0 then raise (Halt (No_implementations rtype))
+    else if m.impls_visited = 0 then raise (Halt (Qos_core.Retrieval.No_implementations rtype))
     else acc
   in
   impl_loop l1_base init
@@ -429,7 +422,7 @@ let run ?(config = paper_config) ?(trace = false) ?(waveform = false) image =
 
 let retrieve ?config ?trace ?waveform casebase request =
   match Memlayout.build_system casebase request with
-  | Error m -> Error (Malformed_image m)
+  | Error m -> Error (malformed m)
   | Ok image -> run ?config ?trace ?waveform image
 
 let retrieve_stream ?config casebase requests =
@@ -440,7 +433,7 @@ let retrieve_stream ?config casebase requests =
         (List.map
            (fun request ->
              match Memlayout.attach_request cb_image request with
-             | Error m -> Error (Malformed_image m)
+             | Error m -> Error (malformed m)
              | Ok image -> run ?config image)
            requests)
 
@@ -485,5 +478,5 @@ let run_nbest ?(config = paper_config) ?(trace = false) ~k image =
 
 let retrieve_nbest ?config ?trace ~k casebase request =
   match Memlayout.build_system casebase request with
-  | Error m -> Error (Malformed_image m)
+  | Error m -> Error (malformed m)
   | Ok image -> run_nbest ?config ?trace ~k image

@@ -102,11 +102,6 @@ type outcome = {
           capture was on. *)
 }
 
-type error =
-  | Type_not_found of int
-  | No_implementations of int
-  | Malformed_image of string
-
 val waveform_signals : Vcd.signal list
 (** The signals captured when waveform recording is on: cb_addr,
     req_addr, local_s, acc, best_id, best_score. *)
@@ -116,8 +111,11 @@ val run :
   ?trace:bool ->
   ?waveform:bool ->
   Memlayout.system_image ->
-  (outcome, error) result
-(** Execute one retrieval over the given system image. *)
+  (outcome, Qos_core.Retrieval.error) result
+(** Execute one retrieval over the given system image.  The unit's
+    not-found flag is [Unknown_type] for an absent type and
+    [No_implementations] for an empty variant list; an image the FSM
+    cannot walk is [Engine_failure "malformed RAM image: ..."]. *)
 
 val retrieve :
   ?config:config ->
@@ -125,14 +123,14 @@ val retrieve :
   ?waveform:bool ->
   Qos_core.Casebase.t ->
   Qos_core.Request.t ->
-  (outcome, error) result
+  (outcome, Qos_core.Retrieval.error) result
 (** Convenience: build the image, then {!run}. *)
 
 val retrieve_stream :
   ?config:config ->
   Qos_core.Casebase.t ->
   Qos_core.Request.t list ->
-  ((outcome, error) result list, string) result
+  ((outcome, Qos_core.Retrieval.error) result list, string) result
 (** Serve a request stream against one compiled CB-MEM image — the
     run-time usage pattern (the case base is design-time static, only
     Req-MEM changes per call).  Fails only when the case base itself
@@ -160,7 +158,7 @@ val run_nbest :
   ?trace:bool ->
   k:int ->
   Memlayout.system_image ->
-  (nbest_outcome, error) result
+  (nbest_outcome, Qos_core.Retrieval.error) result
 (** @raise Invalid_argument when [k < 1]. *)
 
 val retrieve_nbest :
@@ -169,7 +167,6 @@ val retrieve_nbest :
   k:int ->
   Qos_core.Casebase.t ->
   Qos_core.Request.t ->
-  (nbest_outcome, error) result
+  (nbest_outcome, Qos_core.Retrieval.error) result
 
-val error_to_string : error -> string
 val pp_stats : Format.formatter -> stats -> unit

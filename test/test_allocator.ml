@@ -360,8 +360,7 @@ let test_retrieval_latency_modelling () =
     M.create ~casebase:cb
       ~devices:[ device "dsp0" Target.Dsp 2 ]
       ~catalog:(Cat.of_casebase_default cb)
-      ~policy:{ M.default_policy with M.retrieval_clock_mhz = Some 75.0 }
-      ()
+      ~retrieval_engine:Rtlsim.Engine.factory ()
   in
   let first = get_grant "first" (M.allocate m ~app_id:"a" request) in
   check_bool "retrieval latency charged" true (first.M.retrieval_us > 0.0);
@@ -373,7 +372,7 @@ let test_retrieval_latency_modelling () =
   let second = get_grant "second" (M.allocate m ~app_id:"a" request) in
   check_bool "bypass skips retrieval" true
     (second.M.via_bypass && second.M.retrieval_us = 0.0);
-  (* Default policy charges nothing. *)
+  (* A manager without an engine charges nothing. *)
   let free = standard_manager () in
   let g = get_grant "free" (M.allocate free ~app_id:"a" request) in
   check_bool "unmodelled latency is zero" true (g.M.retrieval_us = 0.0)

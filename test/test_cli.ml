@@ -47,6 +47,22 @@ let test_retrieve_all_engines_agree () =
         (contains out "impl 2" || contains out "impl=2"))
     [ "float"; "fixed"; "rtl"; "sw" ]
 
+(* Every engine answers a request for a type the case base lacks with
+   the one message of [Retrieval.error_to_string], and so does the
+   cycle trace. *)
+let test_absent_type_one_message () =
+  let req = Filename.concat tmp_dir "absent_type.req" in
+  Out_channel.with_open_text req (fun oc ->
+      Out_channel.output_string oc "request 9\n  want 1 16 1\n");
+  List.iter
+    (fun cmd ->
+      let code, out = run_cli (Printf.sprintf "%s -r %s" cmd req) in
+      check_int (cmd ^ " exit") 1 code;
+      Alcotest.(check string)
+        (cmd ^ " message") "qosalloc: function type 9 not found in case base\n"
+        out)
+    ("trace" :: List.map (fun name -> "retrieve -e " ^ name) Engines.names)
+
 let test_layout_and_resources () =
   let code, out = run_cli "layout" in
   check_int "layout exit" 0 code;
@@ -540,10 +556,11 @@ let test_faults_observability () =
     (contains text "# TYPE qosalloc_sim_queue_depth gauge")
 
 (* A file a flag names that cannot be written is an IO failure: exit 1
-   naming the path, never an uncaught exception (125).  Every path but
-   the last sits under a missing directory; export's -o names a regular
-   file.  The run checks its output paths before it starts, so a valid
-   path named beside a bad one is not written either. *)
+   naming the path, never an uncaught exception (125).  Most paths sit
+   under a missing directory; one is named by two flags, and export's
+   -o names a regular file.  The run checks its output paths before it
+   starts, so a valid path named beside a bad one is not written
+   either. *)
 let write_error_cases =
   let missing name = Filename.concat (Filename.concat tmp_dir "missing") name
   and plain () =
@@ -578,6 +595,9 @@ let write_error_cases =
         "faults --duration-us 1000 --metrics",
         fun () -> missing "f.prom" );
       ("trace --vcd", "trace --vcd", fun () -> missing "w.vcd");
+      ( "serve one path twice",
+        "serve --duration-us 1000 --events-out " ^ ok ^ " --out",
+        fun () -> ok );
       ("export -o", "export -o", plain);
     ]
 
@@ -598,6 +618,8 @@ let () =
           Alcotest.test_case "retrieve" `Quick test_retrieve;
           Alcotest.test_case "all engines agree" `Quick
             test_retrieve_all_engines_agree;
+          Alcotest.test_case "absent type, one message" `Quick
+            test_absent_type_one_message;
           Alcotest.test_case "layout and resources" `Quick
             test_layout_and_resources;
           Alcotest.test_case "trace" `Quick test_trace;

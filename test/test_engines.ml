@@ -328,6 +328,35 @@ let test_engine_errors_classified () =
       | Ok _ | Error _ -> Alcotest.fail (name ^ ": expected Unknown_type 77"))
     Engines.all
 
+(* One error type behind the seam: for an absent type and for a type
+   with no variants, every registry engine and the machine model
+   itself answer with equal errors. *)
+let test_engine_errors_equal () =
+  let empty_ft = get (Ftype.make ~id:9 ~name:"empty" []) in
+  let c =
+    get
+      (Casebase.make ~name:"with-empty" ~schema:cb.Casebase.schema
+         (empty_ft :: cb.Casebase.ftypes))
+  in
+  List.iter
+    (fun (type_id, expect) ->
+      let req = get (Request.make ~type_id [ (1, 16, 1.0) ]) in
+      let check name got =
+        match got with
+        | Error e ->
+            check_bool
+              (Printf.sprintf "%s, type %d: %s" name type_id
+                 (E.error_to_string e))
+              true (E.equal_error expect e)
+        | Ok _ -> Alcotest.fail (name ^ ": expected an error")
+      in
+      List.iter
+        (fun (name, _) -> check name ((engine_of name c).E.retrieve req))
+        Engines.all;
+      check "Rtlsim.Machine.retrieve"
+        (Result.map ignore (Rtlsim.Machine.retrieve c req)))
+    [ (77, E.Unknown_type 77); (9, E.No_implementations 9) ]
+
 let test_batch_matches_single () =
   let reqs = [ request; Scenario_audio.relaxed_request; request ] in
   List.iter
@@ -596,6 +625,7 @@ let () =
             test_identical_variants;
           Alcotest.test_case "errors classified" `Quick
             test_engine_errors_classified;
+          Alcotest.test_case "errors equal" `Quick test_engine_errors_equal;
           Alcotest.test_case "batch matches single" `Quick
             test_batch_matches_single;
         ] );

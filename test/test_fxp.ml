@@ -1,7 +1,6 @@
 (* Unit and property tests for the fixed-point arithmetic layer. *)
 
 module Q = Fxp.Q15
-module Q8 = Fxp.Q8
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -15,7 +14,6 @@ let test_constants () =
   check_int "Q15 zero" 0 (Q.to_raw Q.zero);
   check_int "Q15 half" 16384 (Q.to_raw Q.half);
   check_int "Q15 max" 65535 (Q.to_raw Q.max_value);
-  check_int "Q8 one" 256 (Q8.to_raw Q8.one);
   check_bool "Q15 ulp" true (close Q.ulp (1.0 /. 32768.0));
   check_int "fractional bits" 15 Q.fractional_bits
 
@@ -114,8 +112,7 @@ let test_of_float_boundaries () =
     (Q.to_raw (Q.of_float (65535.5 /. 32768.0)));
   check_int "tiny negative clamps to zero" 0 (Q.to_raw (Q.of_float (-1e-9)));
   check_int "half-ulp input rounds away from zero" 1
-    (Q.to_raw (Q.of_float (0.5 /. 32768.0)));
-  check_int "Q8 clamps at its own max" 65535 (Q8.to_raw (Q8.of_float 300.0))
+    (Q.to_raw (Q.of_float (0.5 /. 32768.0)))
 
 let test_compare_minmax () =
   let a = Q.of_raw_exn 100 and b = Q.of_raw_exn 200 in
@@ -128,16 +125,6 @@ let test_abs_diff () =
   check_int "symmetric 1" 8 (Q.abs_diff_int 16 8);
   check_int "symmetric 2" 8 (Q.abs_diff_int 8 16);
   check_int "zero" 0 (Q.abs_diff_int 44 44)
-
-let test_make_validates () =
-  let module Bad = struct
-    let fractional_bits = 16
-  end in
-  Alcotest.check_raises "fractional bits out of range"
-    (Invalid_argument "Fxp.Make: fractional_bits must be within [0, 15]")
-    (fun () ->
-      let module _ = Fxp.Make (Bad) in
-      ())
 
 (* --- Properties --------------------------------------------------------- *)
 
@@ -222,7 +209,6 @@ let () =
             test_of_float_boundaries;
           Alcotest.test_case "compare/min/max" `Quick test_compare_minmax;
           Alcotest.test_case "abs_diff" `Quick test_abs_diff;
-          Alcotest.test_case "Make validates" `Quick test_make_validates;
         ] );
       ("properties", props);
     ]

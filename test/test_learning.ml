@@ -149,7 +149,7 @@ let test_learned_casebase_still_encodes () =
   (* The full loop: learn, re-layout, run the hardware unit. *)
   match Rtlsim.Machine.retrieve learned request with
   | Ok o -> check_bool "hardware retrieval ok" true (o.Rtlsim.Machine.best_impl_id >= 1)
-  | Error e -> Alcotest.fail (Rtlsim.Machine.error_to_string e)
+  | Error e -> Alcotest.fail (Retrieval.error_to_string e)
 
 (* --- properties --------------------------------------------------------------- *)
 

@@ -265,7 +265,7 @@ let props =
         | Ok r, Error (Retrieval.Unknown_type _) -> r.R.status = R.Type_not_found
         | Ok r, Error (Retrieval.No_implementations _) ->
             r.R.status = R.No_implementations
-        | Error _, _ -> false);
+        | Ok _, Error (Retrieval.Engine_failure _) | Error _, _ -> false);
     prop "software routine bit-equals the hardware unit"
       (QCheck2.Gen.int_range 0 100_000)
       (fun seed ->
@@ -275,9 +275,9 @@ let props =
             r.R.status = R.Found
             && r.R.best_impl_id = o.Rtlsim.Machine.best_impl_id
             && Fxp.Q15.equal r.R.best_score o.Rtlsim.Machine.best_score
-        | Ok r, Error (Rtlsim.Machine.Type_not_found _) ->
+        | Ok r, Error (Retrieval.Unknown_type _) ->
             r.R.status = R.Type_not_found
-        | Ok r, Error (Rtlsim.Machine.No_implementations _) ->
+        | Ok r, Error (Retrieval.No_implementations _) ->
             r.R.status = R.No_implementations
         | _ -> false);
     prop "hardware needs fewer cycles than software"

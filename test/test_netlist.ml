@@ -135,19 +135,18 @@ let crosscheck image =
                       (Printf.sprintf "cycle mismatch: netlist %d, machine %d"
                          sim.Sim.cycles mcycles)
                   else Ok sim)
-          | Error
-              ( Rtlsim.Machine.Type_not_found _
-              | Rtlsim.Machine.No_implementations _ ) ->
+          | Error (Retrieval.Unknown_type _ | Retrieval.No_implementations _)
+            ->
               if sim.Sim.decision = None then Ok sim
               else
                 Error "machine reported not-found; netlist delivered a result"
-          | Error (Rtlsim.Machine.Malformed_image m) ->
+          | Error (Retrieval.Engine_failure m) ->
               Error ("machine rejected the image: " ^ m)))
 
 let machine_cycles image =
   match Rtlsim.Machine.run image with
   | Ok o -> o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles
-  | Error e -> Alcotest.fail (Rtlsim.Machine.error_to_string e)
+  | Error e -> Alcotest.fail (Retrieval.error_to_string e)
 
 let test_sim_matches_machine_audio () =
   let image = get (Memlayout.build_system cb request) in

@@ -18,7 +18,7 @@ let run ?config ?trace () = M.retrieve ?config ?trace cb request
 
 let get_m what = function
   | Ok o -> o
-  | Error e -> Alcotest.fail (what ^ ": " ^ M.error_to_string e)
+  | Error e -> Alcotest.fail (what ^ ": " ^ Retrieval.error_to_string e)
 
 (* --- Correctness ---------------------------------------------------------- *)
 
@@ -42,15 +42,15 @@ let test_matches_fixed_engine_exactly () =
 let test_errors () =
   let missing = get (Request.make ~type_id:42 [ (1, 16, 1.0) ]) in
   (match M.retrieve cb missing with
-  | Error (M.Type_not_found 42) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected Type_not_found");
+  | Error (Retrieval.Unknown_type 42) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected Unknown_type");
   let empty_ft = get (Ftype.make ~id:9 ~name:"none" []) in
   let cb2 =
     get (Casebase.make ~name:"cb2" ~schema:cb.Casebase.schema [ empty_ft ])
   in
   let req9 = get (Request.make ~type_id:9 [])  in
   (match M.retrieve cb2 req9 with
-  | Error (M.No_implementations 9) -> ()
+  | Error (Retrieval.No_implementations 9) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected No_implementations")
 
 let test_malformed_image () =
@@ -60,13 +60,13 @@ let test_malformed_image () =
   words.(1) <- 0 (* type 1's impl-list pointer now loops back to level 0 *);
   let broken = { image with Memlayout.cb_mem = words } in
   match M.run broken with
-  | Error (M.Malformed_image _) -> ()
+  | Error (Retrieval.Engine_failure _) -> ()
   | Ok _ ->
       (* Level-0 reinterpreted as impl list still terminates: that is
          acceptable non-looping behaviour, but the score must then be
          meaningless; accept either outcome as long as no exception. *)
       ()
-  | Error e -> Alcotest.fail (M.error_to_string e)
+  | Error e -> Alcotest.fail (Retrieval.error_to_string e)
 
 let test_unknown_request_attribute () =
   (* Attribute 99 exists in no schema entry: the supplemental scan must
@@ -198,7 +198,7 @@ let test_stream_matches_individual_runs () =
               check_int "same score"
                 (Fxp.Q15.to_raw b.M.best_score)
                 (Fxp.Q15.to_raw a.M.best_score)
-          | Error (M.Type_not_found a), Error (M.Type_not_found b) ->
+          | Error (Retrieval.Unknown_type a), Error (Retrieval.Unknown_type b) ->
               check_int "same missing type" b a
           | _ -> Alcotest.fail "stream/individual divergence")
         results requests
@@ -209,7 +209,7 @@ let test_nbest_matches_fixed_engine () =
   let o =
     match M.retrieve_nbest ~k:3 cb request with
     | Ok o -> o
-    | Error e -> Alcotest.fail (M.error_to_string e)
+    | Error e -> Alcotest.fail (Retrieval.error_to_string e)
   in
   Alcotest.(check (list (pair int int)))
     "full ranking with scores"
@@ -220,7 +220,7 @@ let test_nbest_truncates () =
   let o =
     match M.retrieve_nbest ~k:2 cb request with
     | Ok o -> o
-    | Error e -> Alcotest.fail (M.error_to_string e)
+    | Error e -> Alcotest.fail (Retrieval.error_to_string e)
   in
   check_int "keeps two" 2 (List.length o.M.ranked);
   Alcotest.(check (list int))
@@ -234,15 +234,15 @@ let test_nbest_validation () =
         (M.run_nbest ~k:0 (get (Memlayout.build_system cb request))));
   let missing = get (Request.make ~type_id:42 [ (1, 16, 1.0) ]) in
   match M.retrieve_nbest ~k:2 cb missing with
-  | Error (M.Type_not_found 42) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected Type_not_found"
+  | Error (Retrieval.Unknown_type 42) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected Unknown_type"
 
 let test_nbest_costs_more_cycles () =
   let single = get_m "single" (run ()) in
   let o =
     match M.retrieve_nbest ~k:4 cb request with
     | Ok o -> o
-    | Error e -> Alcotest.fail (M.error_to_string e)
+    | Error e -> Alcotest.fail (Retrieval.error_to_string e)
   in
   check_bool "insertion chain costs cycles" true
     (o.M.nbest_stats.M.cycles >= single.M.stats.M.cycles)
@@ -438,7 +438,7 @@ let divider_picks_exact_best seed =
   with
   | Ok o, Some (id, score) ->
       o.M.best_impl_id = id && Fxp.Q15.equal o.M.best_score score
-  | Error (M.Type_not_found _), None | Error (M.No_implementations _), None ->
+  | Error (Retrieval.Unknown_type _), None | Error (Retrieval.No_implementations _), None ->
       true
   | _ -> false
 
@@ -469,8 +469,8 @@ let equivalent config seed =
   | Ok o, Ok fixed ->
       o.M.best_impl_id = fixed.Retrieval.impl.Impl.id
       && Fxp.Q15.equal o.M.best_score fixed.Retrieval.score
-  | Error (M.Type_not_found _), Error (Retrieval.Unknown_type _) -> true
-  | Error (M.No_implementations _), Error (Retrieval.No_implementations _) ->
+  | Error (Retrieval.Unknown_type _), Error (Retrieval.Unknown_type _) -> true
+  | Error (Retrieval.No_implementations _), Error (Retrieval.No_implementations _) ->
       true
   | _ -> false
 
@@ -543,8 +543,8 @@ let nbest_props =
                    id = r.Retrieval.impl.Impl.id
                    && Fxp.Q15.equal s r.Retrieval.score)
                  o.M.ranked expected
-        | Error (M.Type_not_found _), Error (Retrieval.Unknown_type _) -> true
-        | Error (M.No_implementations _), Error (Retrieval.No_implementations _)
+        | Error (Retrieval.Unknown_type _), Error (Retrieval.Unknown_type _) -> true
+        | Error (Retrieval.No_implementations _), Error (Retrieval.No_implementations _)
           ->
             true
         | _ -> false);
