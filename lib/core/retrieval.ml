@@ -31,11 +31,8 @@ let rank ~compare score casebase (request : Request.t) =
       Ok (List.stable_sort (fun a b -> compare b.score a.score) scored)
 
 (* [rank] refuses a type without variants, so a ranking is never
-   empty; the second case only keeps [best] total. *)
-let best ranking =
-  Result.bind ranking (function
-    | top :: _ -> Ok top
-    | [] -> Error (Engine_failure "empty ranking"))
+   empty. *)
+let best ranking = Result.map List.hd ranking
 
 let take n list =
   let rec loop n acc = function

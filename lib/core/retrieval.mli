@@ -36,7 +36,7 @@ val rank :
     (Fig. 6). *)
 
 val best : ('score ranked list, error) result -> ('score ranked, error) result
-(** The head of a ranking. *)
+(** The head of a {!rank} result, which is never an empty list. *)
 
 val n_best :
   n:int ->
