@@ -24,7 +24,8 @@ let () =
   let req = Workload.Generator.sized_request ~seed:62 big in
   let run label config =
     match M.retrieve ~config big req with
-    | Error e -> Printf.printf "  %-28s %s\n" label (Retrieval.error_to_string e)
+    | Error e ->
+        Printf.printf "  %-28s %s\n" label (Retrieval.error_to_string e)
     | Ok o ->
         Printf.printf "  %-28s %6d cycles (impl %d)\n" label
           o.M.stats.M.cycles o.M.best_impl_id

@@ -6,7 +6,8 @@ type error =
 type 'score ranked = { impl : Impl.t; score : 'score }
 
 let error_to_string = function
-  | Unknown_type id -> Printf.sprintf "function type %d not found in case base" id
+  | Unknown_type id ->
+      Printf.sprintf "function type %d not found in case base" id
   | No_implementations id ->
       Printf.sprintf "function type %d has no implementations" id
   | Engine_failure m -> m
@@ -27,7 +28,9 @@ let rank ~compare score casebase (request : Request.t) =
   | Some ft when Ftype.impl_count ft = 0 ->
       Error (No_implementations request.type_id)
   | Some ft ->
-      let scored = List.map (fun impl -> { impl; score = score impl }) ft.impls in
+      let scored =
+        List.map (fun impl -> { impl; score = score impl }) ft.impls
+      in
       Ok (List.stable_sort (fun a b -> compare b.score a.score) scored)
 
 (* [rank] refuses a type without variants, so a ranking is never

@@ -82,7 +82,8 @@ let waveform_signals =
 
 (* An image the FSM cannot walk is an engine failure; an absent or
    empty type is the unit's not-found flag. *)
-let malformed m = Qos_core.Retrieval.Engine_failure ("malformed RAM image: " ^ m)
+let malformed m =
+  Qos_core.Retrieval.Engine_failure ("malformed RAM image: " ^ m)
 
 let pp_stats ppf s =
   Format.fprintf ppf
@@ -386,7 +387,8 @@ let scan m (image : Memlayout.system_image) init visit =
       let score = eval_impl m attr_ptr in
       impl_loop (pos + 2) (visit acc impl_id score)
     end
-    else if m.impls_visited = 0 then raise (Halt (Qos_core.Retrieval.No_implementations rtype))
+    else if m.impls_visited = 0 then
+      raise (Halt (Qos_core.Retrieval.No_implementations rtype))
     else acc
   in
   impl_loop l1_base init

@@ -198,7 +198,8 @@ let test_stream_matches_individual_runs () =
               check_int "same score"
                 (Fxp.Q15.to_raw b.M.best_score)
                 (Fxp.Q15.to_raw a.M.best_score)
-          | Error (Retrieval.Unknown_type a), Error (Retrieval.Unknown_type b) ->
+          | Error (Retrieval.Unknown_type a), Error (Retrieval.Unknown_type b)
+            ->
               check_int "same missing type" b a
           | _ -> Alcotest.fail "stream/individual divergence")
         results requests
@@ -438,7 +439,8 @@ let divider_picks_exact_best seed =
   with
   | Ok o, Some (id, score) ->
       o.M.best_impl_id = id && Fxp.Q15.equal o.M.best_score score
-  | Error (Retrieval.Unknown_type _), None | Error (Retrieval.No_implementations _), None ->
+  | Error (Retrieval.Unknown_type _), None
+  | Error (Retrieval.No_implementations _), None ->
       true
   | _ -> false
 
@@ -470,7 +472,8 @@ let equivalent config seed =
       o.M.best_impl_id = fixed.Retrieval.impl.Impl.id
       && Fxp.Q15.equal o.M.best_score fixed.Retrieval.score
   | Error (Retrieval.Unknown_type _), Error (Retrieval.Unknown_type _) -> true
-  | Error (Retrieval.No_implementations _), Error (Retrieval.No_implementations _) ->
+  | ( Error (Retrieval.No_implementations _),
+      Error (Retrieval.No_implementations _) ) ->
       true
   | _ -> false
 
@@ -543,9 +546,10 @@ let nbest_props =
                    id = r.Retrieval.impl.Impl.id
                    && Fxp.Q15.equal s r.Retrieval.score)
                  o.M.ranked expected
-        | Error (Retrieval.Unknown_type _), Error (Retrieval.Unknown_type _) -> true
-        | Error (Retrieval.No_implementations _), Error (Retrieval.No_implementations _)
-          ->
+        | Error (Retrieval.Unknown_type _), Error (Retrieval.Unknown_type _) ->
+            true
+        | ( Error (Retrieval.No_implementations _),
+            Error (Retrieval.No_implementations _) ) ->
             true
         | _ -> false);
     prop "n-best with k=1 equals single-best" seed_gen (fun seed ->
