@@ -121,6 +121,38 @@ let test_prng_int_in_overflow () =
           max_int))
     (fun () -> ignore (P.int_in rng ~lo:min_int ~hi:max_int))
 
+(* SplitMix64's published output for seed 0: the generator's sequence
+   is the workloads' sequence, so a rewrite of [Prng] that changes it
+   fails here before it moves any golden. *)
+let test_prng_splitmix64_known_answers () =
+  let rng = P.create ~seed:0 in
+  List.iter
+    (fun expected ->
+      Alcotest.(check string) "int64" expected
+        (Printf.sprintf "%016Lx" (P.int64 rng)))
+    [ "e220a8397b1dcdaf"; "6e789e6aa1b965f4"; "06c45d188009454f";
+      "f88bb8a8724c81ec" ]
+
+(* The derived draws of one seed, in one order, as the generator gave
+   them before its state was unboxed. *)
+let test_prng_derived_known_answers () =
+  let rng = P.create ~seed:2004 in
+  let ints = List.init 12 (fun _ -> P.int_in rng ~lo:(-8) ~hi:8) in
+  Alcotest.(check (list int)) "int_in -8..8"
+    [ -7; -1; -2; -1; -1; 1; 2; -1; -5; -1; -4; 1 ] ints;
+  let floats = List.init 4 (fun _ -> P.float rng) in
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.14e2d4e56fd6fp-1; 0x1.94434f830414ep-1; 0x1.692ea8230bb2p-6;
+      0x1.adfb1b9fa9e6p-6 ]
+    floats;
+  let exps = List.init 4 (fun _ -> P.exponential rng ~mean:400.0) in
+  Alcotest.(check (list (float 0.0))) "exponential, mean 400"
+    [ 0x1.7bb7b06c729c1p+8; 0x1.31709018e0a84p+8; 0x1.3735498d2e3b8p+8;
+      0x1.2ca674277b3a1p+4 ]
+    exps;
+  Alcotest.(check string) "state after the draws" "901a7f7740a7bb25"
+    (Printf.sprintf "%016Lx" (P.int64 rng))
+
 (* --- Generators ----------------------------------------------------------------- *)
 
 let test_generated_schema () =
@@ -665,6 +697,10 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
           Alcotest.test_case "int_in overflow guard" `Quick
             test_prng_int_in_overflow;
+          Alcotest.test_case "splitmix64 known answers" `Quick
+            test_prng_splitmix64_known_answers;
+          Alcotest.test_case "derived draws known answers" `Quick
+            test_prng_derived_known_answers;
         ] );
       ( "generator",
         [
