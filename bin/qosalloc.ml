@@ -1297,6 +1297,70 @@ let verify_cmd =
 
 (* --- difftest --------------------------------------------------------------------- *)
 
+(* Moves a generated scenario to the edges of the value domain, where
+   the image's end marker sits just above the last legal word: every
+   attribute takes a distinct ID from 1..0xFFFE (the first one 0xFFFE
+   in every other scenario), about a third take the widest bounds
+   [0, 0xFFFE] and so the smallest reciprocal, and about a quarter of
+   the values on those attributes, and of the request's values, are 0
+   or 0xFFFE. *)
+let at_edges rng (cb : Casebase.t) (req : Request.t) =
+  let top = Attr.max_word in
+  let taken = Hashtbl.create 8 in
+  let rec fresh () =
+    let id = Workload.Prng.int_in rng ~lo:1 ~hi:(top - 1) in
+    if Hashtbl.mem taken id then fresh ()
+    else begin
+      Hashtbl.replace taken id ();
+      id
+    end
+  in
+  let first_at_top = Workload.Prng.bool rng in
+  let descriptors = Attr.Schema.descriptors cb.schema in
+  let remap =
+    List.mapi
+      (fun i (d : Attr.descriptor) ->
+        let id = if first_at_top && i = 0 then top else fresh () in
+        (d.id, (id, Workload.Prng.int rng ~bound:3 = 0)))
+      descriptors
+  in
+  let edge wide v =
+    if wide && Workload.Prng.int rng ~bound:4 = 0 then
+      if Workload.Prng.bool rng then 0 else top
+    else v
+  in
+  let schema =
+    or_die
+      (Attr.Schema.of_list
+         (List.map
+            (fun (d : Attr.descriptor) ->
+              let id, wide = List.assoc d.id remap in
+              let lower, upper =
+                if wide then (0, top) else (d.lower, d.upper)
+              in
+              or_die (Attr.descriptor ~id ~name:d.name ~lower ~upper))
+            descriptors))
+  in
+  let impl (i : Impl.t) =
+    or_die
+      (Impl.make ~id:i.id ~target:i.target
+         (List.map
+            (fun (aid, v) ->
+              let id, wide = List.assoc aid remap in
+              (id, edge wide v))
+            i.attrs))
+  in
+  let ftype (f : Ftype.t) =
+    or_die (Ftype.make ~id:f.id ~name:f.name (List.map impl f.impls))
+  in
+  ( or_die (Casebase.make ~name:cb.name ~schema (List.map ftype cb.ftypes)),
+    or_die
+      (Request.make ~type_id:req.type_id
+         (List.map
+            (fun (c : Request.constr) ->
+              (fst (List.assoc c.attr remap), edge true c.value, c.weight))
+            req.constraints)) )
+
 let difftest_cmd =
   let run trials seed =
     let failures = ref 0 in
@@ -1322,6 +1386,7 @@ let difftest_cmd =
             value_slack = 0.15;
           }
       in
+      let cb, req = at_edges rng cb req in
       let decide factory =
         match factory cb with
         | Error e -> Error (Engine.Engine_failure e)

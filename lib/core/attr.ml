@@ -3,7 +3,8 @@ type value = int
 
 type descriptor = { id : id; name : string; lower : value; upper : value }
 
-let max_word = 65535
+(* 0xFFFF is the image's list end marker, so no stored word may be it. *)
+let max_word = 0xFFFE
 
 let descriptor ~id ~name ~lower ~upper =
   if id <= 0 || id > max_word then

@@ -30,7 +30,10 @@ val dmax : descriptor -> int
 (** Maximum possible distance of two in-bounds values: [upper - lower]. *)
 
 val max_word : int
-(** 65535 — everything stored in the hardware lists must fit this. *)
+(** 0xFFFE (65534): the largest ID or value the core accepts.
+    Everything stored in the hardware lists must fit a 16-bit word
+    other than 0xFFFF, the lists' end marker (Fig. 4/5), so every
+    value the core accepts encodes. *)
 
 val pp_descriptor : Format.formatter -> descriptor -> unit
 

@@ -48,6 +48,11 @@ type caps = {
   reports_cycles : bool;  (** {!decision.cycles} is always [Some _]. *)
 }
 
+(** An engine value may keep mutable scratch between calls (the native
+    engine does), so one domain at a time drives an engine value.  Make
+    one engine per domain from its {!factory}: [Cluster.Substrate]
+    builds one per node, and [Cluster.Serve] decides each node's
+    requests from one worker. *)
 type t = {
   name : string;  (** Registry/CLI name, e.g. ["rtlsim"]. *)
   caps : caps;

@@ -60,6 +60,25 @@ let make ~type_id triples =
                 (Printf.sprintf
                    "constraint weights sum to a non-finite total (%g)" total))
 
+let with_values t values =
+  let n = Array.length values in
+  if n <> List.length t.constraints then
+    invalid_arg
+      (Printf.sprintf "Request.with_values: %d values for %d constraints" n
+         (List.length t.constraints));
+  let rec set i = function
+    | [] -> []
+    | c :: rest ->
+        let value = values.(i) in
+        if value < 0 || value > Attr.max_word then
+          invalid_arg
+            (Printf.sprintf
+               "Request.with_values: value %d of attribute %d outside [0, %d]"
+               value c.attr Attr.max_word);
+        (if value = c.value then c else { c with value }) :: set (i + 1) rest
+  in
+  { t with constraints = set 0 t.constraints }
+
 let normalized_weights t =
   let total =
     List.fold_left (fun acc c -> acc +. c.weight) 0.0 t.constraints

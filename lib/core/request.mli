@@ -28,6 +28,17 @@ val make : type_id:int -> (Attr.id * Attr.value * float) list -> (t, string) res
     infinity and out-of-word-range IDs/values.  An empty constraint
     list is legal (a pure type lookup). *)
 
+val with_values : t -> Attr.value array -> t
+(** [with_values t values] is [t] with constraint [i] (in attribute-ID
+    order) set to [values.(i)]: the request [make] would build from the
+    same IDs and weights at those values, without validating, sorting
+    or quantising again.  IDs, weights and [q15] are kept, and a
+    constraint whose value does not change is shared with [t].  For a
+    caller that builds many requests from one template: [make] it
+    once, then set the values of each.  [values] is read, not kept.
+    @raise Invalid_argument when [values] has not one value per
+    constraint or a value lies outside [0, Attr.max_word]. *)
+
 val normalized_weights : t -> (Attr.id * Attr.value * float) list
 (** Constraints with weights rescaled to sum to 1, unrounded: the
     floating-point reference's weights.  Empty list when the request

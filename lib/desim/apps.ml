@@ -176,17 +176,65 @@ let cruise_control =
 
 let standard_apps = [ mp3_player; video_scaler; automotive_ecu; cruise_control ]
 
-let instantiate rng template =
-  let jittered (aid, value, jitter, weight) =
-    let value =
-      if jitter = 0 then value
-      else value + Workload.Prng.int_in rng ~lo:(-jitter) ~hi:jitter
-    in
-    (aid, min (max value 0) Attr.max_word, weight)
-  in
-  get
-    (Request.make ~type_id:template.t_type_id
-       (List.map jittered template.t_constraints))
+(* A template validated and quantised once: [base] is [Request.make] at
+   the clamped nominal values, and each constraint keeps its nominal
+   value, jitter and position in [base]'s ID order, all in template
+   order, since the draws must come in the order the template lists
+   its constraints.  [values] is the scratch a draw fills in ID order
+   for [Request.with_values], which does not keep it. *)
+type compiled = {
+  base : Request.t;
+  nominal : int array;
+  jitter : int array;
+  position : int array;
+  jittered : bool;
+  values : int array;
+}
+
+let clamp value = min (max value 0) Attr.max_word
+
+let compile template =
+  let cs = template.t_constraints in
+  match
+    Request.make ~type_id:template.t_type_id
+      (List.map (fun (aid, value, _, weight) -> (aid, clamp value, weight)) cs)
+  with
+  | Error _ as e -> e
+  | Ok base ->
+      let ids =
+        Array.of_list
+          (List.map (fun (c : Request.constr) -> c.attr) base.constraints)
+      in
+      let rec index aid i = if ids.(i) = aid then i else index aid (i + 1) in
+      let field f = Array.of_list (List.map f cs) in
+      let jitter = field (fun (_, _, j, _) -> j) in
+      Ok
+        {
+          base;
+          nominal = field (fun (_, v, _, _) -> v);
+          jitter;
+          position = field (fun (aid, _, _, _) -> index aid 0);
+          jittered = Array.exists (fun j -> j <> 0) jitter;
+          values = Array.make (Array.length jitter) 0;
+        }
+
+(* Jitter in template order, then set the values in ID order.  A
+   template with no jitter draws nothing and shares its base request. *)
+let draw rng c =
+  if not c.jittered then c.base
+  else begin
+    for i = 0 to Array.length c.nominal - 1 do
+      let j = c.jitter.(i) in
+      let v =
+        if j = 0 then c.nominal.(i)
+        else c.nominal.(i) + Workload.Prng.int_in rng ~lo:(-j) ~hi:j
+      in
+      c.values.(c.position.(i)) <- clamp v
+    done;
+    Request.with_values c.base c.values
+  end
+
+let instantiate rng template = draw rng (get (compile template))
 
 (* Pull-based arrival source for one profile, for [Workload.Stream]:
    the draw order matches the pregenerated expansion exactly —
@@ -196,9 +244,11 @@ let instantiate rng template =
    would land at or past [horizon]; the source is then exhausted for
    good and draws nothing further. *)
 let arrival_source profile ~rng ~horizon =
-  let templates = profile.templates in
-  let count = List.length templates in
-  if count = 0 then invalid_arg "Apps.arrival_source: profile has no templates";
+  if profile.templates = [] then
+    invalid_arg "Apps.arrival_source: profile has no templates";
+  let templates =
+    Array.of_list (List.map (fun t -> get (compile t)) profile.templates)
+  in
   let cursor = ref 0 in
   let clock = ref 0.0 in
   let exhausted = ref false in
@@ -217,8 +267,8 @@ let arrival_source profile ~rng ~horizon =
       end
       else begin
         clock := t;
-        let template = List.nth templates !cursor in
-        cursor := (!cursor + 1) mod count;
-        Some (t, instantiate rng template)
+        let template = templates.(!cursor) in
+        cursor := (!cursor + 1) mod Array.length templates;
+        Some (t, draw rng template)
       end
     end

@@ -43,10 +43,32 @@ val cruise_control : profile
 val standard_apps : profile list
 (** The four applications of Fig. 1. *)
 
-val instantiate :
-  Workload.Prng.t -> template -> Qos_core.Request.t
-(** Apply jitter to the nominal values (clamped to the 16-bit word
-    range). *)
+type compiled
+(** A template validated and quantised once: the request
+    [Qos_core.Request.make] builds at the template's nominal values
+    (clamped to [0, Attr.max_word]), with each constraint's nominal
+    value, jitter and place in that request's ID order. *)
+
+val compile : template -> (compiled, string) result
+(** [Qos_core.Request.make] on the template's IDs and weights at the
+    clamped nominal values, with its error verbatim: the only
+    validation a template gets. *)
+
+val draw : Workload.Prng.t -> compiled -> Qos_core.Request.t
+(** One request from the template.  Each jittered constraint draws
+    [Prng.int_in ~lo:(-jitter) ~hi:jitter] in the order the template
+    lists its constraints; the value is clamped to the word range and
+    set with [Request.with_values].  The result equals
+    [Request.make] on the jittered, clamped values and leaves [rng]
+    where that path leaves it.  A template with no jitter draws
+    nothing and returns the same request every time, without
+    allocating.  A compiled template holds the scratch its draws fill,
+    so one domain at a time draws from it: each arrival source and
+    each simulation compiles its own. *)
+
+val instantiate : Workload.Prng.t -> template -> Qos_core.Request.t
+(** {!compile} then {!draw}, for a one-off request.
+    @raise Failure when {!compile} refuses the template. *)
 
 val arrival_source :
   profile ->
@@ -56,8 +78,15 @@ val arrival_source :
   (float * Qos_core.Request.t) option
 (** Pull-based arrival source for one profile, shaped for
     [Workload.Stream]: each call draws the next inter-arrival gap and
-    then instantiates the next template — exactly the draw order of
-    the pregenerated expansion, so a given [rng] yields the identical
+    then the next template — exactly the draw order of the
+    pregenerated expansion, so a given [rng] yields the identical
     timestamped sequence either way.  [None] once the next arrival
     would land at or past [horizon]; the source then stays exhausted
-    and draws nothing further. *)
+    and draws nothing further.
+
+    The profile's templates are compiled when the source is built, so
+    an invalid template fails there, not at its first arrival.  Only
+    the built-in profiles and generated benchmark workloads make
+    templates.
+    @raise Failure when a template does not compile.
+    @raise Invalid_argument when the profile has no templates. *)

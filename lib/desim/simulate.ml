@@ -77,15 +77,15 @@ type hooks = {
 type app_state = {
   profile : Apps.profile;
   rng : Workload.Prng.t;
+  templates : Apps.compiled array;
   mutable template_cursor : int;
   mutable metrics : app_metrics;
 }
 
 let next_template state =
-  let templates = state.profile.Apps.templates in
-  let template = List.nth templates state.template_cursor in
+  let template = state.templates.(state.template_cursor) in
   state.template_cursor <-
-    (state.template_cursor + 1) mod List.length templates;
+    (state.template_cursor + 1) mod Array.length state.templates;
   template
 
 let inter_arrival state =
@@ -112,6 +112,11 @@ let run ?obs ?layer spec =
         {
           profile;
           rng = Workload.Prng.split root_rng;
+          templates =
+            Array.of_list
+              (List.map
+                 (fun t -> Qos_core.Util.ok_exn ~ctx:"Apps" (Apps.compile t))
+                 profile.Apps.templates);
           template_cursor = 0;
           metrics = empty_metrics;
         })
@@ -236,7 +241,7 @@ let run ?obs ?layer spec =
   in
   let handle_request state engine =
     let template = next_template state in
-    let request = Apps.instantiate state.rng template in
+    let request = Apps.draw state.rng template in
     let span =
       match sim_instr with
       | None -> None

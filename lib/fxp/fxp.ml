@@ -12,10 +12,12 @@ module Q15 = struct
   let saturate r = if r > raw_bound then raw_bound else if r < 0 then 0 else r
   let of_raw r = if r < 0 || r > raw_bound then None else Some r
 
+  (* Checked without [of_raw]'s option, which would allocate on every
+     call of the retrieval kernels. *)
   let of_raw_exn r =
-    match of_raw r with
-    | Some v -> v
-    | None -> invalid_arg (Printf.sprintf "Fxp.of_raw_exn: %d out of range" r)
+    if r < 0 || r > raw_bound then
+      invalid_arg (Printf.sprintf "Fxp.of_raw_exn: %d out of range" r)
+    else r
 
   let to_raw t = t
 

@@ -1,7 +1,7 @@
 open Qos_core
 
 let end_marker = 0xFFFF
-let max_value_word = 0xFFFE
+let max_value_word = Attr.max_word
 let address_space = 0x10000
 
 module Ram = struct

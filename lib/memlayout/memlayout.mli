@@ -42,8 +42,9 @@ val end_marker : int
     means end-of-list. *)
 
 val max_value_word : int
-(** 0xFFFE — largest storable attribute value ({!end_marker} is
-    reserved). *)
+(** [Attr.max_word], 0xFFFE — largest storable ID or attribute value
+    ({!end_marker} is reserved).  The core refuses anything larger, so
+    every validated case base and request encodes word by word. *)
 
 val address_space : int
 (** 0x10000 — word capacity of the 16-bit address space; no image may

@@ -19,6 +19,8 @@ type t = {
   slots : int;  (* supplemental attributes: the row width of [vals] *)
   slot : int array;  (* attribute ID -> supplemental slot, or -1 *)
   recip : int array;  (* attribute ID -> raw Q15 reciprocal, or -1 *)
+  scratch : int array;
+      (* one retrieval's constraints, 4 words per supplemental slot *)
 }
 
 let bram_image t = Array.copy t.words
@@ -114,20 +116,42 @@ let of_casebase cb =
                       slots;
                       slot;
                       recip;
+                      scratch = Array.make (4 * slots) 0;
                     })
                   (supplemental words image.Memlayout.cb_supplemental_base)))
 
-(* Scores every variant of [ct] against [cs], four words per
-   constraint: slot, value, reciprocal, raw Q15 weight.  The Q15
-   arithmetic is Fxp.Q15's (abs_diff_int/mul_int/complement_to_one/
-   mul/add): a local similarity of 0 when recip * d reaches one or the
-   variant lacks the attribute, round-to-nearest weighting, and a sum
-   saturating at 0xFFFF.  No weighted term exceeds one, so only the sum
-   can saturate, and every term is non-negative, so saturating the
-   total once equals saturating each partial sum.  [x asr 62] is -1
-   when the 63-bit [x] is negative and 0 otherwise: [|x|] and both
-   zero cases are masks, not branches, which mispredict on random-sign
-   distances. *)
+(* Writes each constraint's four words into [cs] from [n] on: slot,
+   value, reciprocal and its raw Q15 weight, the request-list word
+   Request.make rounded once.  A constraint on an attribute outside
+   the supplemental list scores 0 on every variant, so it is left out.
+   Request.make refuses duplicate IDs, so the constraints kept have
+   distinct slots and fit [cs]'s 4 words per slot.  Returns the words
+   written. *)
+let rec fill t cs n = function
+  | [] -> n
+  | (c : Request.constr) :: rest ->
+      let aid = c.Request.attr in
+      if aid < Array.length t.slot && t.slot.(aid) >= 0 then begin
+        cs.(n) <- t.slot.(aid);
+        cs.(n + 1) <- c.Request.value;
+        cs.(n + 2) <- t.recip.(aid);
+        cs.(n + 3) <- Q.to_raw c.Request.q15;
+        fill t cs (n + 4) rest
+      end
+      else fill t cs n rest
+
+(* Scores every variant of [ct] against the first [n] words of [cs].
+   The Q15 arithmetic is Fxp.Q15's (abs_diff_int/mul_int/
+   complement_to_one/mul/add): a local similarity of 0 when recip * d
+   reaches one or the variant lacks the attribute, round-to-nearest
+   weighting, and a sum saturating at 0xFFFF.  No weighted term
+   exceeds one, so only the sum can saturate, and every term is
+   non-negative, so saturating the total once equals saturating each
+   partial sum.  [x asr 62] is -1 when the 63-bit [x] is negative and
+   0 otherwise: [|x|] and both zero cases are masks, not branches,
+   which mispredict on random-sign distances.  Returns the winner's
+   row above its 16-bit score, [k lsl 16 lor score], so no tuple is
+   built. *)
 let best_of ct ~slots cs n =
   let vals = ct.vals in
   let best = ref (-1) and best_k = ref 0 in
@@ -150,7 +174,7 @@ let best_of ct ~slots cs n =
       best_k := k
     end
   done;
-  (ct.impl_ids.(!best_k), !best)
+  (!best_k lsl 16) lor !best
 
 let retrieve t (request : Request.t) =
   let type_id = request.Request.type_id in
@@ -161,26 +185,14 @@ let retrieve t (request : Request.t) =
   | Some ct when Array.length ct.impl_ids = 0 ->
       Error (E.No_implementations type_id)
   | Some ct ->
-      let constraints = request.Request.constraints in
-      (* Each constraint's weight is its request-list Q15 word, rounded
-         once by Request.make.  A constraint on an attribute outside
-         the supplemental list scores 0 on every variant, so it is
-         left out. *)
-      let cs = Array.make (4 * List.length constraints) 0 in
-      let n = ref 0 in
-      List.iter
-        (fun (c : Request.constr) ->
-          let aid = c.Request.attr in
-          if aid < Array.length t.slot && t.slot.(aid) >= 0 then begin
-            cs.(!n) <- t.slot.(aid);
-            cs.(!n + 1) <- c.Request.value;
-            cs.(!n + 2) <- t.recip.(aid);
-            cs.(!n + 3) <- Q.to_raw c.Request.q15;
-            n := !n + 4
-          end)
-        constraints;
-      let impl_id, best = best_of ct ~slots:t.slots cs !n in
-      Ok { E.impl_id; score = Q.of_raw_exn best; cycles = None }
+      let n = fill t t.scratch 0 request.Request.constraints in
+      let winner = best_of ct ~slots:t.slots t.scratch n in
+      Ok
+        {
+          E.impl_id = ct.impl_ids.(winner lsr 16);
+          score = Q.of_raw_exn (winner land raw_max);
+          cycles = None;
+        }
 
 let engine t =
   let retrieve = retrieve t in

@@ -19,8 +19,11 @@
     and takes its Q15 weight as [Request.make] rounded it, then scores
     every variant with array reads and inline Q15 arithmetic that
     replicates [Fxp.Q15] operation for operation (saturating add,
-    round-to-nearest multiply, complement-to-one).  It keeps no state between calls, so worker
-    domains may share one compiled case base.  The hardware's
+    round-to-nearest multiply, complement-to-one).  A compiled case
+    base keeps one scratch array, four words per supplemental
+    attribute, that each retrieval fills with its constraints, so a
+    retrieval allocates only its result; one domain at a time drives a
+    compiled case base and every engine made from it.  The hardware's
     word-serial resume scan down the level-2 lists, and its cycles,
     stay modelled in [Rtlsim] and the netlist.
 
@@ -48,7 +51,9 @@ val retrieve :
   Qos_core.Request.t ->
   (Qos_core.Engine.decision, Qos_core.Engine.error) result
 (** One retrieval; [cycles] is [None] (the native engine has no
-    timing model). *)
+    timing model).  It allocates the result and nothing else, and it
+    writes [t]'s scratch, so two domains may not call it on one [t] at
+    once. *)
 
 val engine : t -> Qos_core.Engine.t
 (** Wrap as the engine named ["native"]; bit-accurate, no cycles. *)

@@ -1,40 +1,46 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: an [int64] record
+   field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let copy = Bytes.copy
+
+let[@inline] int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = int64 t }
+let split t = of_state (int64 t)
 
 (* Largest 62-bit value: draws are masked to 62 bits so they always fit
    OCaml's 63-bit native int. *)
 let max62 = 0x3FFFFFFFFFFFFFFF
 
+(* Rejection sampling: [raw mod bound] alone over-represents the first
+   [2^62 mod bound] residues.  Redraw whenever [raw] lands in the short
+   tail above [accept_max], the largest multiple of [bound] less one;
+   each accepted residue is then exactly equally likely. *)
+let rec draw t ~bound ~accept_max =
+  let raw = Int64.to_int (Int64.logand (int64 t) 0x3FFFFFFFFFFFFFFFL) in
+  if raw <= accept_max then raw mod bound else draw t ~bound ~accept_max
+
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive"
   else
-    (* Rejection sampling: [raw mod bound] alone over-represents the
-       first [2^62 mod bound] residues.  Redraw whenever [raw] lands in
-       the short tail above the largest multiple of [bound]; each
-       accepted residue is then exactly equally likely.  [2^62] itself
-       is not representable, so the tail length is computed as
-       [((max62 mod bound) + 1) mod bound]. *)
+    (* [2^62] itself is not representable, so the tail length is
+       computed as [((max62 mod bound) + 1) mod bound]. *)
     let tail = ((max62 mod bound) + 1) mod bound in
-    let accept_max = max62 - tail in
-    let rec draw () =
-      let raw = Int64.to_int (Int64.logand (int64 t) 0x3FFFFFFFFFFFFFFFL) in
-      if raw <= accept_max then raw mod bound else draw ()
-    in
-    draw ()
+    draw t ~bound ~accept_max:(max62 - tail)
 
 let int_in t ~lo ~hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi"
@@ -46,7 +52,7 @@ let int_in t ~lo ~hi =
            "Prng.int_in: range [%d, %d] spans more than max_int values" lo hi)
     else lo + int t ~bound:range
 
-let float t =
+let[@inline] float t =
   let raw = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   raw /. 9007199254740992.0 (* 2^53 *)
 

@@ -29,17 +29,19 @@ let pulled t = t.pulled
 
 (* Index of the pending item with the least (time, source index), or
    -1 when every source is exhausted.  Strict [<] keeps the earlier
-   source on ties. *)
+   source on ties.  Local refs in a plain loop: no closure, and the
+   float ref stays unboxed. *)
 let best_index t =
+  let pending = t.pending in
   let best = ref (-1) in
   let best_time = ref Float.infinity in
-  Array.iteri
-    (fun i -> function
-      | Some (time, _) when !best = -1 || time < !best_time ->
-          best := i;
-          best_time := time
-      | _ -> ())
-    t.pending;
+  for i = 0 to Array.length pending - 1 do
+    match pending.(i) with
+    | Some (time, _) when !best = -1 || time < !best_time ->
+        best := i;
+        best_time := time
+    | _ -> ()
+  done;
   !best
 
 let peek t =

@@ -103,16 +103,25 @@ let test_netlist_passes_in_lint () =
        diags)
 
 let test_lint_total () =
-  (* An un-encodable scenario is a lint error (exit 2): attribute id
-     65535 passes Request.make but collides with the end marker during
-     encoding. *)
-  let colliding = get (Qos_core.Request.make ~type_id:1 [ (65535, 16, 1.0) ]) in
+  (* An un-encodable scenario is a lint error (exit 2): a case base
+     whose tree needs more words than the 16-bit address space holds
+     passes Casebase.make but fails to encode. *)
+  let big =
+    Workload.Generator.sized_casebase ~seed:1 ~types:15 ~impls:200 ~attrs:12
+  in
+  let request = Workload.Generator.sized_request ~seed:1 big in
   check_bool "scenario really fails to encode" true
-    (Result.is_error (Memlayout.build_system cb colliding));
-  let diags = Analysis.Driver.lint cb colliding in
+    (Result.is_error (Memlayout.build_system big request));
+  let diags = Analysis.Driver.lint big request in
   check_bool "encode failure becomes an error diagnostic" true
     (D.errors diags > 0);
-  check_int "exit code 2" 2 (D.exit_code diags)
+  check_int "exit code 2" 2 (D.exit_code diags);
+  (* A word the end marker would shadow no longer reaches the encoder:
+     Request.make refuses attribute ID 0xFFFF. *)
+  Alcotest.(check (result unit string))
+    "attribute id 0xFFFF refused by Request.make"
+    (Error "constraint (attr 65535, value 16, weight 1) invalid")
+    (Result.map ignore (Qos_core.Request.make ~type_id:1 [ (0xFFFF, 16, 1.0) ]))
 
 (* --- Negative: image pass ------------------------------------------------ *)
 

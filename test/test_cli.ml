@@ -26,6 +26,8 @@ let contains haystack needle =
   let rec at i = i + m <= n && (String.sub haystack i m = needle || at (i + 1)) in
   at 0
 
+let fixture name = Filename.concat "../examples/data" name
+
 let test_retrieve () =
   let code, out = run_cli "retrieve -n 3" in
   check_int "exit code" 0 code;
@@ -62,6 +64,35 @@ let test_absent_type_one_message () =
         (cmd ^ " message") "qosalloc: function type 9 not found in case base\n"
         out)
     ("trace" :: List.map (fun name -> "retrieve -e " ^ name) Engines.names)
+
+(* IDs and values run to 0xFFFE in the core as in the image, so a
+   request carrying 0xFFFF, the image's end marker, as an attribute ID
+   or as a value is one parse error under every engine and under the
+   cycle trace; no engine answers it. *)
+let test_end_marker_word_one_message () =
+  List.iter
+    (fun (name, want, constr) ->
+      let req = Filename.concat tmp_dir (name ^ ".req") in
+      Out_channel.with_open_text req (fun oc ->
+          Out_channel.output_string oc ("request 1\n  want " ^ want ^ "\n"));
+      List.iter
+        (fun cmd ->
+          let code, out =
+            run_cli
+              (Printf.sprintf "%s -c %s -r %s" cmd (fixture "audio.cb") req)
+          in
+          check_int (cmd ^ " exit") 1 code;
+          Alcotest.(check string)
+            (cmd ^ " message")
+            (Printf.sprintf "qosalloc: %s: line 1: constraint (%s) invalid\n"
+               req constr)
+            out)
+        ("trace" :: "retrieve -e sw"
+        :: List.map (fun name -> "retrieve -e " ^ name) Engines.names))
+    [
+      ("end_marker_id", "65535 16 1", "attr 65535, value 16, weight 1");
+      ("end_marker_value", "1 65535 1", "attr 1, value 65535, weight 1");
+    ]
 
 let test_layout_and_resources () =
   let code, out = run_cli "layout" in
@@ -106,8 +137,6 @@ let test_verify_detects_corruption () =
   let code, out = run_cli (Printf.sprintf "verify -i %s" dir) in
   check_bool "verify fails on corruption" true
     (code <> 0 && contains out "VERIFY: FAIL")
-
-let fixture name = Filename.concat "../examples/data" name
 
 let test_lint_clean_exit0 () =
   let code, out =
@@ -169,21 +198,42 @@ let test_lint_error_exit2 () =
   check_bool "error names the word" true (contains out "cb_mem[0x0001]")
 
 let test_lint_unencodable_exit2 () =
-  (* Attribute id 0xffff passes the schema but collides with the image
-     end marker, so the scenario cannot be encoded.  That used to abort
-     the CLI before any diagnostic was printed; it must now surface as
-     an ordinary lint error with exit code 2. *)
-  let req = Filename.concat tmp_dir "unencodable.req" in
-  Out_channel.with_open_text req (fun oc ->
-      Out_channel.output_string oc "request 1\n  want 65535 16 1\n");
-  let code, out = run_cli (Printf.sprintf "lint -r %s" req) in
+  (* One type of 2,800 twelve-attribute variants parses, but its tree
+     needs 75,604 words, more than the 16-bit address space holds, so
+     the scenario cannot be encoded.  That used to abort the CLI before
+     any diagnostic was printed; it must now surface as an ordinary
+     lint error with exit code 2. *)
+  let cb = Filename.concat tmp_dir "unencodable.cb" in
+  Out_channel.with_open_text cb (fun oc ->
+      Out_channel.output_string oc "casebase \"big\"\nschema\n";
+      for a = 1 to 12 do
+        Printf.fprintf oc "  attr %d \"a%d\" 0 100\n" a a
+      done;
+      Out_channel.output_string oc "type 1 \"f\"\n";
+      for i = 1 to 2800 do
+        Printf.fprintf oc "  impl %d fpga\n" i;
+        for a = 1 to 12 do
+          Printf.fprintf oc "    set %d %d\n" a (i mod 100)
+        done
+      done);
+  let args = Printf.sprintf "-c %s -r %s" cb (fixture "paper.req") in
+  let code, out = run_cli ("lint " ^ args) in
   check_int "unencodable scenario exit 2" 2 code;
   check_bool "encode failure reported as diagnostic" true
     (contains out "error[image]");
-  let code, out = run_cli (Printf.sprintf "lint --format=json -r %s" req) in
+  let code, out = run_cli ("lint --format=json " ^ args) in
   check_int "json mode same exit code" 2 code;
   check_bool "json carries the error" true
-    (contains out "\"severity\":\"error\"")
+    (contains out "\"severity\":\"error\"");
+  (* Attribute ID 0xFFFF, the image's end marker, used to pass the
+     parser and fail here; the parser now refuses it. *)
+  let req = Filename.concat tmp_dir "end_marker_id.req" in
+  Out_channel.with_open_text req (fun oc ->
+      Out_channel.output_string oc "request 1\n  want 65535 16 1\n");
+  let code, out = run_cli (Printf.sprintf "lint -r %s" req) in
+  check_int "end-marker ID exit 2" 2 code;
+  check_bool "refused as unreadable input" true
+    (contains out "error[input] request: ")
 
 (* An input lint cannot read or parse is one error diagnostic in the
    ordinary stream (exit 2, never the warnings-only 1); a flag
@@ -620,6 +670,8 @@ let () =
             test_retrieve_all_engines_agree;
           Alcotest.test_case "absent type, one message" `Quick
             test_absent_type_one_message;
+          Alcotest.test_case "end-marker word one message" `Quick
+            test_end_marker_word_one_message;
           Alcotest.test_case "layout and resources" `Quick
             test_layout_and_resources;
           Alcotest.test_case "trace" `Quick test_trace;

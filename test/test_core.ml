@@ -295,6 +295,29 @@ let test_request_q15 () =
           (Request.make ~type_id:1
              [ (4, 0, tiny); (3, 0, tiny); (2, 0, 65533.0); (1, 0, 3.0) ])))
 
+(* [with_values] is [make] at new values, without validating again:
+   IDs, weights and Q15 words stay, an unchanged constraint is the same
+   record, and a value outside the word range is refused. *)
+let test_request_with_values () =
+  let r = get (Request.make ~type_id:3 [ (4, 40, 2.0); (1, 16, 1.0) ]) in
+  let moved = Request.with_values r [| 16; Attr.max_word |] in
+  check_bool "equals make at the new values" true
+    (Request.equal moved
+       (get
+          (Request.make ~type_id:3 [ (1, 16, 1.0); (4, Attr.max_word, 2.0) ])));
+  Alcotest.(check (list int)) "q15 kept" (raw_shares r) (raw_shares moved);
+  check_bool "unchanged constraint shared" true
+    (List.hd moved.constraints == List.hd r.constraints);
+  let raises label values =
+    check_bool label true
+      (match Request.with_values r values with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  raises "one value short" [| 16 |];
+  raises "negative value" [| -1; 40 |];
+  raises "end marker" [| 16; Attr.max_word + 1 |]
+
 (* --- Targets ------------------------------------------------------------- *)
 
 let test_target_strings () =
@@ -511,6 +534,7 @@ let () =
           Alcotest.test_case "normalization" `Quick test_request_normalization;
           Alcotest.test_case "edits" `Quick test_request_edits;
           Alcotest.test_case "q15 shares" `Quick test_request_q15;
+          Alcotest.test_case "with_values" `Quick test_request_with_values;
           request_q15_prop;
         ] );
       ("targets", [ Alcotest.test_case "strings" `Quick test_target_strings ]);

@@ -126,6 +126,32 @@ let test_instantiate_clamps () =
     check_bool "clamped at zero" true (c.Qos_core.Request.value >= 0)
   done
 
+(* A template without jitter compiles to one request that every draw
+   returns: no draw from the rng, and no allocation. *)
+let test_no_jitter_draw_shares_base () =
+  let template = List.hd A.automotive_ecu.A.templates in
+  let compiled = Result.get_ok (A.compile template) in
+  let rng = Workload.Prng.create ~seed:51 in
+  let witness = Workload.Prng.copy rng in
+  let first = A.draw rng compiled in
+  let others = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    if Sys.opaque_identity (A.draw rng compiled) != first then incr others
+  done;
+  let words = (Gc.minor_words () -. before) /. 1000.0 in
+  check_int "every draw is the base request" 0 !others;
+  check_bool (Printf.sprintf "%.2f words per draw" words) true (words = 0.0);
+  check_bool "equals Request.make at the nominal values" true
+    (Qos_core.Request.equal first
+       (Result.get_ok
+          (Qos_core.Request.make ~type_id:template.A.t_type_id
+             (List.map
+                (fun (a, v, _, w) -> (a, v, w))
+                template.A.t_constraints))));
+  check_bool "no rng draw" true
+    (Int64.equal (Workload.Prng.int64 rng) (Workload.Prng.int64 witness))
+
 (* --- Simulation ------------------------------------------------------------------ *)
 
 let test_simulation_deterministic () =
@@ -303,6 +329,95 @@ let trace_props =
         | Ok back -> back = rows);
   ]
 
+(* Templates as anyone could write them: IDs in any order, duplicates
+   now and then, jitter 0 or not, nominal values at and beyond both
+   ends of the word range, and weights that are sometimes not
+   positive. *)
+let template_gen =
+  let open QCheck2.Gen in
+  let top = Qos_core.Attr.max_word in
+  let id =
+    frequency [ (4, int_range 1 12); (1, pure top); (1, int_range 1 top) ]
+  in
+  let value =
+    frequency
+      [
+        (2, int_range (-20) 20);
+        (2, int_range (top - 20) (top + 20));
+        (2, int_range 0 top);
+        (1, pure 0);
+        (1, pure top);
+      ]
+  in
+  let jitter = frequency [ (1, pure 0); (2, int_range 1 40) ] in
+  let weight =
+    frequency
+      [
+        (12, float_range 0.001 10.0);
+        (1, pure 0.0);
+        (1, float_range (-5.0) 0.0);
+      ]
+  in
+  let constr = tup4 id value jitter weight in
+  map2
+    (fun t_type_id t_constraints -> { A.t_type_id; t_constraints })
+    (int_range 1 top)
+    (list_size (int_range 0 8) constr)
+
+(* The old per-arrival path: jitter in template order, clamp, then
+   [Request.make] on the triples. *)
+let make_path rng (template : A.template) =
+  Qos_core.Request.make ~type_id:template.A.t_type_id
+    (List.map
+       (fun (aid, value, jitter, weight) ->
+         let value =
+           if jitter = 0 then value
+           else value + Workload.Prng.int_in rng ~lo:(-jitter) ~hi:jitter
+         in
+         (aid, min (max value 0) Qos_core.Attr.max_word, weight))
+       template.A.t_constraints)
+
+let same_request (a : Qos_core.Request.t) (b : Qos_core.Request.t) =
+  Qos_core.Request.equal a b
+  && List.for_all2
+       (fun (x : Qos_core.Request.constr) (y : Qos_core.Request.constr) ->
+         Fxp.Q15.equal x.Qos_core.Request.q15 y.Qos_core.Request.q15)
+       a.Qos_core.Request.constraints b.Qos_core.Request.constraints
+
+let template_props =
+  [
+    prop "a compiled draw is Request.make on the jittered values"
+      QCheck2.Gen.(pair template_gen (int_range 0 1_000_000))
+      (fun (template, seed) ->
+        let rng = Workload.Prng.create ~seed in
+        let reference = Workload.Prng.copy rng in
+        match A.compile template with
+        | Error e ->
+            (* Refused as [Request.make] refuses the nominal triples. *)
+            let nominal = Workload.Prng.create ~seed:0 in
+            let zero_jitter =
+              {
+                template with
+                A.t_constraints =
+                  List.map (fun (a, v, _, w) -> (a, v, 0, w))
+                    template.A.t_constraints;
+              }
+            in
+            make_path nominal zero_jitter = Error e
+            && Result.is_error (make_path reference template)
+        | Ok compiled ->
+            (* Three draws from one compiled template, so a later draw
+               cannot disturb an earlier request. *)
+            let got = List.init 3 (fun _ -> A.draw rng compiled) in
+            let expected =
+              List.init 3 (fun _ ->
+                  Result.get_ok (make_path reference template))
+            in
+            List.for_all2 same_request got expected
+            && Int64.equal (Workload.Prng.int64 rng)
+                 (Workload.Prng.int64 reference));
+  ]
+
 let test_trace_csv_field_validation () =
   let row id =
     {
@@ -383,7 +498,10 @@ let () =
           Alcotest.test_case "reference casebase" `Quick test_reference_casebase;
           Alcotest.test_case "jitter" `Quick test_instantiate_jitter;
           Alcotest.test_case "clamping" `Quick test_instantiate_clamps;
-        ] );
+          Alcotest.test_case "no-jitter draw shares its base" `Quick
+            test_no_jitter_draw_shares_base;
+        ]
+        @ template_props );
       ( "simulation",
         [
           Alcotest.test_case "deterministic" `Quick test_simulation_deterministic;

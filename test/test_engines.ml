@@ -580,6 +580,57 @@ let props =
         | _ -> true);
   ]
 
+(* --- Allocation ---------------------------------------------------------- *)
+
+(* Minor-heap words per call of [f] over [n] calls.  The figure is exact
+   per build: a retrieval allocates the same words every time. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The native engine allocates its result (the decision record and its
+   [Ok], 6 words) and nothing per constraint or per variant.  The
+   bound leaves room for another compiler's layout. *)
+let check_native_allocation cb requests =
+  let retrieve = (get (Netlist.Compile.factory cb)).Engine.retrieve in
+  let words =
+    words_per_call (Array.length requests) (fun i ->
+        ignore (Sys.opaque_identity (retrieve requests.(i))))
+  in
+  check_bool
+    (Printf.sprintf "%.2f words per retrieval, at most 10" words)
+    true (words <= 10.0)
+
+let test_native_allocation_reference () =
+  let rng = Workload.Prng.create ~seed:51 in
+  let templates =
+    Array.of_list
+      (List.concat_map
+         (fun p -> p.Desim.Apps.templates)
+         Desim.Apps.standard_apps)
+  in
+  check_native_allocation Desim.Apps.reference_casebase
+    (Array.init 1000 (fun i ->
+         Desim.Apps.instantiate rng templates.(i mod Array.length templates)))
+
+let test_native_allocation_sized () =
+  let cb =
+    Workload.Generator.sized_casebase ~seed:2004 ~types:15 ~impls:40 ~attrs:10
+  in
+  let rng = Workload.Prng.create ~seed:51 in
+  check_native_allocation cb
+    (Array.init 1000 (fun i ->
+         Workload.Generator.request rng ~schema:cb.schema
+           ~type_id:(1 + (i mod 15))
+           {
+             Workload.Generator.constraints = (10, 10);
+             weight_profile = `Random;
+             value_slack = 0.0;
+           }))
+
 let () =
   Alcotest.run "engines"
     [
@@ -628,6 +679,13 @@ let () =
           Alcotest.test_case "errors equal" `Quick test_engine_errors_equal;
           Alcotest.test_case "batch matches single" `Quick
             test_batch_matches_single;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "native retrieve, reference case base" `Quick
+            test_native_allocation_reference;
+          Alcotest.test_case "native retrieve, 15x40x10 case base" `Quick
+            test_native_allocation_sized;
         ] );
       ("properties", props);
     ]

@@ -112,61 +112,62 @@ let refused label cb message =
   | Ok _ -> Alcotest.failf "%s: encoded" label
   | Error m -> Alcotest.(check string) label message m
 
-(* Every word the end marker would shadow is refused.  The tree's checks
-   run before the supplemental list's, so a case base that trips both
-   reports the tree's. *)
+(* The core's value domain is the image's: the constructors accept IDs
+   and values up to 0xFFFE, every one of which encodes, and refuse
+   0xFFFF, the end marker, with the error they give any other
+   out-of-range word, so no validated input reaches the encoder with a
+   word the marker would shadow. *)
 let test_value_collision_rejected () =
-  let schema ds =
+  let top = Memlayout.max_value_word in
+  check_int "one domain" Attr.max_word top;
+  check_int "just below the end marker" (Memlayout.end_marker - 1) top;
+  let impl = get (Impl.make ~id:top ~target:Target.Fpga [ (top, top) ]) in
+  let schema =
     get
       (Attr.Schema.of_list
-         (List.map
-            (fun (id, lower, upper) ->
-              get (Attr.descriptor ~id ~name:"a" ~lower ~upper))
-            ds))
+         [ get (Attr.descriptor ~id:top ~name:"a" ~lower:0 ~upper:top) ])
   in
-  let casebase ?(type_id = 1) ?(impl_id = 1) ds attrs =
-    let impl = get (Impl.make ~id:impl_id ~target:Target.Fpga attrs) in
-    let ft = get (Ftype.make ~id:type_id ~name:"f" [ impl ]) in
-    get (Casebase.make ~name:"bad" ~schema:(schema ds) [ ft ])
+  let cb =
+    get
+      (Casebase.make ~name:"top" ~schema
+         [ get (Ftype.make ~id:top ~name:"f" [ impl ]) ])
   in
-  let collides what =
-    what ^ " 65535 collides with the end marker or is negative"
+  let image = get (Memlayout.encode_cb cb) in
+  let end_ = Memlayout.end_marker in
+  Alcotest.(check (array int))
+    "the top of the domain encodes"
+    [| top; 3; end_; top; 6; end_; top; top; end_;
+       top; 0; top; Fxp.Q15.to_raw (Fxp.Q15.recip_succ top); end_ |]
+    image.Memlayout.cb_words;
+  let request = get (Request.make ~type_id:top [ (top, top, 1.0) ]) in
+  Alcotest.(check (array int))
+    "and so does its request"
+    [| top; top; top; Fxp.Q15.to_raw Fxp.Q15.one; end_ |]
+    (get (Memlayout.encode_request request));
+  let refused label expected = function
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error m -> Alcotest.(check string) label expected m
   in
-  refused "type id"
-    (casebase ~type_id:0xFFFF [ (1, 0, 10) ] [ (1, 5) ])
-    (collides "function-type id");
-  refused "impl id"
-    (casebase ~impl_id:0xFFFF [ (1, 0, 10) ] [ (1, 5) ])
-    (collides "implementation id");
-  refused "attribute id"
-    (casebase [ (0xFFFF, 0, 10) ] [ (0xFFFF, 5) ])
-    (collides "attribute id");
-  refused "attribute value"
-    (casebase [ (1, 0, 0xFFFF) ] [ (1, 0xFFFF) ])
-    (collides "attribute value");
-  refused "supplemental attribute id"
-    (casebase [ (1, 0, 10); (0xFFFF, 0, 10) ] [ (1, 5) ])
-    (collides "supplemental attribute id");
-  refused "supplemental lower bound"
-    (casebase [ (1, 0xFFFF, 0xFFFF) ] [])
-    (collides "supplemental lower bound");
-  refused "supplemental upper bound"
-    (casebase [ (1, 0, 0xFFFF) ] [ (1, 5) ])
-    (collides "supplemental upper bound");
-  (* Checks run level by level, not type by type: every type ID before
-     any implementation ID, every implementation ID before any
-     attribute. *)
-  let impl id attrs = get (Impl.make ~id ~target:Target.Fpga attrs) in
-  let ftype id impls = get (Ftype.make ~id ~name:"f" impls) in
-  let two_level ftypes =
-    get (Casebase.make ~name:"bad" ~schema:(schema [ (1, 0, 0xFFFF) ]) ftypes)
-  in
-  refused "type IDs first"
-    (two_level [ ftype 1 [ impl 0xFFFF [] ]; ftype 0xFFFF [ impl 1 [] ] ])
-    (collides "function-type id");
-  refused "implementation IDs before attributes"
-    (two_level [ ftype 1 [ impl 1 [ (1, 0xFFFF) ]; impl 0xFFFF [] ] ])
-    (collides "implementation id")
+  refused "type id" "function-type id 65535 outside (0, 65534]"
+    (Ftype.make ~id:0xFFFF ~name:"f" [ impl ]);
+  refused "impl id" "implementation id 65535 outside (0, 65534]"
+    (Impl.make ~id:0xFFFF ~target:Target.Fpga []);
+  refused "impl attribute id" "attribute (65535, 5) outside 16-bit word range"
+    (Impl.make ~id:1 ~target:Target.Fpga [ (0xFFFF, 5) ]);
+  refused "impl attribute value"
+    "attribute (1, 65535) outside 16-bit word range"
+    (Impl.make ~id:1 ~target:Target.Fpga [ (1, 0xFFFF) ]);
+  refused "schema attribute id" "attribute id 65535 outside (0, 65534]"
+    (Attr.descriptor ~id:0xFFFF ~name:"a" ~lower:0 ~upper:10);
+  refused "schema bound" "attribute 1 bounds [0, 65535] outside [0, 65534]"
+    (Attr.descriptor ~id:1 ~name:"a" ~lower:0 ~upper:0xFFFF);
+  refused "request type id" "function-type id 65535 outside (0, 65534]"
+    (Request.make ~type_id:0xFFFF []);
+  refused "request attribute id"
+    "constraint (attr 65535, value 16, weight 1) invalid"
+    (Request.make ~type_id:1 [ (0xFFFF, 16, 1.0) ]);
+  refused "request value" "constraint (attr 1, value 65535, weight 1) invalid"
+    (Request.make ~type_id:1 [ (1, 0xFFFF, 1.0) ])
 
 let test_address_space () =
   refused "tree over the address space"

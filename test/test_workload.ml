@@ -153,6 +153,18 @@ let test_prng_derived_known_answers () =
   Alcotest.(check string) "state after the draws" "901a7f7740a7bb25"
     (Printf.sprintf "%016Lx" (P.int64 rng))
 
+(* The state is unboxed and the rejection loop is not a closure, so a
+   bounded draw allocates nothing. *)
+let test_prng_int_in_allocation () =
+  let rng = P.create ~seed:51 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (P.int_in rng ~lo:(-8) ~hi:8))
+  done;
+  let words = (Gc.minor_words () -. before) /. 1000.0 in
+  check_bool (Printf.sprintf "%.2f words per int_in draw" words) true
+    (words = 0.0)
+
 (* --- Generators ----------------------------------------------------------------- *)
 
 let test_generated_schema () =
@@ -701,6 +713,8 @@ let () =
             test_prng_splitmix64_known_answers;
           Alcotest.test_case "derived draws known answers" `Quick
             test_prng_derived_known_answers;
+          Alcotest.test_case "int_in allocates nothing" `Quick
+            test_prng_int_in_allocation;
         ] );
       ( "generator",
         [
