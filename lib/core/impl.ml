@@ -23,7 +23,10 @@ let make ~id ~target attrs =
     match bad with
     | Some (aid, v) ->
         Error
-          (Printf.sprintf "attribute (%d, %d) outside 16-bit word range" aid v)
+          (Printf.sprintf
+             "attribute (%d, %d) outside the word range (ID 1..%d, value \
+              0..%d)"
+             aid v Attr.max_word Attr.max_word)
     | None ->
         let sorted =
           List.sort (fun (a, _) (b, _) -> Int.compare a b) attrs

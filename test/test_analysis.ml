@@ -116,12 +116,13 @@ let test_lint_total () =
   check_bool "encode failure becomes an error diagnostic" true
     (D.errors diags > 0);
   check_int "exit code 2" 2 (D.exit_code diags);
-  (* A word the end marker would shadow no longer reaches the encoder:
+  (* A word the end marker would shadow never reaches the encoder:
      Request.make refuses attribute ID 0xFFFF. *)
   Alcotest.(check (result unit string))
     "attribute id 0xFFFF refused by Request.make"
     (Error "constraint (attr 65535, value 16, weight 1) invalid")
-    (Result.map ignore (Qos_core.Request.make ~type_id:1 [ (0xFFFF, 16, 1.0) ]))
+    (Result.map ignore
+       (Qos_core.Request.make ~type_id:1 [ (0xFFFF, 16, 1.0) ]))
 
 (* --- Negative: image pass ------------------------------------------------ *)
 

@@ -225,8 +225,8 @@ let test_lint_unencodable_exit2 () =
   check_int "json mode same exit code" 2 code;
   check_bool "json carries the error" true
     (contains out "\"severity\":\"error\"");
-  (* Attribute ID 0xFFFF, the image's end marker, used to pass the
-     parser and fail here; the parser now refuses it. *)
+  (* Attribute ID 0xFFFF, the image's end marker, is refused by the
+     parser: unreadable input, not an unencodable image. *)
   let req = Filename.concat tmp_dir "end_marker_id.req" in
   Out_channel.with_open_text req (fun oc ->
       Out_channel.output_string oc "request 1\n  want 65535 16 1\n");

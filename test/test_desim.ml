@@ -364,8 +364,8 @@ let template_gen =
     (int_range 1 top)
     (list_size (int_range 0 8) constr)
 
-(* The old per-arrival path: jitter in template order, clamp, then
-   [Request.make] on the triples. *)
+(* The reference a compiled draw must equal: jitter in template order,
+   clamp, then [Request.make] on the triples. *)
 let make_path rng (template : A.template) =
   Qos_core.Request.make ~type_id:template.A.t_type_id
     (List.map

@@ -152,10 +152,11 @@ let test_value_collision_rejected () =
     (Ftype.make ~id:0xFFFF ~name:"f" [ impl ]);
   refused "impl id" "implementation id 65535 outside (0, 65534]"
     (Impl.make ~id:0xFFFF ~target:Target.Fpga []);
-  refused "impl attribute id" "attribute (65535, 5) outside 16-bit word range"
+  refused "impl attribute id"
+    "attribute (65535, 5) outside the word range (ID 1..65534, value 0..65534)"
     (Impl.make ~id:1 ~target:Target.Fpga [ (0xFFFF, 5) ]);
   refused "impl attribute value"
-    "attribute (1, 65535) outside 16-bit word range"
+    "attribute (1, 65535) outside the word range (ID 1..65534, value 0..65534)"
     (Impl.make ~id:1 ~target:Target.Fpga [ (1, 0xFFFF) ]);
   refused "schema attribute id" "attribute id 65535 outside (0, 65534]"
     (Attr.descriptor ~id:0xFFFF ~name:"a" ~lower:0 ~upper:10);
