@@ -15,7 +15,7 @@ type value = int
 (** Attribute value; non-negative, fits a 16-bit word.  Units are
     attribute-specific (kSamples/s, bits, enum code, mW, ...). *)
 
-type descriptor = {
+type descriptor = private {
   id : id;
   name : string;  (** Human-readable label, e.g. "sample-rate". *)
   lower : value;  (** Design-global lower bound over the whole library. *)
@@ -24,7 +24,8 @@ type descriptor = {
 
 val descriptor : id:id -> name:string -> lower:value -> upper:value
   -> (descriptor, string) result
-(** Validates ID/value word ranges and [lower <= upper]. *)
+(** Validates ID/value word ranges and [lower <= upper]: the only way
+    to build a {!descriptor}, so every descriptor's words encode. *)
 
 val dmax : descriptor -> int
 (** Maximum possible distance of two in-bounds values: [upper - lower]. *)

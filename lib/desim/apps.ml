@@ -236,6 +236,9 @@ let draw rng c =
 
 let instantiate rng template = draw rng (get (compile template))
 
+let compile_templates profile =
+  Array.of_list (List.map (fun t -> get (compile t)) profile.templates)
+
 (* Pull-based arrival source for one profile, for [Workload.Stream]:
    the draw order matches the pregenerated expansion exactly —
    inter-arrival first (a Poisson profile draws here), then template
@@ -246,9 +249,7 @@ let instantiate rng template = draw rng (get (compile template))
 let arrival_source profile ~rng ~horizon =
   if profile.templates = [] then
     invalid_arg "Apps.arrival_source: profile has no templates";
-  let templates =
-    Array.of_list (List.map (fun t -> get (compile t)) profile.templates)
-  in
+  let templates = compile_templates profile in
   let cursor = ref 0 in
   let clock = ref 0.0 in
   let exhausted = ref false in

@@ -70,6 +70,11 @@ val instantiate : Workload.Prng.t -> template -> Qos_core.Request.t
 (** {!compile} then {!draw}, for a one-off request.
     @raise Failure when {!compile} refuses the template. *)
 
+val compile_templates : profile -> compiled array
+(** The profile's templates compiled once, in profile order: what an
+    arrival source and a simulation draw from.
+    @raise Failure when {!compile} refuses a template. *)
+
 val arrival_source :
   profile ->
   rng:Workload.Prng.t ->
@@ -84,8 +89,9 @@ val arrival_source :
     would land at or past [horizon]; the source then stays exhausted
     and draws nothing further.
 
-    The profile's templates are compiled when the source is built, so
-    an invalid template fails there, not at its first arrival.  Only
+    The profile's templates are compiled ({!compile_templates}) when
+    the source is built, so an invalid template fails there, not at its
+    first arrival.  Only
     the built-in profiles and generated benchmark workloads make
     templates.
     @raise Failure when a template does not compile.

@@ -112,11 +112,7 @@ let run ?obs ?layer spec =
         {
           profile;
           rng = Workload.Prng.split root_rng;
-          templates =
-            Array.of_list
-              (List.map
-                 (fun t -> Qos_core.Util.ok_exn ~ctx:"Apps" (Apps.compile t))
-                 profile.Apps.templates);
+          templates = Apps.compile_templates profile;
           template_cursor = 0;
           metrics = empty_metrics;
         })

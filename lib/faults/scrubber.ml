@@ -9,19 +9,16 @@ type t = {
 let create casebase request =
   match Memlayout.encode_cb casebase with
   | Error e -> Error e
-  | Ok image -> (
-      match Memlayout.attach_request image request with
-      | Error e -> Error e
-      | Ok system ->
-          let golden = Array.copy image.Memlayout.cb_words in
-          Ok
-            {
-              golden;
-              live = Array.copy golden;
-              req_mem = system.Memlayout.req_mem;
-              supplemental_base = image.Memlayout.cb_supplemental_base;
-              golden_checksum = Qos_core.Util.fletcher16 golden;
-            })
+  | Ok image ->
+      let golden = Array.copy image.Memlayout.cb_words in
+      Ok
+        {
+          golden;
+          live = Array.copy golden;
+          req_mem = Memlayout.encode_request request;
+          supplemental_base = image.Memlayout.cb_supplemental_base;
+          golden_checksum = Qos_core.Util.fletcher16 golden;
+        }
 
 let live t = t.live
 

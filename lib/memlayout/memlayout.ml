@@ -43,34 +43,18 @@ type decoded_tree = (int * (int * (int * int) list) list) list
 
 let ( let* ) = Result.bind
 
-(* The encoders stop at the first word the end marker would shadow. *)
-exception Refused of string
-
-let check_value what v =
-  if v < 0 || v > max_value_word then
-    raise
-      (Refused
-         (Printf.sprintf "%s %d collides with the end marker or is negative"
-            what v))
-
-let refusing encode = try Ok (encode ()) with Refused m -> Error m
-
 (* --- Request list ------------------------------------------------------ *)
 
+(* Request.make bounds every ID and value to 0..max_value_word, so every
+   word but the last is below the end marker. *)
 let encode_request (r : Request.t) =
-  refusing (fun () ->
-      List.iter
-        (fun (c : Request.constr) ->
-          check_value "request attribute id" c.attr;
-          check_value "request attribute value" c.value)
-        r.constraints;
-      Array.of_list
-        (r.type_id
-         :: List.concat_map
-              (fun (c : Request.constr) ->
-                [ c.attr; c.value; Fxp.Q15.to_raw c.q15 ])
-              r.constraints
-        @ [ end_marker ]))
+  Array.of_list
+    (r.type_id
+     :: List.concat_map
+          (fun (c : Request.constr) ->
+            [ c.attr; c.value; Fxp.Q15.to_raw c.q15 ])
+          r.constraints
+    @ [ end_marker ])
 
 let decode_request words =
   let n = Array.length words in
@@ -159,90 +143,74 @@ let level_sizes (cb : Casebase.t) =
    order, every level-2 attribute list in (type, impl) order, then the
    supplemental list.  The sizes fix every base up front, so each level
    is filled in one walk whose pointer words are a running address into
-   the level below.  Levels are filled in order, so the value checks
-   run level by level and the first refusal is the one reported. *)
+   the level below.  The constructors bound every ID and value to
+   0..max_value_word, so no word written here is the end marker. *)
 let encode_cb (cb : Casebase.t) =
   let level0, level1, level2 = level_sizes cb in
   let tree = level0 + level1 + level2 in
+  let descriptors = Attr.Schema.descriptors cb.schema in
+  let total = tree + (4 * List.length descriptors) + 1 in
   if tree > address_space then
     Error
       (Printf.sprintf
          "tree image needs %d words, exceeding the 16-bit address space" tree)
-  else
-    let descriptors = Attr.Schema.descriptors cb.schema in
-    let* words =
-      refusing (fun () ->
-          let words =
-            Array.make (tree + (4 * List.length descriptors) + 1) end_marker
-          in
-          let pos = ref 0 and next = ref level0 in
-          let pair a b =
-            words.(!pos) <- a;
-            words.(!pos + 1) <- b;
-            pos := !pos + 2
-          in
-          (* Level 0: one (type ID, level-1 pointer) pair per type. *)
-          List.iter
-            (fun (ft : Ftype.t) ->
-              check_value "function-type id" ft.id;
-              pair ft.id !next;
-              next := !next + level1_size ft)
-            cb.ftypes;
-          (* Level 1, per type: (impl ID, level-2 pointer) pairs. *)
-          pos := level0;
-          List.iter
-            (fun (ft : Ftype.t) ->
-              List.iter
-                (fun (impl : Impl.t) ->
-                  check_value "implementation id" impl.id;
-                  pair impl.id !next;
-                  next := !next + level2_size impl)
-                ft.impls;
-              incr pos)
-            cb.ftypes;
-          (* Level 2, per (type, impl): (attr ID, value) pairs. *)
-          List.iter
-            (fun (ft : Ftype.t) ->
-              List.iter
-                (fun (impl : Impl.t) ->
-                  List.iter
-                    (fun (aid, v) ->
-                      check_value "attribute id" aid;
-                      check_value "attribute value" v;
-                      pair aid v)
-                    impl.attrs;
-                  incr pos)
-                ft.impls)
-            cb.ftypes;
-          assert (!pos = tree);
-          (* Supplemental list: (attr ID, lower, upper, recip) blocks. *)
-          List.iter
-            (fun (d : Attr.descriptor) ->
-              check_value "supplemental attribute id" d.id;
-              check_value "supplemental lower bound" d.lower;
-              check_value "supplemental upper bound" d.upper;
-              pair d.id d.lower;
-              pair d.upper (Fxp.Q15.to_raw (Fxp.Q15.recip_succ (Attr.dmax d))))
-            descriptors;
-          words)
+  else if total > address_space then
+    Error "combined CB-MEM image exceeds the 16-bit address space"
+  else begin
+    let words = Array.make total end_marker in
+    let pos = ref 0 and next = ref level0 in
+    let pair a b =
+      words.(!pos) <- a;
+      words.(!pos + 1) <- b;
+      pos := !pos + 2
     in
-    if Array.length words > address_space then
-      Error "combined CB-MEM image exceeds the 16-bit address space"
-    else Ok { cb_words = words; cb_supplemental_base = tree }
+    (* Level 0: one (type ID, level-1 pointer) pair per type. *)
+    List.iter
+      (fun (ft : Ftype.t) ->
+        pair ft.id !next;
+        next := !next + level1_size ft)
+      cb.ftypes;
+    (* Level 1, per type: (impl ID, level-2 pointer) pairs. *)
+    pos := level0;
+    List.iter
+      (fun (ft : Ftype.t) ->
+        List.iter
+          (fun (impl : Impl.t) ->
+            pair impl.id !next;
+            next := !next + level2_size impl)
+          ft.impls;
+        incr pos)
+      cb.ftypes;
+    (* Level 2, per (type, impl): (attr ID, value) pairs. *)
+    List.iter
+      (fun (ft : Ftype.t) ->
+        List.iter
+          (fun (impl : Impl.t) ->
+            List.iter (fun (aid, v) -> pair aid v) impl.attrs;
+            incr pos)
+          ft.impls)
+      cb.ftypes;
+    assert (!pos = tree);
+    (* Supplemental list: (attr ID, lower, upper, recip) blocks. *)
+    List.iter
+      (fun (d : Attr.descriptor) ->
+        pair d.id d.lower;
+        pair d.upper (Fxp.Q15.to_raw (Fxp.Q15.recip_succ (Attr.dmax d))))
+      descriptors;
+    Ok { cb_words = words; cb_supplemental_base = tree }
+  end
 
 let attach_request image request =
-  let* req_mem = encode_request request in
-  Ok
-    {
-      cb_mem = image.cb_words;
-      req_mem;
-      tree_base = 0;
-      supplemental_base = image.cb_supplemental_base;
-    }
+  {
+    cb_mem = image.cb_words;
+    req_mem = encode_request request;
+    tree_base = 0;
+    supplemental_base = image.cb_supplemental_base;
+  }
 
 let build_system cb request =
   let* image = encode_cb cb in
-  attach_request image request
+  Ok (attach_request image request)
 
 let reconstruct_system ~cb_mem ~req_mem ~supplemental_base =
   if supplemental_base <= 0 || supplemental_base > Array.length cb_mem then
@@ -277,11 +245,10 @@ type accounting = {
 
 let account cb request =
   let* image = encode_cb cb in
-  let* req = encode_request request in
   let level0, level1, level2 = level_sizes cb in
   Ok
     {
-      request_words = Array.length req;
+      request_words = Array.length (encode_request request);
       supplemental_words =
         Array.length image.cb_words - image.cb_supplemental_base;
       tree_level0_words = level0;

@@ -69,10 +69,9 @@ module Ram : sig
   val access_count : t -> int
 end
 
-val encode_request : Qos_core.Request.t -> (int array, string) result
+val encode_request : Qos_core.Request.t -> int array
 (** Each constraint's weight word is its [Request.constr.q15], the
-    share {!Qos_core.Request.make} rounded.  Fails on an attribute ID
-    or value outside 0..{!max_value_word}. *)
+    share {!Qos_core.Request.make} rounded. *)
 
 type decoded_request = {
   req_type_id : int;
@@ -110,15 +109,11 @@ type cb_image = {
 
 val encode_cb : Qos_core.Casebase.t -> (cb_image, string) result
 (** The design-time CB-MEM content, reusable across requests, in the
-    address plan above.  Fails, in this order, when the tree alone
-    would exceed the 16-bit address space; on the first ID or value
-    outside 0..{!max_value_word}, checked level by level (type IDs,
-    then implementation IDs, then attribute IDs and values, then the
-    supplemental IDs and bounds); or when tree and supplemental list
-    together would exceed the address space. *)
+    address plan above.  Fails when the tree alone would exceed the
+    16-bit address space, or else when tree and supplemental list
+    together would. *)
 
-val attach_request :
-  cb_image -> Qos_core.Request.t -> (system_image, string) result
+val attach_request : cb_image -> Qos_core.Request.t -> system_image
 (** Pair a compiled case base with one request — what the run-time
     system does per function call. *)
 

@@ -17,17 +17,14 @@ let create cb =
   | Error e -> Error e
   | Ok image ->
       let retrieve request =
-        match Memlayout.attach_request image request with
-        | Error m -> Error (E.Engine_failure m)
-        | Ok sys -> (
-            match Elaborate.system sys with
-            | Error m -> Error (E.Engine_failure ("elaborate: " ^ m))
-            | Ok design -> (
-                match Sim.run design with
-                | Error m -> Error (E.Engine_failure ("netlist sim: " ^ m))
-                | Ok { Sim.decision = Some d; _ } -> Ok d
-                | Ok { Sim.decision = None; _ } ->
-                    Error (classify_not_found cb request)))
+        match Elaborate.system (Memlayout.attach_request image request) with
+        | Error m -> Error (E.Engine_failure ("elaborate: " ^ m))
+        | Ok design -> (
+            match Sim.run design with
+            | Error m -> Error (E.Engine_failure ("netlist sim: " ^ m))
+            | Ok { Sim.decision = Some d; _ } -> Ok d
+            | Ok { Sim.decision = None; _ } ->
+                Error (classify_not_found cb request))
       in
       Ok
         {

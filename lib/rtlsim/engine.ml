@@ -12,9 +12,7 @@ let create ?(config = Machine.paper_config) cb =
   | Error e -> Error e
   | Ok image ->
       let run_outcome request =
-        match Memlayout.attach_request image request with
-        | Error m -> Error (E.Engine_failure m)
-        | Ok sys -> Machine.run ~config sys
+        Machine.run ~config (Memlayout.attach_request image request)
       in
       let retrieve request = Result.map decision_of_outcome (run_outcome request) in
       let phase_cycles request =

@@ -431,13 +431,10 @@ let retrieve_stream ?config casebase requests =
   match Memlayout.encode_cb casebase with
   | Error m -> Error m
   | Ok cb_image ->
-      Ok
-        (List.map
-           (fun request ->
-             match Memlayout.attach_request cb_image request with
-             | Error m -> Error (malformed m)
-             | Ok image -> run ?config image)
-           requests)
+      let run_one request =
+        run ?config (Memlayout.attach_request cb_image request)
+      in
+      Ok (List.map run_one requests)
 
 (* --- N-most-similar retrieval (Sec. 5 extension) ------------------------- *)
 

@@ -37,7 +37,7 @@ let test_ram () =
 (* --- Request image ------------------------------------------------------- *)
 
 let test_request_roundtrip () =
-  let words = get (Memlayout.encode_request request) in
+  let words = Memlayout.encode_request request in
   (* type + 3 attrs x 3 words + end = 11 *)
   check_int "request words" 11 (Array.length words);
   check_int "first word is type" 1 words.(0);
@@ -53,7 +53,7 @@ let test_request_roundtrip () =
   | _ -> Alcotest.fail "unexpected decoded constraints");
   (* Empty request still has type + end marker. *)
   let empty = get (Request.make ~type_id:5 []) in
-  let words = get (Memlayout.encode_request empty) in
+  let words = Memlayout.encode_request empty in
   check_int "empty request words" 2 (Array.length words)
 
 let test_request_decode_errors () =
@@ -115,8 +115,10 @@ let refused label cb message =
 (* The core's value domain is the image's: the constructors accept IDs
    and values up to 0xFFFE, every one of which encodes, and refuse
    0xFFFF, the end marker, with the error they give any other
-   out-of-range word, so no validated input reaches the encoder with a
-   word the marker would shadow. *)
+   out-of-range word.  Descriptors, function types, implementations
+   and requests are private records, so these constructors are the only
+   way to the encoder, and no input reaches it with a word the marker
+   would shadow. *)
 let test_value_collision_rejected () =
   let top = Memlayout.max_value_word in
   check_int "one domain" Attr.max_word top;
@@ -143,7 +145,7 @@ let test_value_collision_rejected () =
   Alcotest.(check (array int))
     "and so does its request"
     [| top; top; top; Fxp.Q15.to_raw Fxp.Q15.one; end_ |]
-    (get (Memlayout.encode_request request));
+    (Memlayout.encode_request request);
   let refused label expected = function
     | Ok _ -> Alcotest.failf "%s: accepted" label
     | Error m -> Alcotest.(check string) label expected m
@@ -160,8 +162,15 @@ let test_value_collision_rejected () =
     (Impl.make ~id:1 ~target:Target.Fpga [ (1, 0xFFFF) ]);
   refused "schema attribute id" "attribute id 65535 outside (0, 65534]"
     (Attr.descriptor ~id:0xFFFF ~name:"a" ~lower:0 ~upper:10);
-  refused "schema bound" "attribute 1 bounds [0, 65535] outside [0, 65534]"
+  refused "schema upper bound"
+    "attribute 1 bounds [0, 65535] outside [0, 65534]"
     (Attr.descriptor ~id:1 ~name:"a" ~lower:0 ~upper:0xFFFF);
+  refused "schema lower bound"
+    "attribute 1 bounds [65535, 65535] outside [0, 65534]"
+    (Attr.descriptor ~id:1 ~name:"a" ~lower:0xFFFF ~upper:0xFFFF);
+  refused "schema negative bound"
+    "attribute 1 bounds [-1, 10] outside [0, 65534]"
+    (Attr.descriptor ~id:1 ~name:"a" ~lower:(-1) ~upper:10);
   refused "request type id" "function-type id 65535 outside (0, 65534]"
     (Request.make ~type_id:0xFFFF []);
   refused "request attribute id"
@@ -208,10 +217,8 @@ let test_build_system () =
 
 let test_cb_image_reuse () =
   let cb_image = get (Memlayout.encode_cb cb) in
-  let a = get (Memlayout.attach_request cb_image request) in
-  let b =
-    get (Memlayout.attach_request cb_image Scenario_audio.relaxed_request)
-  in
+  let a = Memlayout.attach_request cb_image request in
+  let b = Memlayout.attach_request cb_image Scenario_audio.relaxed_request in
   check_bool "same CB words shared" true
     (a.Memlayout.cb_mem == b.Memlayout.cb_mem);
   check_bool "matches build_system" true
@@ -354,19 +361,16 @@ let props =
               value_slack = 0.1;
             }
         in
-        match Memlayout.encode_request req with
+        match Memlayout.decode_request (Memlayout.encode_request req) with
         | Error _ -> false
-        | Ok words -> (
-            match Memlayout.decode_request words with
-            | Error _ -> false
-            | Ok decoded ->
-                decoded.Memlayout.req_type_id = req.Request.type_id
-                && List.for_all2
-                     (fun (aid, v, w) (daid, dv, dw) ->
-                       aid = daid && v = dv
-                       && dw = Fxp.Q15.to_raw (Fxp.Q15.of_float w))
-                     (Request.normalized_weights req)
-                     decoded.Memlayout.req_constraints));
+        | Ok decoded ->
+            decoded.Memlayout.req_type_id = req.Request.type_id
+            && List.for_all2
+                 (fun (aid, v, w) (daid, dv, dw) ->
+                   aid = daid && v = dv
+                   && dw = Fxp.Q15.to_raw (Fxp.Q15.of_float w))
+                 (Request.normalized_weights req)
+                 decoded.Memlayout.req_constraints);
     prop "reconstructed images drive the hardware identically"
       (QCheck2.Gen.int_range 0 50_000)
       (fun seed ->
